@@ -80,7 +80,35 @@ def _parse_tolerances(pairs) -> dict:
             out[name] = float(value)
         except ValueError:
             raise _UsageError(f"tolerance {name!r} needs a numeric value, got {value!r}")
+        if not (math.isfinite(out[name]) and out[name] > 0.0):
+            raise _UsageError(f"tolerance {name!r} must be finite and positive, got {value!r}")
     return out
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _count(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_json_arg(text: str, flag: str):
@@ -106,6 +134,8 @@ def _parse_system_json(payload, flag: str, label: str) -> isoparametric.ProfileS
             regime = row.get("regime", "compact")
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"{flag}: branch {idx} malformed: {exc}")
+        if not (math.isfinite(kappa) and math.isfinite(theta)):
+            raise _UsageError(f"{flag}: branch {idx} needs finite kappa and theta")
         try:
             if regime == "compact":
                 branch = CurvatureBranch.compact(kappa, theta, mult)
@@ -135,6 +165,8 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError(f"--alpha-grid expects numeric a:b:n, got {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"--alpha-grid endpoints must be finite, got {text!r}")
     if n < 1:
         raise _UsageError("--alpha-grid needs n >= 1")
     return np.linspace(a, b, n)
@@ -148,6 +180,8 @@ def _parse_window(text: str) -> tuple[float, float]:
         a, b = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError(f"--window expects numeric a,b, got {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise _UsageError(f"--window endpoints must be finite, got {text!r}")
     if not a < b:
         raise _UsageError("--window needs a < b")
     return (a, b)
@@ -294,7 +328,7 @@ def _cmd_cascade(args, config):
         "max_residual": max(residuals),
         "passed": max(residuals) <= config.tol("cascade"),
     }
-    return payload, None, EXIT_OK
+    return payload, None, EXIT_OK if payload["passed"] else EXIT_NEGATIVE
 
 
 def _cmd_grassmannian_check(args, config):
@@ -457,13 +491,13 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--space", choices=("cayley", "grassmannian"), default="cayley")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    p.add_argument("--alpha", type=float, default=0.7)
+    p.add_argument("--alpha", type=_finite_float, default=0.7)
     p.add_argument("--m", type=int, default=2)
     p.set_defaults(handler=_cmd_jacobi_spectrum)
 
     p = sub.add_parser("sectional-range", help="sampled sectional curvature range")
     common(p)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_count(0), default=2000)
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.set_defaults(handler=_cmd_sectional_range)
 
@@ -471,7 +505,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--ambient", choices=tube_flow.AMBIENTS, required=True)
     p.add_argument("--core", choices=tube_flow.CORES, required=True)
-    p.add_argument("--radius", type=float, default=None)
+    p.add_argument("--radius", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_tube_table)
 
     p = sub.add_parser("theorem2", help="finite search over focal configurations")
@@ -497,14 +531,14 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--system", required=True, metavar="JSON")
     p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_cascade)
 
     p = sub.add_parser("grassmannian-check", help="structure bundle and tensor health")
     common(p)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.7)
-    p.add_argument("--triples", type=int, default=50)
+    p.add_argument("--alpha", type=_finite_float, default=0.7)
+    p.add_argument("--triples", type=_count(1), default=50)
     p.set_defaults(handler=_cmd_grassmannian_check)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
@@ -516,7 +550,7 @@ def _build_parser() -> _Parser:
 
 def _emit(payload, table, fmt: str, out) -> None:
     if fmt == "json" or table is None:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     rows, columns = table
     if fmt == "csv":
@@ -553,7 +587,11 @@ def main(argv=None) -> int:
     except CurvAdaptError as exc:
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(payload, table, config.format, sys.stdout)
+    try:
+        _emit(payload, table, config.format, sys.stdout)
+    except ValueError as exc:  # a non-finite number reached the JSON output
+        print(f"curvadapt: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
@@ -350,42 +349,51 @@ CATALOG_CORES: dict[str, tuple[int, int, int]] = {
     "hp2": (8, 3, 4),
 }
 
-_PHASES = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-_COT_AT = {
-    Fraction(1, 4): 1,
-    Fraction(1, 2): 0,
-    Fraction(3, 4): -1,
-}  # cot(pi * phase), exact at the lattice angles
+#: numbers of distinct principal curvatures searched (see
+#: admissible_focal_configurations for the restriction)
+_G_VALUES = (1, 2)
+#: branch phases at Q1, as integers in units of pi/4
+_PHASES = (0, 1, 2, 3)
+_PHASE_LABELS = ("0", "1/4", "1/2", "3/4")  # phase / pi
+_COT_AT = (1, 0, -1)  # cot(pi * p / 4) for p = 1, 2, 3, exact on the lattice
+
+
+def _on_focal_lattice(g: int, kappa: int, phase: int) -> bool:
+    """Whether every pole of the branch lands on a focal set.
+
+    The poles of kappa cot(pi p / 4 - kappa t) sit at (4 - p) / kappa plus
+    multiples of 4 / kappa (units of pi/4); the focal sets are spaced
+    2 / g apart.
+    """
+    return (2 * g) % kappa == 0 and ((4 - phase) * g) % (2 * kappa) == 0
 
 
 @dataclass(frozen=True)
 class FocalConfiguration:
     """One candidate focal configuration along a closed normal geodesic.
 
-    Branch phases are Fractions in units of pi, measured at the first
+    Branch phases are integers in units of pi/4, measured at the first
     focal set Q1; phase 0 marks branches normal to Q1 (they focalize
     there).  The second focal set Q2 sits at distance pi/(2g).
     """
 
     g: int
-    multiplicities: dict[tuple[int, Fraction], int]  # (kappa, phase) -> mult
+    multiplicities: dict[tuple[int, int], int]  # (kappa, phase) -> mult
 
     @property
-    def spacing(self) -> Fraction:
-        return Fraction(1, 2 * self.g)
+    def spacing(self) -> int:
+        """Distance from Q1 to Q2 in units of pi/4."""
+        return 2 // self.g
 
     def _poles_admissible(self) -> bool:
-        for (kappa, phase), mult in self.multiplicities.items():
-            if mult == 0:
-                continue
-            step = Fraction(1, kappa)
-            first = (Fraction(1) - phase) / kappa
-            if step % self.spacing != 0 or first % self.spacing != 0:
-                return False
-        return True
+        return all(
+            _on_focal_lattice(self.g, kappa, phase)
+            for (kappa, phase), mult in self.multiplicities.items()
+            if mult
+        )
 
-    def _phase_at_q2(self, kappa: int, phase: Fraction) -> Fraction:
-        return (phase + kappa * self.spacing) % 1
+    def _phase_at_q2(self, kappa: int, phase: int) -> int:
+        return (phase + kappa * self.spacing) % 4
 
     def q1_normal_mults(self) -> tuple[int, int]:
         """(kappa=2 mult, kappa=1 mult) of branches focalizing at Q1."""
@@ -408,7 +416,7 @@ class FocalConfiguration:
         out = []
         for (k, p), m in self.multiplicities.items():
             if p != 0 and m > 0:
-                out.append((k, k * _COT_AT[p], m))
+                out.append((k, k * _COT_AT[p - 1], m))
         return out
 
     def q2_tangent_values(self) -> list[tuple[int, int, int]]:
@@ -416,7 +424,7 @@ class FocalConfiguration:
         for (k, p), m in self.multiplicities.items():
             q2 = self._phase_at_q2(k, p)
             if q2 != 0 and m > 0:
-                out.append((k, k * _COT_AT[q2], m))
+                out.append((k, k * _COT_AT[q2 - 1], m))
         return out
 
     def q1_signature(self) -> tuple[int, int, int]:
@@ -461,13 +469,13 @@ class FocalConfiguration:
             if m == 0:
                 continue
             # phase-0 branches must focalize after flowing distance s
-            theta = (float(p) * math.pi + k * s) % math.pi
+            theta = (p / 4 * math.pi + k * s) % math.pi
             branches.append(CurvatureBranch.compact(float(k), theta, m))
         return PCSystem(branches=tuple(branches))
 
     def to_json_dict(self) -> dict:
         rows = [
-            {"kappa": k, "phase_over_pi": str(p), "multiplicity": m}
+            {"kappa": k, "phase_over_pi": _PHASE_LABELS[p], "multiplicity": m}
             for (k, p), m in sorted(self.multiplicities.items())
             if m > 0
         ]
@@ -497,19 +505,41 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _configuration(g: int, m2: tuple[int, ...], m1: tuple[int, ...]) -> FocalConfiguration:
+    """The configuration with kappa=2 multiplicities m2 and kappa=1
+    multiplicities m1 over the phases."""
+    mult = {(2, p): m for p, m in zip(_PHASES, m2)}
+    mult.update({(1, p): m for p, m in zip(_PHASES, m1)})
+    return FocalConfiguration(g=g, multiplicities=mult)
+
+
+#: len(enumerate_focal_configurations()): the compositions of 7 and of 8
+#: into the four phases, for each g
+_ENUMERATED = len(_G_VALUES) * math.comb(7 + 3, 3) * math.comb(8 + 3, 3)
+
+
 def enumerate_focal_configurations() -> list[FocalConfiguration]:
-    """All phase assignments for the 7+8 eigenvalue split, before filtering."""
-    configs = []
-    for g in (1, 2):
-        for m2 in _compositions(7, len(_PHASES)):
-            for m1 in _compositions(8, len(_PHASES)):
-                mult = {}
-                for p, m in zip(_PHASES, m2):
-                    mult[(2, p)] = m
-                for p, m in zip(_PHASES, m1):
-                    mult[(1, p)] = m
-                configs.append(FocalConfiguration(g=g, multiplicities=mult))
-    return configs
+    """All phase assignments for the 7+8 eigenvalue split, before filtering.
+
+    The brute-force reference for admissible_focal_configurations, which
+    never builds this list.
+    """
+    return [
+        _configuration(g, m2, m1)
+        for g in _G_VALUES
+        for m2 in _compositions(7, len(_PHASES))
+        for m1 in _compositions(8, len(_PHASES))
+    ]
+
+
+def _lattice_compositions(g: int, kappa: int, total: int) -> list[tuple[int, ...]]:
+    """Compositions of one family's multiplicity over the phases, keeping
+    those whose occupied phases all put the family's poles on the focal
+    lattice of g."""
+    return [
+        m for m in _compositions(total, len(_PHASES))
+        if all(_on_focal_lattice(g, kappa, p) for p, mult in zip(_PHASES, m) if mult)
+    ]
 
 
 def admissible_focal_configurations() -> list[FocalConfiguration]:
@@ -521,24 +551,35 @@ def admissible_focal_configurations() -> list[FocalConfiguration]:
     sets are proper (something focalizes at each); both focal sets are
     minimal; at least one focal set is totally geodesic; each totally
     geodesic focal set carries a catalog signature.
+
+    The pole-lattice filter acts on each branch alone, so it runs on each
+    (g, kappa) family before the families are combined; the other filters
+    see only the product of the surviving families.  Survivors come in
+    the order of enumerate_focal_configurations.
+
+    The search assumes g in {1, 2} distinct principal curvatures.
+    Muenzner's restriction for isoparametric hypersurfaces allows
+    g in {1, 2, 3, 4, 6}; the larger values are not searched.
     """
     out = []
-    for cfg in enumerate_focal_configurations():
-        if not cfg._poles_admissible():
-            continue
-        if sum(cfg.q1_normal_mults()) == 0 or sum(cfg.q2_normal_mults()) == 0:
-            continue
-        if not (cfg.q1_minimal() and cfg.q2_minimal()):
-            continue
-        tg1, tg2 = cfg.q1_totally_geodesic(), cfg.q2_totally_geodesic()
-        if not (tg1 or tg2):
-            continue
-        cores = cfg.matched_cores()
-        if tg1 and "q1" not in cores:
-            continue
-        if tg2 and "q2" not in cores:
-            continue
-        out.append(cfg)
+    for g in _G_VALUES:
+        m1_lattice = _lattice_compositions(g, 1, 8)
+        for m2 in _lattice_compositions(g, 2, 7):
+            for m1 in m1_lattice:
+                cfg = _configuration(g, m2, m1)
+                if sum(cfg.q1_normal_mults()) == 0 or sum(cfg.q2_normal_mults()) == 0:
+                    continue
+                if not (cfg.q1_minimal() and cfg.q2_minimal()):
+                    continue
+                tg1, tg2 = cfg.q1_totally_geodesic(), cfg.q2_totally_geodesic()
+                if not (tg1 or tg2):
+                    continue
+                cores = cfg.matched_cores()
+                if tg1 and "q1" not in cores:
+                    continue
+                if tg2 and "q2" not in cores:
+                    continue
+                out.append(cfg)
     return out
 
 
@@ -550,7 +591,7 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
     branches focalizing at each end match the configuration's counts, and
     the mean curvature stays finite inside the interval.
     """
-    spacing = float(cfg.spacing) * math.pi
+    spacing = cfg.spacing / 4 * math.pi
     mid = spacing / 2.0
     system = cfg.realize(mid)
     # flow toward Q1 is +t, toward Q2 is -t from the midpoint
@@ -576,11 +617,6 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
     }
 
 
-def theorem2_enumerate() -> list[FocalConfiguration]:
-    """All focal configurations surviving the structural filters."""
-    return admissible_focal_configurations()
-
-
 def theorem2_certificate(validate: bool = True) -> Certificate:
     """Search all focal configurations; survivors must be the catalog tubes.
 
@@ -589,7 +625,7 @@ def theorem2_certificate(validate: bool = True) -> Certificate:
     reversal both survive).  Verdict "equivalent" means the survivors
     realize exactly the catalog cores {point/line, hp2}.
     """
-    survivors = theorem2_enumerate()
+    survivors = admissible_focal_configurations()
     families = set()
     for cfg in survivors:
         cores = cfg.matched_cores()
@@ -623,7 +659,7 @@ def theorem2_certificate(validate: bool = True) -> Certificate:
             "survivors": [cfg.to_json_dict() for cfg in survivors],
             "families": sorted(families),
             "evolution_checks": checks,
-            "total_enumerated": len(enumerate_focal_configurations()),
+            "total_enumerated": _ENUMERATED,
         },
     )
 

@@ -245,7 +245,7 @@ def test_criterion_6_profile_comparators(capsys):
 
 def test_criterion_7_focal_enumeration(capsys):
     start = time.monotonic()
-    survivors = tf.theorem2_enumerate()
+    survivors = tf.admissible_focal_configurations()
     families = set()
     for cfg in survivors:
         names = set(cfg.matched_cores().values())

@@ -127,6 +127,12 @@ class TestExitCodes:
         assert code == cli.EXIT_NEGATIVE
         assert payload["residual_ok"] is False
 
+    def test_cascade_failed_gate_exits_two(self, capsys):
+        code, payload, _ = run_json(capsys, *COMMAND_ARGV["cascade"],
+                                    "--tol", "cascade=1e-30")
+        assert code == cli.EXIT_NEGATIVE
+        assert payload["passed"] is False
+
     def test_usage_errors_exit_one(self, capsys):
         cases = [
             ["tube-table", "--ambient", "op2", "--core", "line"],  # missing radius
@@ -163,6 +169,69 @@ class TestExitCodes:
                                "--t", "0.1", "--tol", "nope=3")
         assert code == cli.EXIT_USAGE
         assert "spectrum_residual" in err
+
+
+class TestInputHardening:
+    """Non-finite numbers, bad tolerances and negative counts exit 1."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_USAGE, argv
+        assert out == ""
+        assert "curvadapt: error:" in err
+        return err
+
+    def test_infinite_radius_is_usage_error(self, capsys):
+        err = self.assert_usage_error(capsys, "tube-table", "--ambient", "oh2",
+                                      "--core", "line", "--radius", "inf")
+        assert "finite" in err
+
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        err = self.assert_usage_error(capsys, "jacobi-spectrum",
+                                      "--tol", "spectrum_residual=nan")
+        assert "spectrum_residual" in err
+
+    def test_nonpositive_tolerance_is_usage_error(self, capsys):
+        for value in ("0", "-1e-9", "inf"):
+            self.assert_usage_error(capsys, "jacobi-spectrum",
+                                    "--tol", f"spectrum_residual={value}")
+
+    def test_non_finite_t_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "cascade", "--system", P_SYSTEM, "--t", "nan")
+
+    def test_non_finite_alpha_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "jacobi-spectrum", "--space", "grassmannian",
+                                "--alpha", "inf")
+        self.assert_usage_error(capsys, "grassmannian-check", "--alpha", "nan")
+
+    def test_non_finite_alpha_grid_endpoint_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "theorem3", "--alpha-grid", "0.5:inf:3")
+        self.assert_usage_error(capsys, "theorem3", "--alpha-grid", "nan:1.1:3")
+
+    def test_non_finite_window_endpoint_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "profile-match", "--p", P_SYSTEM,
+                                "--q", Q_SAME, "--window", "0.05,inf")
+
+    def test_non_finite_branch_json_is_usage_error(self, capsys):
+        bad = '[{"kappa": Infinity, "theta": 1.2, "mult": 3}]'
+        self.assert_usage_error(capsys, "cascade", "--system", bad, "--t", "0.1")
+        bad = '[{"kappa": NaN, "theta": 0.9, "mult": 1}]'
+        self.assert_usage_error(capsys, "profile-match", "--p", bad, "--q", Q_SAME)
+
+    def test_non_finite_output_fails_loudly(self, capsys, monkeypatch):
+        def handler(args, config):
+            return {"value": math.nan}, None, cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "_cmd_octonion_table", handler)
+        self.assert_usage_error(capsys, "octonion-table")
+
+    def test_negative_samples_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "sectional-range", "--samples", "-5")
+
+    def test_negative_triples_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "grassmannian-check", "--triples", "-3")
+        # no triples leave the negative control at 0, which cannot pass
+        self.assert_usage_error(capsys, "grassmannian-check", "--triples", "0")
 
 
 class TestTabularFormats:

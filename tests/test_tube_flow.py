@@ -327,7 +327,7 @@ class TestFocalEnumeration:
         assert len(tf.enumerate_focal_configurations()) == 2 * 120 * 165
 
     def test_exactly_four_survivors(self):
-        survivors = tf.theorem2_enumerate()
+        survivors = tf.admissible_focal_configurations()
         assert len(survivors) == 4
         signatures = sorted(
             (cfg.g, cfg.q1_signature(), cfg.q2_signature()) for cfg in survivors
@@ -341,7 +341,7 @@ class TestFocalEnumeration:
 
     def test_survivor_cores_are_catalog(self):
         families = set()
-        for cfg in tf.theorem2_enumerate():
+        for cfg in tf.admissible_focal_configurations():
             names = set(cfg.matched_cores().values())
             assert names
             assert names <= set(tf.CATALOG_CORES)
@@ -353,14 +353,14 @@ class TestFocalEnumeration:
         # curvature on the focal set; pole admissibility must kill it
         mult = {(2, p): 0 for p in tf._PHASES}
         mult.update({(1, p): 0 for p in tf._PHASES})
-        mult[(2, Fraction(1, 4))] = 7
-        mult[(1, Fraction(0))] = 8
+        mult[(2, 1)] = 7  # phase pi/4
+        mult[(1, 0)] = 8
         for g in (1, 2):
             cfg = tf.FocalConfiguration(g=g, multiplicities=dict(mult))
             assert not cfg._poles_admissible()
 
     def test_evolution_confirms_every_survivor(self):
-        for cfg in tf.theorem2_enumerate():
+        for cfg in tf.admissible_focal_configurations():
             check = tf.verify_configuration_by_evolution(cfg)
             assert check["interior_poles"] == 0
             assert check["q1_focal_mult_ok"]
@@ -368,12 +368,45 @@ class TestFocalEnumeration:
             assert check["mean_curvature_finite"]
 
     def test_realized_system_focalizes_at_distance(self):
-        cfg = next(c for c in tf.theorem2_enumerate() if c.g == 2)
+        cfg = next(c for c in tf.admissible_focal_configurations() if c.g == 2)
         s = 0.3
         system = cfg.realize(s)
         assert system.total_multiplicity == 15
         focal = min(tf.focal_radius(b) for b in system.branches)
         assert abs(focal - s) <= 1e-12
+
+    def test_focal_lattice_matches_rational_pole_positions(self):
+        # poles of kappa cot(theta - kappa t) at (pi - theta)/kappa + k pi/kappa
+        # must be multiples of the focal spacing pi/(2g); in units of pi
+        for g in (1, 2):
+            spacing = Fraction(1, 2 * g)
+            for kappa in (1, 2):
+                for p in tf._PHASES:
+                    first = (1 - Fraction(p, 4)) / kappa
+                    expected = Fraction(1, kappa) % spacing == 0 and first % spacing == 0
+                    assert tf._on_focal_lattice(g, kappa, p) == expected, (g, kappa, p)
+
+    def test_lattice_search_matches_brute_force_oracle(self):
+        # the filter chain applied to every configuration, one stage at a time
+        everything = tf.enumerate_focal_configurations()
+        lattice = [c for c in everything if c._poles_admissible()]
+        proper = [c for c in lattice
+                  if sum(c.q1_normal_mults()) > 0 and sum(c.q2_normal_mults()) > 0]
+        minimal = [c for c in proper if c.q1_minimal() and c.q2_minimal()]
+        geodesic = [c for c in minimal
+                    if c.q1_totally_geodesic() or c.q2_totally_geodesic()]
+        catalog = [
+            c for c in geodesic
+            if (not c.q1_totally_geodesic() or "q1" in c.matched_cores())
+            and (not c.q2_totally_geodesic() or "q2" in c.matched_cores())
+        ]
+        funnel = [len(stage) for stage in
+                  (everything, lattice, proper, minimal, geodesic, catalog)]
+        assert funnel == [39600, 1329, 1239, 47, 23, 4]
+        searched = tf.admissible_focal_configurations()
+        assert [c.to_json_dict() for c in searched] == [c.to_json_dict() for c in catalog]
+        cert = tf.theorem2_certificate(validate=False)
+        assert cert.details["total_enumerated"] == len(everything)
 
     def test_certificate_verdict(self):
         cert = tf.theorem2_certificate(validate=True)
