@@ -19,6 +19,7 @@ from .errors import (
     ExcludedAngleError,
     FocalPointError,
     InconsistentPowerSumsError,
+    NoMinimalTubeError,
     NormalizationError,
     UnsupportedRegimeError,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "ExcludedAngleError",
     "FocalPointError",
     "InconsistentPowerSumsError",
+    "NoMinimalTubeError",
     "NormalizationError",
     "PCSystem",
     "SelfAdjointOperator",

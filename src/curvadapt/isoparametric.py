@@ -137,14 +137,36 @@ class PoleData:
         return tuple(p.weight for p in self.poles)
 
 
+#: Most poles one compact branch may place in a window.  default_window
+#: scans five periods of the slowest branch, so a branch places about
+#: 5 kappa / kappa_min poles there: 20 at a frequency ratio of 4, but 5e9
+#: for kappa 1e-9 beside kappa 1, whose walk would never end.
+_MAX_BRANCH_POLES = 10_000
+
+
 def _branch_poles_in(branch: CurvatureBranch, lo: float, hi: float):
-    """Pole locations of one branch inside (lo, hi)."""
+    """Pole locations of one branch inside (lo, hi).
+
+    Raises:
+        NormalizationError: if a compact branch has more than
+            _MAX_BRANCH_POLES poles in the window.
+    """
     if branch.space_sign == 1:
+        count = (hi - lo) * branch.kappa / math.pi
+        if not count <= _MAX_BRANCH_POLES:
+            raise NormalizationError(
+                f"window ({lo!r}, {hi!r}) holds {count:.3g} poles of the branch "
+                f"with kappa={branch.kappa!r}, more than {_MAX_BRANCH_POLES}; "
+                "narrow the window or bring the frequencies closer"
+            )
         r0 = branch.phase / branch.kappa
         step = math.pi / branch.kappa
         j = math.ceil((lo - r0) / step)
         r = r0 + j * step
-        while r < hi:
+        # bounded by the count, since r += step stalls once step < ulp(r)
+        for _ in range(math.ceil(count) + 2):
+            if r >= hi:
+                break
             if r > lo:
                 yield r
             r += step
@@ -180,9 +202,8 @@ def extract_poles(
     lo, hi = window
     if not lo < hi:
         raise NormalizationError(f"window must be a nonempty interval: {window!r}")
-    branches = sys.branches if isinstance(sys, ProfileSystem) else sys.branches
     raw = []
-    for b in branches:
+    for b in sys.branches:
         for r in _branch_poles_in(b, lo, hi):
             raw.append((r, b.multiplicity, b.kappa))
     raw.sort()

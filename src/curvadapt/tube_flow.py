@@ -28,13 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import grassmannian
 from .certificates import Certificate
 from .errors import (
     ExcludedAngleError,
     FocalPointError,
+    NoMinimalTubeError,
     NormalizationError,
     UnsupportedRegimeError,
 )
@@ -328,13 +328,31 @@ def tube_spectrum(descriptor: TubeDescriptor) -> PCSystem:
     return PCSystem(branches=tuple(branches))
 
 
-def minimal_tube_radius(ambient: str, core: str, bracket: tuple[float, float]) -> float:
-    """Radius at which the tube's mean curvature vanishes (bisection)."""
+#: Zeros of the op2 tube mean curvature, from the _CORE_ROWS tables with
+#: 2 cot 2r = cot r - tan r:  H = 15 cot r - 7 tan r (point),
+#: 7 cot r - 15 tan r (line), 14 cot 2r - 8 tan 2r (hp2).
+_MINIMAL_TUBE_RADII = {
+    "point": math.atan(math.sqrt(15.0 / 7.0)),
+    "line": math.atan(math.sqrt(7.0 / 15.0)),
+    "hp2": 0.5 * math.atan(math.sqrt(7.0 / 4.0)),
+}
 
-    def h(r: float) -> float:
-        return mean_curvature(tube_spectrum(TubeDescriptor(ambient, core, r)))
 
-    return float(optimize.brentq(h, bracket[0], bracket[1], xtol=1e-12))
+def minimal_tube_radius(ambient: str, core: str) -> float:
+    """Radius at which the tube's mean curvature vanishes, in closed form.
+
+    Raises:
+        NoMinimalTubeError: in oh2, where every branch value of every tube
+            and of the horosphere is positive, so no radius is minimal.
+        NormalizationError: for an unknown ambient or core, or a
+            horosphere outside oh2.
+    """
+    if ambient == "op2" and core in _MINIMAL_TUBE_RADII:
+        return _MINIMAL_TUBE_RADII[core]
+    TubeDescriptor(ambient, core, None if core == "horosphere" else 1.0)
+    raise NoMinimalTubeError(
+        f"the mean curvature never vanishes for core {core!r} in {ambient!r}"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -728,37 +746,16 @@ def _sweep_residual(
 
 def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
     """Residual floor when both Riccati equations carry flipped frequency
-    signs (lambda' = lambda^2 - mu).  Constant solutions lambda2 =
-    +/- sqrt(mu2) then exist and c = sqrt(mu1/mu2) kills the residual, so
-    the floor collapses; reported for comparison, never asserted."""
-    k2 = math.sqrt(mu2)
-    axis = np.linspace(-_SEARCH_BOX, _SEARCH_BOX, _COARSE_GRID)
-    C, L = np.meshgrid(axis, axis, indexing="ij")
-    c, lam20 = C.ravel(), L.ravel()
-    # flows of lambda' = lambda^2 - k2^2 through lam20, sampled on [0, 0.8]
-    frac = np.linspace(0.02, 0.8, _T_POINTS)
-    small = np.abs(lam20) < k2
-    theta0 = np.where(
-        small, np.arctanh(np.clip(lam20 / k2, -1 + 1e-15, 1 - 1e-15)),
-        np.arctanh(np.clip(k2 / np.where(lam20 == 0.0, 1.0, lam20), -1 + 1e-15, 1 - 1e-15)),
-    )
-    horizon = np.where(lam20 > k2, 0.8 * theta0 / k2, 1.0)
-    t = horizon[:, None] * frac
-    arg = theta0[:, None] - k2 * t
-    lam2 = np.where(small[:, None], k2 * np.tanh(arg), k2 / np.tanh(arg))
-    resid = np.max(
-        np.abs(c[:, None] * (1.0 - c[:, None]) * lam2**2 - c[:, None] * mu2 + mu1),
-        axis=-1,
-    )
-    best = int(np.argmin(resid))
+    signs (lambda' = lambda^2 - mu).  The constant solution
+    lambda2 = sqrt(mu2) with c = sqrt(mu1/mu2) then satisfies both, so the
+    floor collapses to the rounding error of that closed form; reported
+    for comparison, never asserted."""
     exact_c = math.sqrt(mu1 / mu2)
     exact = abs(exact_c * (1 - exact_c) * mu2 - exact_c * mu2 + mu1)
-    floor = min(float(resid[best]), exact)
     return {
-        "floor": floor,
-        "grid_floor": float(resid[best]),
+        "floor": exact,
         "constant_solution_c": exact_c,
-        "constant_solution_lambda2_0": k2,
+        "constant_solution_lambda2_0": math.sqrt(mu2),
         "constant_solution_residual": exact,
     }
 
@@ -767,6 +764,8 @@ def _min_residual_for_alpha(
     alpha: float, mu1: float, mu2: float, mode: str
 ) -> tuple[float, float, float]:
     """Grid search plus local refinement; returns (residual, c, lambda2_0)."""
+    from scipy import optimize  # imported here so that no other command pays for it
+
     beta = alpha / 2.0
     axis = np.linspace(-_SEARCH_BOX, _SEARCH_BOX, _COARSE_GRID)
     C, L = np.meshgrid(axis, axis, indexing="ij")

@@ -233,6 +233,28 @@ class TestInputHardening:
         # no triples leave the negative control at 0, which cannot pass
         self.assert_usage_error(capsys, "grassmannian-check", "--triples", "0")
 
+    def assert_prompt_usage_error(self, *argv):
+        """Run in a subprocess, so that a hang fails the test instead of the suite."""
+        result = subprocess.run(
+            [sys.executable, "-m", "curvadapt.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=15,
+        )
+        assert result.returncode == cli.EXIT_USAGE, result.stderr
+        assert result.stdout == ""
+        assert "poles" in result.stderr
+
+    def test_tiny_kappa_beside_unit_kappa_is_usage_error(self):
+        self.assert_prompt_usage_error(
+            "profile-match", "--p", '[{"kappa":1e-9,"theta":0.9,"mult":1}]',
+            "--q", '[{"kappa":1,"theta":0.9,"mult":1}]')
+
+    def test_huge_kappa_is_usage_error(self):
+        self.assert_prompt_usage_error(
+            "profile-match", "--p", '[{"kappa":1e300,"theta":0.9,"mult":1}]',
+            "--q", '[{"kappa":1,"theta":0.9,"mult":1}]')
+
 
 class TestTabularFormats:
     def test_csv_round_trip(self, capsys):
@@ -344,6 +366,27 @@ class TestPayloadContent:
         code, _, err = run_cli(capsys, "profile-match", "--p", bad, "--q", Q_SAME)
         assert code == cli.EXIT_USAGE
         assert "tanh" in err
+
+
+class TestImportPath:
+    """scipy is loaded by theorem3's refinement only, never by the import."""
+
+    @pytest.mark.parametrize("code", [
+        "import curvadapt.cli, sys",
+        "import curvadapt.cli, sys\n"
+        "curvadapt.cli.main(['tube-table', '--ambient', 'op2', '--core', 'line',"
+        " '--radius', '0.3927'])",
+    ], ids=["import", "tube-table"])
+    def test_scipy_is_not_loaded(self, code):
+        probe = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run(
+            [sys.executable, "-c", f"{code}\n{probe}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestConsoleScript:

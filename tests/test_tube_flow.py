@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from curvadapt import tube_flow as tf
 from curvadapt.errors import (
     ExcludedAngleError,
     FocalPointError,
+    NoMinimalTubeError,
     NormalizationError,
 )
 
@@ -287,10 +289,24 @@ class TestTubeTables:
         assert abs(h - expected) <= 1e-12
 
     def test_minimal_point_tube_radius(self):
-        r = tf.minimal_tube_radius("op2", "point", (0.5, 1.4))
+        r = tf.minimal_tube_radius("op2", "point")
         assert abs(r - 0.9714824303776113) <= 1e-9
         h = tf.mean_curvature(tf.tube_spectrum(tf.TubeDescriptor("op2", "point", r)))
         assert abs(h) <= 1e-9
+
+    @pytest.mark.parametrize("core", ["point", "line", "hp2"])
+    def test_minimal_tube_radius_matches_numerical_root(self, core):
+        def h(r):
+            return tf.mean_curvature(tf.tube_spectrum(tf.TubeDescriptor("op2", core, r)))
+
+        limit = math.pi / 4 if core == "hp2" else math.pi / 2
+        root = brentq(h, 1e-3, limit - 1e-3, xtol=1e-14)
+        assert abs(tf.minimal_tube_radius("op2", core) - root) <= 1e-12
+
+    @pytest.mark.parametrize("core", ["point", "line", "hp2", "horosphere"])
+    def test_hyperbolic_tubes_are_never_minimal(self, core):
+        with pytest.raises(NoMinimalTubeError):
+            tf.minimal_tube_radius("oh2", core)
 
 
 class TestTubeDescriptorValidation:
