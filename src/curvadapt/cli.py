@@ -48,7 +48,6 @@ _CONSTRAINT_ALIASES = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
     seed: int = DEFAULT_SEED
     format: str = "json"
     tolerances: dict = field(default_factory=dict)
@@ -111,6 +110,19 @@ def _count(minimum: int):
     return parse
 
 
+#: largest --m: the Grassmannian model's matrices are 4m x 4m, and the
+#: cost of a run grows about as m^3
+MAX_SLOTS = 64
+
+
+def _slots(text: str) -> int:
+    """argparse type for --m: a slot count in [2, MAX_SLOTS]."""
+    value = _count(2)(text)
+    if value > MAX_SLOTS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_SLOTS}, got {value}")
+    return value
+
+
 def _load_json_arg(text: str, flag: str):
     try:
         return json.loads(text)
@@ -120,7 +132,7 @@ def _load_json_arg(text: str, flag: str):
         )
 
 
-def _parse_system_json(payload, flag: str, label: str) -> isoparametric.ProfileSystem:
+def _parse_system_json(payload, flag: str, label: str) -> PCSystem:
     if not isinstance(payload, list) or not payload:
         raise _UsageError(f"{flag}: expected a nonempty JSON array of branches")
     branches = []
@@ -132,7 +144,7 @@ def _parse_system_json(payload, flag: str, label: str) -> isoparametric.ProfileS
             theta = float(row["theta"])
             mult = int(row["mult"])
             regime = row.get("regime", "compact")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _UsageError(f"{flag}: branch {idx} malformed: {exc}")
         if not (math.isfinite(kappa) and math.isfinite(theta)):
             raise _UsageError(f"{flag}: branch {idx} needs finite kappa and theta")
@@ -154,7 +166,7 @@ def _parse_system_json(payload, flag: str, label: str) -> isoparametric.ProfileS
         except CurvAdaptError as exc:
             raise _UsageError(f"{flag}: branch {idx}: {exc}")
         branches.append(branch)
-    return isoparametric.ProfileSystem(PCSystem(tuple(branches)), label=label)
+    return PCSystem(tuple(branches), label=label)
 
 
 def _parse_alpha_grid(text: str) -> np.ndarray:
@@ -474,7 +486,7 @@ def _build_parser() -> _Parser:
         env_format = "json"
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_count(0), default=DEFAULT_SEED)
         p.add_argument("--format", choices=("json", "csv", "md"), default=env_format)
         p.add_argument(
             "--tol",
@@ -492,7 +504,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", choices=("cayley", "grassmannian"), default="cayley")
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--alpha", type=_finite_float, default=0.7)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_slots, default=2)
     p.set_defaults(handler=_cmd_jacobi_spectrum)
 
     p = sub.add_parser("sectional-range", help="sampled sectional curvature range")
@@ -536,7 +548,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grassmannian-check", help="structure bundle and tensor health")
     common(p)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_slots, default=2)
     p.add_argument("--alpha", type=_finite_float, default=0.7)
     p.add_argument("--triples", type=_count(1), default=50)
     p.set_defaults(handler=_cmd_grassmannian_check)
@@ -575,7 +587,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = RunConfig(
-            subcommand=args.subcommand,
             seed=args.seed,
             format=args.format,
             tolerances=_parse_tolerances(args.tol),

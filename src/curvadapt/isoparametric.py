@@ -15,6 +15,11 @@ single frequency-2 branch has the same profile as a split pair of
 frequency-1 branches.  Profile equality therefore does not imply branch
 multiset equality on that measure-zero locus; the analytic comparator is
 authoritative and the multiset comparator is reported alongside it.
+
+Systems are tube_flow.PCSystem values; their labels name them in the
+witnesses.  Branch values come from tube_flow.branch_value, the one
+closed-form evaluator.  The profile is the meromorphic function, so it is
+evaluated past the first pole, where the flow of tube_flow.evolve ends.
 """
 
 from __future__ import annotations
@@ -31,77 +36,19 @@ from .errors import (
     NormalizationError,
     UnsupportedRegimeError,
 )
-from .tube_flow import CurvatureBranch, PCSystem
+from .tube_flow import CurvatureBranch, PCSystem, branch_value
 
 DEFAULT_MERGE_TOL = 1e-9
 DEFAULT_GRID_TOL = 1e-9
 GRID_POINTS = 256
 
 
-@dataclass(frozen=True)
-class ProfileSystem:
-    """A principal-curvature system tagged with an opaque point label."""
-
-    system: PCSystem
-    label: str = "p"
-
-    @property
-    def branches(self) -> tuple[CurvatureBranch, ...]:
-        return self.system.branches
-
-
-_POLE_PROXIMITY = 1e-12
-
-
-def _branch_value(branch: CurvatureBranch, t: float) -> float:
-    """Meromorphic continuation of the branch's closed form at t.
-
-    Unlike evolve, which refuses everything past the first blow-up (the
-    geodesic flow ends at a focal point), the profile is the analytic
-    function and only its isolated poles are off limits.
-    """
-    k = branch.kappa
-    if branch.space_sign == 1:
-        arg = branch.phase - k * t
-        s = math.sin(arg)
-        if abs(s) < _POLE_PROXIMITY:
-            raise FocalPointError(
-                f"evaluation at a pole of the cot branch: t={t!r}",
-                focal_radius=t,
-            )
-        return k * math.cos(arg) / s
-    regime = branch.regime
-    if regime == "flat":
-        lam0 = branch.phase
-        denom = 1.0 - lam0 * t
-        if abs(denom) < _POLE_PROXIMITY:
-            raise FocalPointError(
-                f"evaluation at the pole of the flat branch: t={t!r}",
-                focal_radius=t,
-            )
-        return lam0 / denom
-    if regime == "const":
-        return branch.phase
-    if regime == "coth":
-        theta0 = math.atanh(k / branch.phase)
-        arg = theta0 - k * t
-        s = math.tanh(arg)
-        if abs(s) < _POLE_PROXIMITY:
-            raise FocalPointError(
-                f"evaluation at the pole of the coth branch: t={t!r}",
-                focal_radius=t,
-            )
-        return k / s
-    theta0 = math.atanh(branch.phase / k)
-    return k * math.tanh(theta0 - k * t)
-
-
-def profile(sys: ProfileSystem, t: float) -> float:
+def profile(sys: PCSystem, t: float) -> float:
     """Multiplicity-weighted sum of all branch values at parameter t."""
     total = 0.0
     for b in sys.branches:
         try:
-            total += b.multiplicity * _branch_value(b, t)
+            total += b.multiplicity * branch_value(b, t)
         except FocalPointError as exc:
             raise FocalPointError(
                 f"profile of {sys.label!r} hits a pole at t={t!r}",
@@ -171,25 +118,15 @@ def _branch_poles_in(branch: CurvatureBranch, lo: float, hi: float):
                 yield r
             r += step
         return
-    regime = branch.regime
-    if regime == "flat":
-        if branch.phase != 0.0:
-            r = 1.0 / branch.phase
-            if lo < r < hi:
-                yield r
-        return
-    if regime == "coth":
-        theta0 = math.atanh(branch.kappa / branch.phase)
-        r = theta0 / branch.kappa
+    # a non-compact branch has at most one pole, a finite end of its
+    # regularity interval
+    for r in branch.regularity_interval():
         if lo < r < hi:
             yield r
-        return
-    # tanh and const branches never blow up
-    return
 
 
 def extract_poles(
-    sys: ProfileSystem | PCSystem,
+    sys: PCSystem,
     window: tuple[float, float],
     merge_tol: float = DEFAULT_MERGE_TOL,
 ) -> PoleData:
@@ -217,12 +154,12 @@ def extract_poles(
     return PoleData(poles=tuple(Pole(r, m, k) for r, m, k in merged))
 
 
-def _kappa_min(*systems: ProfileSystem) -> float:
+def _kappa_min(*systems: PCSystem) -> float:
     kappas = [b.kappa for s in systems for b in s.branches if b.kappa > 0]
     return min(kappas) if kappas else 1.0
 
 
-def default_window(*systems: ProfileSystem) -> tuple[float, float]:
+def default_window(*systems: PCSystem) -> tuple[float, float]:
     """One cot period of the slowest branch, shifted clear of endpoint poles."""
     span = math.pi / _kappa_min(*systems)
     all_poles = [
@@ -239,7 +176,7 @@ def default_window(*systems: ProfileSystem) -> tuple[float, float]:
     raise NormalizationError("could not place a pole-free window boundary")
 
 
-def _refuse_tanh(*systems: ProfileSystem) -> None:
+def _refuse_tanh(*systems: PCSystem) -> None:
     for s in systems:
         for b in s.branches:
             if b.space_sign == -1 and b.regime == "tanh":
@@ -251,7 +188,7 @@ def _refuse_tanh(*systems: ProfileSystem) -> None:
 
 
 def canonical_branch_multiset(
-    sys: ProfileSystem, tol: float = DEFAULT_MERGE_TOL
+    sys: PCSystem, tol: float = DEFAULT_MERGE_TOL
 ) -> tuple[tuple[int, float, float, int], ...]:
     """Branches as (space_sign, kappa, canonical phase, merged multiplicity).
 
@@ -279,7 +216,7 @@ def canonical_branch_multiset(
 
 
 def multisets_match(
-    p: ProfileSystem, q: ProfileSystem, tol: float = DEFAULT_MERGE_TOL
+    p: PCSystem, q: PCSystem, tol: float = DEFAULT_MERGE_TOL
 ) -> bool:
     a = canonical_branch_multiset(p, tol)
     b = canonical_branch_multiset(q, tol)
@@ -294,8 +231,8 @@ def multisets_match(
 
 
 def _masked_grid_residual(
-    p: ProfileSystem,
-    q: ProfileSystem,
+    p: PCSystem,
+    q: PCSystem,
     window: tuple[float, float],
     pole_locations,
     points: int = GRID_POINTS,
@@ -319,8 +256,8 @@ def _masked_grid_residual(
 
 
 def profiles_equivalent(
-    p: ProfileSystem,
-    q: ProfileSystem,
+    p: PCSystem,
+    q: PCSystem,
     window: tuple[float, float] | None = None,
     grid_tol: float = DEFAULT_GRID_TOL,
     merge_tol: float = DEFAULT_MERGE_TOL,
@@ -506,14 +443,26 @@ def newton_recover(power_sums, n: int | None = None, tol: float = 1e-8):
     return values
 
 
-def power_sums(sys: ProfileSystem, t: float, k_max: int) -> list[float]:
-    """p_k(t) = sum_i m_i lambda_i(t)^k for k = 1..k_max."""
-    values = [(_branch_value(b, t), b.multiplicity) for b in sys.branches]
+def power_sums(sys: PCSystem, t: float, k_max: int) -> list[float]:
+    """p_k(t) = sum_i m_i lambda_i(t)^k for k = 1..k_max.
+
+    Raises:
+        NormalizationError: if a power lambda_i(t)^k overflows a float.
+    """
+    values = [(branch_value(b, t), b.multiplicity) for b in sys.branches]
+    top = max(abs(v) for v, _ in values)
+    try:
+        top**k_max  # the largest power taken below
+    except OverflowError:
+        raise NormalizationError(
+            f"power {k_max} of the branch value {top!r} at t={t!r} overflows "
+            "a float; lower k_max"
+        ) from None
     return [sum(m * v**k for v, m in values) for k in range(1, k_max + 1)]
 
 
 def power_sum_cascade(
-    sys: ProfileSystem, k_max: int, t: float, fd_step: float = 1e-4
+    sys: PCSystem, k_max: int, t: float, fd_step: float = 1e-4
 ) -> list[float]:
     """Residuals of the differentiated power-sum identities at t.
 
@@ -537,7 +486,7 @@ def power_sum_cascade(
     fine = derivative(fd_step / 2)
     fd = [(4 * f - c) / 3 for f, c in zip(fine, coarse)]
     here = power_sums(sys, t, k_max + 1)
-    values = [(_branch_value(b, t), b.multiplicity, b.space_sign * b.kappa**2)
+    values = [(branch_value(b, t), b.multiplicity, b.space_sign * b.kappa**2)
               for b in sys.branches]
     residuals = []
     for k in range(1, k_max + 1):
@@ -549,7 +498,7 @@ def power_sum_cascade(
 
 
 def well_conditioned_time(
-    sys: ProfileSystem, cap: float = 4.0, window: tuple[float, float] | None = None
+    sys: PCSystem, cap: float = 4.0, window: tuple[float, float] | None = None
 ) -> float | None:
     """A t in the window where every branch value stays within cap.
 
@@ -564,7 +513,7 @@ def well_conditioned_time(
     for t in np.linspace(lo, hi, 259)[1:-1]:
         t = float(t)
         try:
-            worst = max(abs(_branch_value(b, t)) for b in sys.branches)
+            worst = max(abs(branch_value(b, t)) for b in sys.branches)
         except FocalPointError:
             continue
         if worst < best_worst:
@@ -584,7 +533,7 @@ def random_profile_system(
     label: str = "p",
     max_branches: int = 6,
     kappas=(1.0, 2.0),
-) -> ProfileSystem:
+) -> PCSystem:
     """Seeded random compact system: frequencies from kappas, phases clear
     of the pole lattice, multiplicities small."""
     count = int(rng.integers(1, max_branches + 1))
@@ -594,12 +543,12 @@ def random_profile_system(
         theta = float(rng.uniform(0.08, math.pi - 0.08))
         mult = int(rng.integers(1, 5))
         branches.append(CurvatureBranch.compact(kappa, theta, mult))
-    return ProfileSystem(system=PCSystem(branches=tuple(branches)), label=label)
+    return PCSystem(branches=tuple(branches), label=label)
 
 
 def random_profile_pair(
     rng: np.random.Generator,
-) -> tuple[ProfileSystem, ProfileSystem, bool]:
+) -> tuple[PCSystem, PCSystem, bool]:
     """A labeled pair (p, q, expected_equal) for comparator cross-checks.
 
     Equal pairs are built by branch permutation and phase translation by
@@ -612,7 +561,7 @@ def random_profile_pair(
         # permuted copy
         order = rng.permutation(len(p.branches))
         branches = tuple(p.branches[i] for i in order)
-        return p, ProfileSystem(PCSystem(branches), label="q"), True
+        return p, PCSystem(branches, label="q"), True
     if style == 1:
         # permuted copy with phases translated by the cot period
         branches = []
@@ -623,7 +572,7 @@ def random_profile_pair(
             )
         order = rng.permutation(len(branches))
         branches = tuple(branches[i] for i in order)
-        return p, ProfileSystem(PCSystem(branches), label="q"), True
+        return p, PCSystem(branches, label="q"), True
     if style == 2:
         # one phase nudged by >= 1e-2: profile must differ
         idx = int(rng.integers(0, len(p.branches)))
@@ -632,23 +581,19 @@ def random_profile_pair(
         delta = float(rng.uniform(1e-2, 5e-2)) * (1 if rng.random() < 0.5 else -1)
         new_phase = min(max(b.phase + delta, 0.04), math.pi - 0.04)
         branches[idx] = CurvatureBranch.compact(b.kappa, new_phase, b.multiplicity)
-        return p, ProfileSystem(PCSystem(tuple(branches)), label="q"), False
+        return p, PCSystem(tuple(branches), label="q"), False
     return p, random_profile_system(rng, label="q"), False
 
 
-def doubling_identity_pair() -> tuple[ProfileSystem, ProfileSystem]:
+def doubling_identity_pair() -> tuple[PCSystem, PCSystem]:
     """The frequency-doubling pair with equal profiles but different
     branch multisets: 2 cot(2x) = cot(x) + cot(x + pi/2)."""
     theta = 0.7
-    single = ProfileSystem(
-        PCSystem((CurvatureBranch.compact(2.0, 2 * theta, 3),)), label="p"
-    )
-    split = ProfileSystem(
-        PCSystem(
-            (
-                CurvatureBranch.compact(1.0, theta, 3),
-                CurvatureBranch.compact(1.0, theta + math.pi / 2, 3),
-            )
+    single = PCSystem((CurvatureBranch.compact(2.0, 2 * theta, 3),), label="p")
+    split = PCSystem(
+        (
+            CurvatureBranch.compact(1.0, theta, 3),
+            CurvatureBranch.compact(1.0, theta + math.pi / 2, 3),
         ),
         label="q",
     )
@@ -678,8 +623,8 @@ def branch_sign_divergence(
     for t in np.linspace(0.0, t_max, samples + 1)[1:]:
         t = float(t)
         try:
-            a = _branch_value(p, t)
-            b = _branch_value(q, t)
+            a = branch_value(p, t)
+            b = branch_value(q, t)
         except FocalPointError:
             continue
         if abs(a) < 1e-6 or abs(b) < 1e-6:

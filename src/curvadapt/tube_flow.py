@@ -3,7 +3,7 @@
 Each principal curvature of a tube satisfies a scalar Riccati equation
 lambda' = lambda^2 + s * kappa^2, where kappa^2 is the eigenvalue of the
 normal Jacobi operator on the branch and s = +1, 0, -1 the curvature sign
-of the ambient space.  All closed-form solution families are implemented:
+of the ambient space.  branch_value evaluates every closed-form family:
 
     compact     lambda(t) = kappa cot(theta - kappa t)
     flat        lambda(t) = 1 / (r - t)   (or identically 0)
@@ -111,11 +111,6 @@ class CurvatureBranch:
             return "const"
         return "coth" if lam0 > self.kappa else "tanh"
 
-    def value_at_zero(self) -> float:
-        if self.space_sign == 1:
-            return self.kappa / math.tan(self.phase)
-        return self.phase
-
     def regularity_interval(self) -> tuple[float, float]:
         """Open interval around 0 on which the branch stays finite."""
         if self.space_sign == 1:
@@ -133,8 +128,48 @@ class CurvatureBranch:
         return (-math.inf, math.inf)  # tanh, const
 
 
+_POLE_PROXIMITY = 1e-12
+
+
+def branch_value(branch: CurvatureBranch, t: float) -> float:
+    """Closed form of the branch at t, continued past its poles.
+
+    This is the one evaluator of the five solution families.  It is the
+    meromorphic function, so only its isolated poles are off limits; the
+    mean-curvature profile evaluates it everywhere, while evolve first
+    confines t to the flow's regularity interval.
+
+    Raises:
+        FocalPointError: if the denominator of the closed form is within
+            1e-12 of zero, that is at a pole.
+    """
+    k = branch.kappa
+    if branch.space_sign == 1:
+        arg = branch.phase - k * t
+        num, den = k * math.cos(arg), math.sin(arg)
+    else:
+        regime = branch.regime
+        if regime == "flat":
+            num, den = branch.phase, 1.0 - branch.phase * t
+        elif regime == "coth":
+            num, den = k, math.tanh(math.atanh(k / branch.phase) - k * t)
+        elif regime == "const":
+            return branch.phase
+        else:
+            return k * math.tanh(math.atanh(branch.phase / k) - k * t)
+    if abs(den) < _POLE_PROXIMITY:
+        raise FocalPointError(
+            f"evaluation at a pole of the {branch.regime} branch: t={t!r}",
+            focal_radius=t,
+        )
+    return num / den
+
+
 def evolve(branch: CurvatureBranch, t: float) -> float:
     """Value of the branch's Riccati flow at parameter t.
+
+    The geodesic flow ends at its first focal point, so t must lie in the
+    branch's regularity interval; inside it this is branch_value.
 
     Raises:
         FocalPointError: if t sits at or beyond a pole of the flow.
@@ -146,20 +181,7 @@ def evolve(branch: CurvatureBranch, t: float) -> float:
             f"flow evaluated at t={t!r}, outside regular interval ({lo!r}, {hi!r})",
             focal_radius=boundary,
         )
-    k = branch.kappa
-    if branch.space_sign == 1:
-        return k / math.tan(branch.phase - k * t)
-    regime = branch.regime
-    if regime == "flat":
-        lam0 = branch.phase
-        return lam0 / (1.0 - lam0 * t)
-    if regime == "const":
-        return branch.phase
-    if regime == "coth":
-        theta0 = math.atanh(k / branch.phase)
-        return k / math.tanh(theta0 - k * t)
-    theta0 = math.atanh(branch.phase / k)
-    return k * math.tanh(theta0 - k * t)
+    return branch_value(branch, t)
 
 
 def focal_radius(branch: CurvatureBranch) -> float:
@@ -181,9 +203,13 @@ def translated(branch: CurvatureBranch, s: float) -> CurvatureBranch:
 
 @dataclass(frozen=True)
 class PCSystem:
-    """A full principal-curvature system: branches with multiplicities."""
+    """A full principal-curvature system: branches with multiplicities.
+
+    The label names the system in the witnesses of profile comparisons.
+    """
 
     branches: tuple[CurvatureBranch, ...]
+    label: str = "p"
 
     def __post_init__(self):
         if not self.branches:
@@ -303,9 +329,10 @@ _CORE_ROWS: dict[str, tuple[tuple[float, str, int], ...]] = {
 def tube_spectrum(descriptor: TubeDescriptor) -> PCSystem:
     """Principal-curvature system of the tube, with multiplicities.
 
-    The values agree with jacobi_tube_curvature row by row; the branch
-    phases are set so that evolving toward the core (increasing t)
-    focalizes the normal branches at t = radius.
+    The values agree with jacobi_tube_curvature row by row; the op2
+    branch phases are set so that evolving toward the core (increasing t)
+    focalizes the normal branches at t = radius, and the oh2 branches
+    start from jacobi_tube_curvature.
     """
     if descriptor.core == "horosphere":
         return PCSystem(
@@ -314,16 +341,15 @@ def tube_spectrum(descriptor: TubeDescriptor) -> PCSystem:
                 CurvatureBranch.hyperbolic(2.0, 2.0, 7),
             )
         )
-    sign = 1 if descriptor.ambient == "op2" else -1
     r = descriptor.radius
     branches = []
     for magnitude, boundary, mult in _CORE_ROWS[descriptor.core]:
-        value = jacobi_tube_curvature(sign * magnitude, boundary, r)
         k = math.sqrt(magnitude)
-        if sign == 1:
+        if descriptor.ambient == "op2":
             theta = k * r if boundary == "normal" else k * r + math.pi / 2
             branches.append(CurvatureBranch.compact(k, theta, mult))
         else:
+            value = jacobi_tube_curvature(-magnitude, boundary, r)
             branches.append(CurvatureBranch.hyperbolic(k, value, mult))
     return PCSystem(branches=tuple(branches))
 
@@ -756,7 +782,6 @@ def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
         "floor": exact,
         "constant_solution_c": exact_c,
         "constant_solution_lambda2_0": math.sqrt(mu2),
-        "constant_solution_residual": exact,
     }
 
 

@@ -6,8 +6,10 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from curvadapt import cli
+from curvadapt import cli, tube_flow
 
 
 SCHEMA_BY_COMMAND = {
@@ -217,6 +219,8 @@ class TestInputHardening:
         self.assert_usage_error(capsys, "cascade", "--system", bad, "--t", "0.1")
         bad = '[{"kappa": NaN, "theta": 0.9, "mult": 1}]'
         self.assert_usage_error(capsys, "profile-match", "--p", bad, "--q", Q_SAME)
+        bad = '[{"kappa": 2, "theta": 1.2, "mult": Infinity}]'
+        self.assert_usage_error(capsys, "cascade", "--system", bad, "--t", "0.1")
 
     def test_non_finite_output_fails_loudly(self, capsys, monkeypatch):
         def handler(args, config):
@@ -228,10 +232,28 @@ class TestInputHardening:
     def test_negative_samples_is_usage_error(self, capsys):
         self.assert_usage_error(capsys, "sectional-range", "--samples", "-5")
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "sectional-range", "--seed=-1", "--samples", "0")
+
     def test_negative_triples_is_usage_error(self, capsys):
         self.assert_usage_error(capsys, "grassmannian-check", "--triples", "-3")
         # no triples leave the negative control at 0, which cannot pass
         self.assert_usage_error(capsys, "grassmannian-check", "--triples", "0")
+
+    def test_cascade_power_overflow_is_usage_error(self, capsys):
+        err = self.assert_usage_error(
+            capsys, "cascade", "--system", '[{"kappa":2,"theta":1.2,"mult":3}]',
+            "--t", "0.1", "--kmax", "4000")
+        assert "power" in err and "overflows" in err
+
+    def test_slot_count_above_cap_is_usage_error(self, capsys):
+        too_many = str(cli.MAX_SLOTS + 1)
+        err = self.assert_usage_error(capsys, "grassmannian-check", "--m", too_many,
+                                      "--triples", "1")
+        assert str(cli.MAX_SLOTS) in err
+        self.assert_usage_error(capsys, "jacobi-spectrum", "--space", "grassmannian",
+                                "--m", too_many)
+        assert cli._slots(str(cli.MAX_SLOTS)) == cli.MAX_SLOTS
 
     def assert_prompt_usage_error(self, *argv):
         """Run in a subprocess, so that a hang fails the test instead of the suite."""
@@ -254,6 +276,123 @@ class TestInputHardening:
         self.assert_prompt_usage_error(
             "profile-match", "--p", '[{"kappa":1e300,"theta":0.9,"mult":1}]',
             "--q", '[{"kappa":1,"theta":0.9,"mult":1}]')
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+#: edge-case argument text: non-finite, signed zero, extreme, negative, junk
+_EDGE_TEXT = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-0", "0.0", "-0.0",
+                     "1e300", "-1e300", "1e-300", "-1e-300", "1e400", "", "junk",
+                     "0x1p3", "1,5"]),
+    st.integers(-2, -1).map(str),
+)
+#: edge-case JSON values for the fields of a branch row
+_EDGE_JSON = st.one_of(
+    st.floats(),  # includes NaN and +-inf, which json.dumps writes as constants
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, -1, None]),
+    st.text(max_size=3),
+)
+
+
+def _mostly(good, edge):
+    """good four times in five, so that most examples get past parsing."""
+    return st.integers(0, 4).flatmap(lambda i: edge if i == 0 else good)
+
+
+def _number(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr), _EDGE_TEXT)
+
+
+def _integer(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), _EDGE_TEXT)
+
+
+_GOOD_ROW = {"kappa": st.floats(0.1, 3.0), "theta": st.floats(0.05, 3.1),
+             "mult": st.integers(1, 4)}
+_EDGE_ROW = st.fixed_dictionaries(
+    {name: _mostly(good, _EDGE_JSON) for name, good in _GOOD_ROW.items()},
+    optional={"regime": st.sampled_from(["compact", "flat", "coth", "tanh",
+                                         "const", "bogus"])},
+)
+_SYSTEM_JSON = _mostly(
+    st.lists(st.fixed_dictionaries(_GOOD_ROW), min_size=1, max_size=3).map(json.dumps),
+    st.one_of(
+        st.lists(_EDGE_ROW, min_size=1, max_size=3).map(json.dumps),
+        st.sampled_from(["[]", "{}", "[", "null", '[{"kappa": 1}]']),
+    ),
+)
+
+
+def _option(flag, values):
+    """An optional flag=value argument; the = form lets values start with -."""
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+def _required(flag, values):
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+@st.composite
+def _light_argv(draw):
+    """argv for one of the subcommands that run no search."""
+    command = draw(st.sampled_from(["octonion-table", "jacobi-spectrum",
+                                    "sectional-range", "tube-table",
+                                    "profile-match", "cascade",
+                                    "grassmannian-check"]))
+    argv = [command]
+    argv += draw(_option("--seed", _integer(0, 2**32)))
+    argv += draw(_option("--tol", st.tuples(
+        st.sampled_from(sorted(cli.DEFAULT_TOLERANCES)), _number(1e-12, 1.0)
+    ).map("=".join)))
+    sign = st.sampled_from(["1", "-1", "0", "x"])
+    slots = _integer(-3, cli.MAX_SLOTS + 8)
+    if command == "jacobi-spectrum":
+        argv += draw(_option("--space", st.sampled_from(["cayley", "grassmannian"])))
+        argv += draw(_option("--sign", sign))
+        argv += draw(_option("--alpha", _number(0.05, 3.1)))
+        argv += draw(_option("--m", slots))
+    elif command == "sectional-range":
+        argv += draw(_required("--samples", _integer(0, 40)))
+        argv += draw(_option("--sign", sign))
+    elif command == "tube-table":
+        argv += draw(_required("--ambient", st.sampled_from(tube_flow.AMBIENTS)))
+        argv += draw(_required("--core", st.sampled_from(tube_flow.CORES)))
+        argv += draw(_option("--radius", _number(0.01, 1.6)))
+    elif command == "profile-match":
+        argv += draw(_required("--p", _SYSTEM_JSON)) + draw(_required("--q", _SYSTEM_JSON))
+        argv += draw(_option("--window", st.tuples(
+            _number(-3.0, 3.0), _number(-3.0, 6.0)).map(",".join)))
+    elif command == "cascade":
+        argv += draw(_required("--system", _SYSTEM_JSON))
+        argv += draw(_required("--t", _number(-2.0, 2.0)))
+        # from about 2,900 up, a branch value above 1.3 overflows its power
+        kmax = st.one_of(st.integers(-2, 40), st.integers(2900, 5000))
+        argv += draw(_required("--kmax", _mostly(kmax.map(str), _EDGE_TEXT)))
+    elif command == "grassmannian-check":
+        argv += draw(_option("--m", slots))
+        argv += draw(_option("--alpha", _number(0.05, 3.1)))
+        argv += draw(_required("--triples", _integer(1, 4)))
+    return argv + ["--format", "json"]
+
+
+class TestArgvFuzz:
+    """Any argv keeps the exit-code contract and emits strict JSON."""
+
+    @settings(max_examples=200, derandomize=True, deadline=5000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_light_argv())
+    @example(argv=["cascade", "--system", '[{"kappa":2,"theta":1.2,"mult":3}]',
+                   "--t", "0.1", "--kmax", "4000"])  # lambda^4000 overflows a float
+    def test_exit_contract_holds(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NEGATIVE)
+        if code == cli.EXIT_USAGE:
+            assert out == ""
+        else:
+            json.loads(out, parse_constant=_reject_constant)
 
 
 class TestTabularFormats:

@@ -10,11 +10,11 @@ from curvadapt.errors import (
     NormalizationError,
     UnsupportedRegimeError,
 )
-from curvadapt.tube_flow import CurvatureBranch, PCSystem, evolve
+from curvadapt.tube_flow import CurvatureBranch, PCSystem, branch_value, evolve
 
 
 def system_of(*branches, label="p"):
-    return iso.ProfileSystem(PCSystem(tuple(branches)), label=label)
+    return PCSystem(tuple(branches), label=label)
 
 
 class TestProfileEvaluation:
@@ -53,7 +53,7 @@ class TestProfileEvaluation:
             b = CurvatureBranch.compact(kappa, theta)
             lo, hi = b.regularity_interval()
             t = float(rng.uniform(lo + 0.05, hi - 0.05))
-            assert abs(iso._branch_value(b, t) - evolve(b, t)) <= 1e-12
+            assert abs(branch_value(b, t) - evolve(b, t)) <= 1e-12
 
 
 class TestPoleExtraction:
@@ -228,8 +228,8 @@ class TestProfileEquivalence:
                 assert ab == ba
         # transitive through translated copies
         base = systems[0]
-        copy1 = iso.ProfileSystem(base.system, label="c1")
-        copy2 = iso.ProfileSystem(base.system, label="c2")
+        copy1 = PCSystem(base.branches, label="c1")
+        copy2 = PCSystem(base.branches, label="c2")
         assert iso.profiles_equivalent(base, copy1).verdict == "equivalent"
         assert iso.profiles_equivalent(copy1, copy2).verdict == "equivalent"
         assert iso.profiles_equivalent(base, copy2).verdict == "equivalent"
@@ -267,8 +267,8 @@ class TestIsoparametricVerdict:
             CurvatureBranch.compact(2.0, 1.9, 2),
         )
         family = [base,
-                  iso.ProfileSystem(base.system, label="m1"),
-                  iso.ProfileSystem(base.system, label="m2")]
+                  PCSystem(base.branches, label="m1"),
+                  PCSystem(base.branches, label="m2")]
         cert = iso.isoparametric_verdict(family)
         assert cert.verdict == "equivalent"
         assert cert.details["family_size"] == 3
@@ -389,14 +389,14 @@ class TestWellConditionedTime:
         sys = iso.random_profile_system(rng)
         t = iso.well_conditioned_time(sys)
         assert t is not None
-        assert max(abs(iso._branch_value(b, t)) for b in sys.branches) <= 4.0
+        assert max(abs(branch_value(b, t)) for b in sys.branches) <= 4.0
 
     def test_crowded_system_returns_none(self):
         branches = tuple(
             CurvatureBranch.compact(1.0, (i + 0.5) * math.pi / 13.0)
             for i in range(13)
         )
-        sys = iso.ProfileSystem(PCSystem(branches))
+        sys = PCSystem(branches)
         assert iso.well_conditioned_time(sys) is None
 
 
@@ -408,8 +408,8 @@ class TestSignDivergence:
         assert abs(p.regularity_interval()[1] - q.regularity_interval()[1]) <= 1e-12
         t = iso.branch_sign_divergence(p, q)
         assert t is not None
-        a = iso._branch_value(p, t)
-        b = iso._branch_value(q, t)
+        a = branch_value(p, t)
+        b = branch_value(q, t)
         assert (a > 0) != (b > 0)
 
     def test_identical_branches_never_diverge(self):

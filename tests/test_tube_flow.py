@@ -74,7 +74,6 @@ class TestBranchConstruction:
     def test_from_value_round_trip(self):
         for v in (-5.0, -1.0, 0.0, 0.3, 7.0):
             b = tf.CurvatureBranch.from_value(2.0, v)
-            assert abs(b.value_at_zero() - v) <= 1e-12 * max(1.0, abs(v))
             assert abs(tf.evolve(b, 0.0) - v) <= 1e-12 * max(1.0, abs(v))
 
     def test_phase_reduced_mod_pi(self):
@@ -454,8 +453,7 @@ class TestProportionalSweep:
         variant = cert.details["alphas"][0]["flipped_sign_variant"]
         # with both signs flipped a constant solution exists; the floor
         # must collapse, which is why the variant is reported not asserted
-        assert variant["floor"] <= 1e-8
-        assert variant["constant_solution_residual"] <= 1e-12
+        assert variant["floor"] <= 1e-12
 
     def test_excluded_angles_rejected(self):
         for cos_a in (0.6, 0.8):
