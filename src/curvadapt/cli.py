@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field
 
@@ -114,6 +115,10 @@ def _count(minimum: int):
 #: cost of a run grows about as m^3
 MAX_SLOTS = 64
 
+#: largest --alpha-grid count: each angle costs one eigenvector solve, and
+#: the grid is allocated before the first one runs
+MAX_ANGLES = 4096
+
 
 def _slots(text: str) -> int:
     """argparse type for --m: a slot count in [2, MAX_SLOTS]."""
@@ -123,6 +128,10 @@ def _slots(text: str) -> int:
     return value
 
 
+#: largest branch multiplicity: every integer up to 2**53 is exact as a float
+MAX_MULT = 2**53
+
+
 def _load_json_arg(text: str, flag: str):
     try:
         return json.loads(text)
@@ -130,6 +139,8 @@ def _load_json_arg(text: str, flag: str):
         raise _UsageError(
             f"{flag}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise _UsageError(f"{flag}: invalid JSON: {exc}")
 
 
 def _parse_system_json(payload, flag: str, label: str) -> PCSystem:
@@ -142,12 +153,15 @@ def _parse_system_json(payload, flag: str, label: str) -> PCSystem:
         try:
             kappa = float(row["kappa"])
             theta = float(row["theta"])
-            mult = int(row["mult"])
+            mult = row["mult"]
             regime = row.get("regime", "compact")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _UsageError(f"{flag}: branch {idx} malformed: {exc}")
         if not (math.isfinite(kappa) and math.isfinite(theta)):
             raise _UsageError(f"{flag}: branch {idx} needs finite kappa and theta")
+        if type(mult) is not int or not 1 <= mult <= MAX_MULT:  # type(): a bool is no count
+            raise _UsageError(f"{flag}: branch {idx} needs an integer mult in "
+                              f"[1, 2**53], got {reprlib.repr(mult)}")
         try:
             if regime == "compact":
                 branch = CurvatureBranch.compact(kappa, theta, mult)
@@ -179,8 +193,8 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
         raise _UsageError(f"--alpha-grid expects numeric a:b:n, got {text!r}")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise _UsageError(f"--alpha-grid endpoints must be finite, got {text!r}")
-    if n < 1:
-        raise _UsageError("--alpha-grid needs n >= 1")
+    if not 1 <= n <= MAX_ANGLES:
+        raise _UsageError(f"--alpha-grid needs 1 <= n <= {MAX_ANGLES}, got {n}")
     return np.linspace(a, b, n)
 
 

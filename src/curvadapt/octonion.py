@@ -77,10 +77,6 @@ def associator(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return multiply(multiply(a, b), c) - multiply(a, multiply(b, c))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return multiply(a, b) - multiply(b, a)
-
-
 @dataclass(frozen=True)
 class Octonion:
     """A single octonion, stored as 8 coefficients over 1, J1..J7."""

@@ -715,60 +715,6 @@ def theorem2_certificate(validate: bool = True) -> Certificate:
 EXCLUDED_COSINES = (0.0, 3.0 / 5.0, 4.0 / 5.0, 1.0)
 CONSTRAINT_MODES = ("a_jj_const", "a_zz_const", "ratio_const")
 
-_SEARCH_BOX = 50.0
-_COARSE_GRID = 81
-_T_POINTS = 64
-
-
-def _lambda_flow(mu: float, lam0: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Compact Riccati solution lambda' = lambda^2 + mu through lambda(0) = lam0."""
-    k = math.sqrt(mu)
-    phi = np.arctan2(lam0, k)
-    return k * np.tan(k * t + phi)
-
-
-def _first_pole(mu: float, lam0: np.ndarray) -> np.ndarray:
-    k = math.sqrt(mu)
-    phi = np.arctan2(lam0, k)
-    return (math.pi / 2 - phi) / k
-
-
-def _sweep_residual(
-    c: np.ndarray, lam20: np.ndarray, mu1: float, mu2: float, beta: float, mode: str
-) -> np.ndarray:
-    """Max-over-window residual of the proportional ansatz lambda1 = c lambda2.
-
-    lambda2 follows its own Riccati flow; the residual combines the
-    Riccati defect of lambda1 = c lambda2 with the non-constancy of the
-    constrained shape entry reconstructed from the pair.
-    """
-    c = np.asarray(c, dtype=float)
-    lam20 = np.asarray(lam20, dtype=float)
-    t_pole = _first_pole(mu2, lam20)
-    # 64 samples strictly inside the pole-free window of the lambda2 flow
-    frac = np.linspace(0.02, 0.8, _T_POINTS)
-    t = t_pole[..., None] * frac
-    lam2 = _lambda_flow(mu2, lam20[..., None], t)
-    riccati = np.max(
-        np.abs(c[..., None] * (1.0 - c[..., None]) * lam2**2
-               + c[..., None] * mu2 - mu1),
-        axis=-1,
-    )
-    if mode == "ratio_const":
-        # the reconstructed ratio is constant along the ansatz by linearity
-        return riccati
-    q = (math.cos(beta) / math.sin(beta)) ** 2
-    p = (math.sin(beta) / math.cos(beta)) ** 2
-    a_prime = 1.0 - q
-    b_prime = 1.0 + p
-    a_jj = (c[..., None] * a_prime - b_prime) * lam2 / (p - q)
-    if mode == "a_jj_const":
-        entry = a_jj
-    else:
-        entry = b_prime * lam2 + p * a_jj
-    constancy = np.max(entry, axis=-1) - np.min(entry, axis=-1)
-    return np.maximum(riccati, constancy)
-
 
 def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
     """Residual floor when both Riccati equations carry flipped frequency
@@ -785,53 +731,37 @@ def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
     }
 
 
-def _min_residual_for_alpha(
-    alpha: float, mu1: float, mu2: float, mode: str
-) -> tuple[float, float, float]:
-    """Grid search plus local refinement; returns (residual, c, lambda2_0)."""
-    from scipy import optimize  # imported here so that no other command pays for it
-
-    beta = alpha / 2.0
-    axis = np.linspace(-_SEARCH_BOX, _SEARCH_BOX, _COARSE_GRID)
-    C, L = np.meshgrid(axis, axis, indexing="ij")
-    coarse = _sweep_residual(C.ravel(), L.ravel(), mu1, mu2, beta, mode)
-    best = int(np.argmin(coarse))
-    c0, l0 = float(C.ravel()[best]), float(L.ravel()[best])
-
-    def objective(x):
-        return float(_sweep_residual(np.array([x[0]]), np.array([x[1]]), mu1, mu2, beta, mode)[0])
-
-    result = optimize.minimize(
-        objective,
-        x0=[c0, l0],
-        method="Nelder-Mead",
-        bounds=[(-_SEARCH_BOX, _SEARCH_BOX)] * 2,
-        options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 400},
-    )
-    if result.fun <= objective([c0, l0]):
-        return float(result.fun), float(result.x[0]), float(result.x[1])
-    return objective([c0, l0]), c0, l0
-
-
 def theorem3_sweep(
     alpha_grid,
     constraint: str = "a_jj_const",
     bundle: "grassmannian.StructureBundle | None" = None,
     ratio_tol: float = 1e-8,
 ) -> Certificate:
-    """Non-existence sweep for proportionally-curved pairs at generic angles.
+    """Non-existence certificate for proportionally-curved pairs at generic angles.
 
-    For each angle the two distinguished Jacobi eigenvalues are measured
-    from the Grassmannian model (never hand-set), the proportional ansatz
-    lambda1 = c lambda2 is substituted into both Riccati equations, and
-    the minimal residual over (c, lambda2(0)) in [-50, 50]^2 is recorded.
-    A strictly positive floor across the grid certifies that no such pair
-    of eigenvalue functions exists ("contradiction" verdict).
+    For each angle the two distinguished Jacobi eigenvalues mu1 > mu2 > 0
+    are measured from the Grassmannian model (never hand-set).  Putting
+    lambda1 = c lambda2 into both Riccati equations lambda_i' =
+    lambda_i^2 + mu_i leaves the defect c(1 - c) lambda2^2 + c mu2 - mu1,
+    which must vanish on an interval.  There lambda2' = lambda2^2 + mu2 > 0,
+    so lambda2^2 takes infinitely many values and c(1 - c) = 0 and
+    c mu2 = mu1 follow: c = 0 needs mu1 = 0, and c = 1 needs mu1 = mu2,
+    i.e. cos(alpha) = 0.  On the maximal forward window lambda2 runs to its
+    pole, so the sup of the defect is finite only for c in {0, 1}, where it
+    is mu1 or mu1 - mu2.  Each row's floor is therefore exactly mu1 - mu2,
+    with witness c = 1 at every lambda2(0); the certificate reports the
+    smallest row, and a positive floor is a "contradiction" verdict.  The
+    a_jj and a_zz shape constraints only add conditions, so mu1 - mu2
+    bounds every mode from below and ``constraint`` only labels the
+    payload.
 
     Raises:
         ExcludedAngleError: if any grid angle has cos(alpha) in
             {0, 3/5, 4/5, 1} (within 1e-9), where eigenvalue
             multiplicities jump.
+        NormalizationError: on an unknown constraint, or when the measured
+            eigenvectors or the eigenvalue ratio (1 + cos) / (1 - cos) miss
+            their tolerances.
     """
     if constraint not in CONSTRAINT_MODES:
         raise NormalizationError(f"constraint must be one of {CONSTRAINT_MODES}")
@@ -860,7 +790,7 @@ def theorem3_sweep(
             raise NormalizationError(
                 f"eigenvalue ratio defect {ratio_defect!r} at alpha={alpha!r}"
             )
-        residual, c_best, l_best = _min_residual_for_alpha(alpha, mu1, mu2, constraint)
+        residual = mu1 - mu2
         rows.append(
             {
                 "alpha": alpha,
@@ -868,24 +798,18 @@ def theorem3_sweep(
                 "mu2": mu2,
                 "ratio_defect": ratio_defect,
                 "min_residual": residual,
-                "c": c_best,
-                "lambda2_0": l_best,
+                "c": 1.0,
                 "flipped_sign_variant": _flipped_sign_floor(mu1, mu2),
             }
         )
         if residual < floor:
             floor = residual
-            witness = {"alpha": alpha, "c": c_best, "lambda2_0": l_best,
-                       "residual": residual}
+            witness = {"alpha": alpha, "c": 1.0, "residual": residual}
     return Certificate(
         verdict="contradiction" if floor > 0.0 else "equivalent",
         residual=float(floor),
         witness=witness,
-        details={
-            "constraint": constraint,
-            "search_box": _SEARCH_BOX,
-            "alphas": rows,
-        },
+        details={"constraint": constraint, "alphas": rows},
     )
 
 

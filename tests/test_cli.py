@@ -255,6 +255,45 @@ class TestInputHardening:
                                 "--m", too_many)
         assert cli._slots(str(cli.MAX_SLOTS)) == cli.MAX_SLOTS
 
+    def assert_bad_mult(self, capsys, mult):
+        row = '[{"kappa": 1, "theta": 0.9, "mult": %s}]' % mult
+        err = self.assert_usage_error(capsys, "profile-match", "--p", row, "--q", Q_SAME)
+        assert "mult" in err
+        err = self.assert_usage_error(capsys, "cascade", "--system", row, "--t", "0.1")
+        assert "mult" in err
+
+    def test_huge_mult_is_usage_error(self, capsys):
+        self.assert_bad_mult(capsys, "1" + "0" * 400)  # too large for a float
+
+    def test_fractional_mult_is_usage_error(self, capsys):
+        self.assert_bad_mult(capsys, "2.7")  # was truncated to 2
+
+    def test_boolean_mult_is_usage_error(self, capsys):
+        self.assert_bad_mult(capsys, "true")
+
+    def test_string_mult_is_usage_error(self, capsys):
+        self.assert_bad_mult(capsys, '"2"')
+
+    def test_mult_beyond_exact_float_range_is_usage_error(self, capsys):
+        self.assert_bad_mult(capsys, str(2**53 + 1))
+        row = '[{"kappa": 1, "theta": 0.9, "mult": %d}]' % 2**53
+        code, _, _ = run_cli(capsys, "profile-match", "--p", row, "--q", row)
+        assert code == cli.EXIT_OK
+
+    def test_over_long_json_integer_is_usage_error(self, capsys):
+        row = '[{"kappa": 1%s, "theta": 0.9, "mult": 1}]' % ("0" * 5000)
+        err = self.assert_usage_error(capsys, "profile-match", "--p", row, "--q", Q_SAME)
+        assert "digits" in err
+
+    def test_deeply_nested_json_is_usage_error(self, capsys):
+        self.assert_usage_error(capsys, "cascade", "--system", "[" * 100_000, "--t", "0.1")
+
+    def test_alpha_grid_count_above_cap_is_usage_error(self, capsys):
+        err = self.assert_usage_error(capsys, "theorem3", "--alpha-grid",
+                                      f"0.25:1.3:{cli.MAX_ANGLES + 1}")
+        assert str(cli.MAX_ANGLES) in err
+        assert len(cli._parse_alpha_grid(f"0.25:1.3:{cli.MAX_ANGLES}")) == cli.MAX_ANGLES
+
     def assert_prompt_usage_error(self, *argv):
         """Run in a subprocess, so that a hang fails the test instead of the suite."""
         result = subprocess.run(
@@ -312,8 +351,18 @@ def _integer(lo, hi):
 
 _GOOD_ROW = {"kappa": st.floats(0.1, 3.0), "theta": st.floats(0.05, 3.1),
              "mult": st.integers(1, 4)}
+#: multiplicities past a float's exact range, fractional, boolean or text
+_EDGE_MULT = st.one_of(
+    _EDGE_JSON,
+    st.integers(2**53 - 1, 2**53 + 1),
+    st.integers(10**300, 10**400),
+    st.floats(0.5, 4.5),
+    st.booleans(),
+    st.sampled_from(["1", "2"]),
+)
 _EDGE_ROW = st.fixed_dictionaries(
-    {name: _mostly(good, _EDGE_JSON) for name, good in _GOOD_ROW.items()},
+    {name: _mostly(good, _EDGE_MULT if name == "mult" else _EDGE_JSON)
+     for name, good in _GOOD_ROW.items()},
     optional={"regime": st.sampled_from(["compact", "flat", "coth", "tanh",
                                          "const", "bogus"])},
 )
@@ -337,11 +386,11 @@ def _required(flag, values):
 
 @st.composite
 def _light_argv(draw):
-    """argv for one of the subcommands that run no search."""
+    """argv for one of the light subcommands, or theorem3 on a small grid."""
     command = draw(st.sampled_from(["octonion-table", "jacobi-spectrum",
                                     "sectional-range", "tube-table",
                                     "profile-match", "cascade",
-                                    "grassmannian-check"]))
+                                    "grassmannian-check", "theorem3"]))
     argv = [command]
     argv += draw(_option("--seed", _integer(0, 2**32)))
     argv += draw(_option("--tol", st.tuples(
@@ -375,6 +424,10 @@ def _light_argv(draw):
         argv += draw(_option("--m", slots))
         argv += draw(_option("--alpha", _number(0.05, 3.1)))
         argv += draw(_required("--triples", _integer(1, 4)))
+    elif command == "theorem3":
+        argv += draw(_required("--alpha-grid", st.tuples(
+            _number(0.0, 1.6), _number(0.0, 1.6), _integer(0, 4)).map(":".join)))
+        argv += draw(_option("--constraint", st.sampled_from(["ajj", "azz", "ratio", "x"])))
     return argv + ["--format", "json"]
 
 
@@ -386,6 +439,8 @@ class TestArgvFuzz:
     @given(argv=_light_argv())
     @example(argv=["cascade", "--system", '[{"kappa":2,"theta":1.2,"mult":3}]',
                    "--t", "0.1", "--kmax", "4000"])  # lambda^4000 overflows a float
+    @example(argv=["profile-match", "--p", '[{"kappa":1,"theta":0.9,"mult":1%s}]' % ("0" * 400),
+                   "--q", '[{"kappa":1,"theta":0.9,"mult":1}]'])  # mult overflows a float
     def test_exit_contract_holds(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NEGATIVE)
@@ -508,14 +563,16 @@ class TestPayloadContent:
 
 
 class TestImportPath:
-    """scipy is loaded by theorem3's refinement only, never by the import."""
+    """The package never loads scipy: not on import, not in a subcommand."""
 
     @pytest.mark.parametrize("code", [
         "import curvadapt.cli, sys",
         "import curvadapt.cli, sys\n"
         "curvadapt.cli.main(['tube-table', '--ambient', 'op2', '--core', 'line',"
         " '--radius', '0.3927'])",
-    ], ids=["import", "tube-table"])
+        "import curvadapt.cli, sys\n"
+        "curvadapt.cli.main(['theorem3', '--alpha-grid', '0.5:1.1:3'])",
+    ], ids=["import", "tube-table", "theorem3"])
     def test_scipy_is_not_loaded(self, code):
         probe = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         result = subprocess.run(

@@ -431,7 +431,45 @@ class TestFocalEnumeration:
         assert len(cert.details["survivors"]) == 4
 
 
+#: the angles of the README and acceptance sweep
+SWEEP_ALPHAS = np.linspace(0.25, 1.30, 24)
+#: sample windows as fractions of the way to lambda2's first pole: the
+#: package's former 64-sample window, and one reaching almost to the pole
+SAMPLED_WINDOW = np.linspace(0.02, 0.8, 64)
+NEAR_POLE_WINDOW = np.linspace(0.02, 1.0 - 1e-6, 64)
+
+
+def model_eigenvalues(alpha):
+    """The two distinguished Jacobi eigenvalues 4(1 +- cos alpha) of the
+    Grassmannian model, in closed form."""
+    return 4.0 * (1.0 + math.cos(alpha)), 4.0 * (1.0 - math.cos(alpha))
+
+
+def sampled_residual(c, lam20, alpha, mode, window=SAMPLED_WINDOW):
+    """Sampled residual of the ansatz lambda1 = c lambda2, for arrays c and
+    lam20 of one shape: lambda2 follows lambda2' = lambda2^2 + mu2 from
+    lam20 over the window, the Riccati defect of lambda1 is maximized over
+    it, and for a_jj / a_zz the spread of the shape entry rebuilt from the
+    pair joins that maximum.  No optimizer: the caller samples (c, lam20)."""
+    mu1, mu2 = model_eigenvalues(alpha)
+    k = math.sqrt(mu2)
+    phi = np.arctan2(lam20, k)[..., None]
+    t = (math.pi / 2 - phi) / k * window
+    lam2 = k * np.tan(k * t + phi)
+    c = np.asarray(c, dtype=float)[..., None]
+    defect = np.max(np.abs(c * (1.0 - c) * lam2**2 + c * mu2 - mu1), axis=-1)
+    if mode == "ratio_const":
+        return defect
+    q, p = 1.0 / math.tan(alpha / 2) ** 2, math.tan(alpha / 2) ** 2
+    a_jj = (c * (1.0 - q) - (1.0 + p)) * lam2 / (p - q)
+    entry = a_jj if mode == "a_jj_const" else (1.0 + p) * lam2 + p * a_jj
+    return np.maximum(defect, np.ptp(entry, axis=-1))
+
+
 class TestProportionalSweep:
+    """The certificate's closed-form floor mu1 - mu2 against a sampled
+    residual of the proportional ansatz, written out above."""
+
     def test_small_sweep_is_contradiction(self):
         alphas = np.linspace(0.3, 1.3, 5)
         cert = tf.theorem3_sweep(alphas, constraint="a_jj_const")
@@ -447,6 +485,46 @@ class TestProportionalSweep:
         cert = tf.theorem3_sweep([0.5, 0.9], constraint="ratio_const")
         assert cert.verdict == "contradiction"
         assert cert.residual >= 1e-3
+
+    def test_unit_ratio_attains_the_floor_at_every_start(self):
+        lam20 = np.array([-50.0, -3.0, -0.5, 0.0, 0.7, 4.0, 50.0])
+        for alpha in SWEEP_ALPHAS:
+            mu1, mu2 = model_eigenvalues(alpha)
+            defect = sampled_residual(np.ones_like(lam20), lam20, alpha, "ratio_const")
+            assert np.max(np.abs(defect - (mu1 - mu2))) <= 1e-12, alpha
+
+    def test_shape_constraints_only_raise_the_residual(self):
+        c, lam20 = np.meshgrid(np.linspace(-5.0, 5.0, 41), np.linspace(-50.0, 50.0, 41))
+        for alpha in SWEEP_ALPHAS:
+            ratio = sampled_residual(c, lam20, alpha, "ratio_const")
+            for mode in ("a_jj_const", "a_zz_const"):
+                assert np.all(sampled_residual(c, lam20, alpha, mode) >= ratio), (alpha, mode)
+
+    def test_other_ratios_lose_near_the_pole(self):
+        c = np.concatenate([np.linspace(-50.0, 50.0, 401),
+                            [-1e-3, 1e-3, 0.5, 1.0 - 1e-3, 1.0 + 1e-3]])
+        c = c[(np.abs(c) >= 1e-3) & (np.abs(c - 1.0) >= 1e-3)]
+        c, lam20 = np.meshgrid(c, np.linspace(-50.0, 50.0, 21))
+        for alpha in SWEEP_ALPHAS:
+            mu1, mu2 = model_eigenvalues(alpha)
+            defect = sampled_residual(c, lam20, alpha, "ratio_const", NEAR_POLE_WINDOW)
+            assert np.min(defect) > mu1 - mu2, alpha
+
+    @pytest.mark.parametrize("mode", tf.CONSTRAINT_MODES)
+    def test_certificate_floor_is_eigenvalue_gap(self, mode):
+        cert = tf.theorem3_sweep(SWEEP_ALPHAS, constraint=mode)
+        rows = cert.details["alphas"]
+        assert [row["alpha"] for row in rows] == list(SWEEP_ALPHAS)
+        for row in rows:
+            mu1, mu2 = model_eigenvalues(row["alpha"])
+            assert row["min_residual"] == row["mu1"] - row["mu2"] > 0.0
+            assert abs(row["min_residual"] - (mu1 - mu2)) <= 1e-9
+            assert row["c"] == 1.0
+        smallest = min(rows, key=lambda row: row["min_residual"])
+        assert cert.residual == smallest["min_residual"]
+        assert cert.witness == {"alpha": smallest["alpha"], "c": 1.0,
+                                "residual": smallest["min_residual"]}
+        assert cert.details["constraint"] == mode
 
     def test_flipped_sign_variant_collapses(self):
         cert = tf.theorem3_sweep([0.7], constraint="a_jj_const")
