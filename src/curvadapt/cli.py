@@ -17,9 +17,7 @@ import reprlib
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import cayley_plane, grassmannian, isoparametric, octonion, tube_flow
+from . import isoparametric, octonion_table, tube_flow
 from .errors import CurvAdaptError
 from .tube_flow import CurvatureBranch, PCSystem, TubeDescriptor
 
@@ -96,8 +94,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _count(minimum: int):
-    """argparse type: an integer no smaller than minimum."""
+def _count(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than minimum and, when maximum
+    is given, no larger than it."""
 
     def parse(text: str) -> int:
         try:
@@ -106,6 +105,8 @@ def _count(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
@@ -119,13 +120,11 @@ MAX_SLOTS = 64
 #: the grid is allocated before the first one runs
 MAX_ANGLES = 4096
 
+#: largest cascade --kmax: time, memory and output all grow linearly in it
+MAX_KMAX = 4096
 
-def _slots(text: str) -> int:
-    """argparse type for --m: a slot count in [2, MAX_SLOTS]."""
-    value = _count(2)(text)
-    if value > MAX_SLOTS:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_SLOTS}, got {value}")
-    return value
+#: argparse type for --m: a slot count in [2, MAX_SLOTS]
+_slots = _count(2, MAX_SLOTS)
 
 
 #: largest branch multiplicity: every integer up to 2**53 is exact as a float
@@ -183,7 +182,7 @@ def _parse_system_json(payload, flag: str, label: str) -> PCSystem:
     return PCSystem(tuple(branches), label=label)
 
 
-def _parse_alpha_grid(text: str) -> np.ndarray:
+def _parse_alpha_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise _UsageError(f"--alpha-grid expects a:b:n, got {text!r}")
@@ -195,7 +194,7 @@ def _parse_alpha_grid(text: str) -> np.ndarray:
         raise _UsageError(f"--alpha-grid endpoints must be finite, got {text!r}")
     if not 1 <= n <= MAX_ANGLES:
         raise _UsageError(f"--alpha-grid needs 1 <= n <= {MAX_ANGLES}, got {n}")
-    return np.linspace(a, b, n)
+    return tube_flow.linspace(a, b, n)
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -214,18 +213,24 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, table_spec_or_None, exit_code)
+# Subcommand handlers: each returns (payload, table_spec_or_None, exit_code).
+# numpy and the modules built on it are imported inside the handlers that
+# do linear algebra, so the other subcommands never load them.
 # --------------------------------------------------------------------------
 
 
 def _cmd_octonion_table(args, config):
-    rows = octonion.multiplication_table()
-    payload = {"dimension": octonion.DIM, "products": rows}
+    rows = octonion_table.multiplication_table()
+    payload = {"dimension": octonion_table.DIM, "products": rows}
     table = (rows, ["i", "j", "sign", "k"])
     return payload, table, EXIT_OK
 
 
 def _cmd_jacobi_spectrum(args, config):
+    import numpy as np
+
+    from . import cayley_plane, grassmannian
+
     if args.space == "cayley":
         rng = np.random.default_rng(config.seed)
         xi = cayley_plane.random_unit_pair(rng)
@@ -249,6 +254,10 @@ def _cmd_jacobi_spectrum(args, config):
 
 
 def _cmd_sectional_range(args, config):
+    import numpy as np
+
+    from . import cayley_plane
+
     rng = np.random.default_rng(config.seed)
     lo, hi = math.inf, -math.inf
     for _ in range(args.samples):
@@ -358,6 +367,10 @@ def _cmd_cascade(args, config):
 
 
 def _cmd_grassmannian_check(args, config):
+    import numpy as np
+
+    from . import grassmannian
+
     bundle = grassmannian.StructureBundle.standard(args.m)
     bundle_defect = bundle.verify()
     rng = np.random.default_rng(config.seed)
@@ -410,6 +423,10 @@ def _cmd_grassmannian_check(args, config):
 
 
 def _selftest_checks(seed: int):
+    import numpy as np
+
+    from . import cayley_plane, octonion
+
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -491,7 +508,56 @@ def _cmd_selftest(args, config):
 # --------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
+#: subcommand -> (help, options after the common --seed, --format and
+#: --tol); the handler of each is _cmd_<name, "-" read as "_">
+_SUBCOMMANDS = {
+    "octonion-table": ("all 64 basis products", {}),
+    "jacobi-spectrum": ("normal Jacobi operator spectrum", {
+        "--space": dict(choices=("cayley", "grassmannian"), default="cayley"),
+        "--sign": dict(type=int, choices=(1, -1), default=1),
+        "--alpha": dict(type=_finite_float, default=0.7),
+        "--m": dict(type=_slots, default=2),
+    }),
+    "sectional-range": ("sampled sectional curvature range", {
+        "--samples": dict(type=_count(0), default=2000),
+        "--sign": dict(type=int, choices=(1, -1), default=1),
+    }),
+    "tube-table": ("principal curvatures of a tube", {
+        "--ambient": dict(choices=tube_flow.AMBIENTS, required=True),
+        "--core": dict(choices=tube_flow.CORES, required=True),
+        "--radius": dict(type=_finite_float, default=None),
+    }),
+    "theorem2": ("finite search over focal configurations", {
+        "--no-validate": dict(action="store_true",
+                              help="skip the brute-force evolution cross-check"),
+    }),
+    "theorem3": ("proportional-eigenvalue non-existence sweep", {
+        "--alpha-grid": dict(required=True, metavar="A:B:N"),
+        "--constraint": dict(choices=sorted(_CONSTRAINT_ALIASES), default="ajj"),
+    }),
+    "profile-match": ("compare two mean-curvature profiles", {
+        "--p": dict(required=True, metavar="JSON"),
+        "--q": dict(required=True, metavar="JSON"),
+        "--window": dict(default=None, metavar="A,B"),
+    }),
+    "cascade": ("power-sum derivative identities", {
+        "--system": dict(required=True, metavar="JSON"),
+        "--kmax": dict(type=_count(1, MAX_KMAX), default=5),
+        "--t": dict(type=_finite_float, required=True),
+    }),
+    "grassmannian-check": ("structure bundle and tensor health", {
+        "--m": dict(type=_slots, default=2),
+        "--alpha": dict(type=_finite_float, default=0.7),
+        "--triples": dict(type=_count(1), default=50),
+    }),
+    "selftest": ("run the invariant suite", {}),
+}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for argv: only the subcommand that argv[0] names, so a
+    call pays for one subparser; all ten when argv names none, so that
+    help and usage errors list every subcommand."""
     parser = _Parser(prog="curvadapt", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
@@ -499,7 +565,10 @@ def _build_parser() -> _Parser:
     if env_format not in ("json", "csv", "md"):
         env_format = "json"
 
-    def common(p):
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, options = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=_count(0), default=DEFAULT_SEED)
         p.add_argument("--format", choices=("json", "csv", "md"), default=env_format)
         p.add_argument(
@@ -508,69 +577,10 @@ def _build_parser() -> _Parser:
             metavar="NAME=VALUE",
             help="override a named tolerance",
         )
-
-    p = sub.add_parser("octonion-table", help="all 64 basis products")
-    common(p)
-    p.set_defaults(handler=_cmd_octonion_table)
-
-    p = sub.add_parser("jacobi-spectrum", help="normal Jacobi operator spectrum")
-    common(p)
-    p.add_argument("--space", choices=("cayley", "grassmannian"), default="cayley")
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    p.add_argument("--alpha", type=_finite_float, default=0.7)
-    p.add_argument("--m", type=_slots, default=2)
-    p.set_defaults(handler=_cmd_jacobi_spectrum)
-
-    p = sub.add_parser("sectional-range", help="sampled sectional curvature range")
-    common(p)
-    p.add_argument("--samples", type=_count(0), default=2000)
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    p.set_defaults(handler=_cmd_sectional_range)
-
-    p = sub.add_parser("tube-table", help="principal curvatures of a tube")
-    common(p)
-    p.add_argument("--ambient", choices=tube_flow.AMBIENTS, required=True)
-    p.add_argument("--core", choices=tube_flow.CORES, required=True)
-    p.add_argument("--radius", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_tube_table)
-
-    p = sub.add_parser("theorem2", help="finite search over focal configurations")
-    common(p)
-    p.add_argument("--no-validate", action="store_true",
-                   help="skip the brute-force evolution cross-check")
-    p.set_defaults(handler=_cmd_theorem2)
-
-    p = sub.add_parser("theorem3", help="proportional-eigenvalue non-existence sweep")
-    common(p)
-    p.add_argument("--alpha-grid", required=True, metavar="A:B:N")
-    p.add_argument("--constraint", choices=sorted(_CONSTRAINT_ALIASES), default="ajj")
-    p.set_defaults(handler=_cmd_theorem3)
-
-    p = sub.add_parser("profile-match", help="compare two mean-curvature profiles")
-    common(p)
-    p.add_argument("--p", required=True, metavar="JSON")
-    p.add_argument("--q", required=True, metavar="JSON")
-    p.add_argument("--window", default=None, metavar="A,B")
-    p.set_defaults(handler=_cmd_profile_match)
-
-    p = sub.add_parser("cascade", help="power-sum derivative identities")
-    common(p)
-    p.add_argument("--system", required=True, metavar="JSON")
-    p.add_argument("--kmax", type=int, default=5)
-    p.add_argument("--t", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_cascade)
-
-    p = sub.add_parser("grassmannian-check", help="structure bundle and tensor health")
-    common(p)
-    p.add_argument("--m", type=_slots, default=2)
-    p.add_argument("--alpha", type=_finite_float, default=0.7)
-    p.add_argument("--triples", type=_count(1), default=50)
-    p.set_defaults(handler=_cmd_grassmannian_check)
-
-    p = sub.add_parser("selftest", help="run the invariant suite")
-    common(p)
-    p.set_defaults(handler=_cmd_selftest)
-
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        # looked up now, not at import, so a replaced handler is the one called
+        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -597,7 +607,8 @@ def _cell(value) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         config = RunConfig(

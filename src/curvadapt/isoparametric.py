@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .certificates import Certificate
 from .errors import (
@@ -36,7 +35,10 @@ from .errors import (
     NormalizationError,
     UnsupportedRegimeError,
 )
-from .tube_flow import CurvatureBranch, PCSystem, branch_value
+from .tube_flow import CurvatureBranch, PCSystem, branch_value, linspace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MERGE_TOL = 1e-9
 DEFAULT_GRID_TOL = 1e-9
@@ -239,12 +241,11 @@ def _masked_grid_residual(
 ) -> tuple[float, float]:
     """(max |profile_p - profile_q|, argmax t) over grid points clear of poles."""
     lo, hi = window
-    grid = np.linspace(lo, hi, points + 2)[1:-1]
+    grid = linspace(lo, hi, points + 2)[1:-1]
     mask_radius = max(1e-2, 2.0 * (hi - lo) / points)
     worst = -1.0
     worst_t = lo
     for t in grid:
-        t = float(t)
         if any(abs(t - r) < mask_radius for r in pole_locations):
             continue
         d = abs(profile(p, t) - profile(q, t))
@@ -425,6 +426,8 @@ def newton_recover(power_sums, n: int | None = None, tol: float = 1e-8):
             acc += (-1) ** (i - 1) * e[k - i] * p[i - 1]
         e[k] = acc / k
     coeffs = [(-1) ** k * e[k] for k in range(n + 1)]
+    import numpy as np  # for np.roots alone, so the other kernels here stay numpy-free
+
     roots = np.roots(coeffs)
     worst_imag = float(np.max(np.abs(roots.imag))) if len(roots) else 0.0
     if worst_imag > tol:
@@ -464,12 +467,15 @@ def power_sums(sys: PCSystem, t: float, k_max: int) -> list[float]:
 def power_sum_cascade(
     sys: PCSystem, k_max: int, t: float, fd_step: float = 1e-4
 ) -> list[float]:
-    """Residuals of the differentiated power-sum identities at t.
+    """Relative residuals of the differentiated power-sum identities at t.
 
     The flow equation lambda' = lambda^2 + s kappa^2 turns each power-sum
     derivative into p_k' = k (p_{k+1} + sum_i m_i s_i kappa_i^2
     lambda_i^{k-1}); each residual compares that closed form against a
-    Richardson-extrapolated central difference.  High powers amplify
+    Richardson-extrapolated central difference, divided by
+    max(1, k sum_i m_i (|lambda_i|^{k+1} + kappa_i^2 |lambda_i|^{k-1})),
+    the size of the terms compared, so that it does not grow with the
+    multiplicities or the branch values.  High powers amplify
     truncation error steeply, so the step is kept moderate and one
     extrapolation level removes the h^2 term; callers should evaluate at
     points where the branch values are O(1) (see well_conditioned_time).
@@ -493,7 +499,9 @@ def power_sum_cascade(
         curvature_term = sum(m * s_kappa_sq * v ** (k - 1)
                              for v, m, s_kappa_sq in values)
         closed = k * (here[k] + curvature_term)
-        residuals.append(abs(fd[k - 1] - closed))
+        size = k * sum(m * (abs(v) ** (k + 1) + abs(s_kappa_sq) * abs(v) ** (k - 1))
+                       for v, m, s_kappa_sq in values)
+        residuals.append(abs(fd[k - 1] - closed) / max(1.0, size))
     return residuals
 
 
@@ -510,8 +518,7 @@ def well_conditioned_time(
         window = default_window(sys)
     lo, hi = window
     best_t, best_worst = None, math.inf
-    for t in np.linspace(lo, hi, 259)[1:-1]:
-        t = float(t)
+    for t in linspace(lo, hi, 259)[1:-1]:
         try:
             worst = max(abs(branch_value(b, t)) for b in sys.branches)
         except FocalPointError:
@@ -620,8 +627,7 @@ def branch_sign_divergence(
     frequencies drift apart modulo the cot period, so their values
     eventually take opposite signs; returns a witnessing t or None.
     """
-    for t in np.linspace(0.0, t_max, samples + 1)[1:]:
-        t = float(t)
+    for t in linspace(0.0, t_max, samples + 1)[1:]:
         try:
             a = branch_value(p, t)
             b = branch_value(q, t)

@@ -1,13 +1,8 @@
 """Octonion arithmetic over the canonical orthonormal basis 1, J1..J7.
 
-The multiplication table is generated from four rules: the basis is
-orthonormal, every imaginary unit squares to -1, distinct imaginary units
-anticommute, and J_i J_{i+1} = J_{i+3} with indices taken mod 7 back into
-{1..7}.  Each index triple {i, i+1, i+3} is closed under cyclic
-quaternionic multiplication; the seven triples cover every pair of
-imaginary units exactly once, so the table is total.  Validity is not
-assumed: build_structure_tensor cross-checks norm multiplicativity on all
-64 basis products.
+The signed basis table, its index triples and the dimension come from
+octonion_table, which needs no numpy; this module turns the table into
+the structure tensor that the linear-algebra kernels contract against.
 """
 
 from __future__ import annotations
@@ -17,35 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError
-
-DIM = 8
-
-#: index triples {i, i+1, i+3} reduced mod 7 into {1..7}, one per line
-TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    (i, (i % 7) + 1, ((i + 2) % 7) + 1) for i in range(1, 8)
-)
+from .octonion_table import DIM, TRIPLES, multiplication_table  # TRIPLES is re-exported
 
 
 def build_structure_tensor() -> np.ndarray:
-    """Return T with (e_i e_j)_k = T[i, j, k], entries in {-1, 0, +1}.
-
-    Raises:
-        AssertionError: if the generated table fails norm multiplicativity
-            on any of the 64 basis pairs.
-    """
+    """Return T with (e_i e_j)_k = T[i, j, k], entries in {-1, 0, +1}."""
     T = np.zeros((DIM, DIM, DIM))
-    T[0, 0, 0] = 1.0
-    for i in range(1, DIM):
-        T[0, i, i] = 1.0
-        T[i, 0, i] = 1.0
-        T[i, i, 0] = -1.0
-    for a, b, c in TRIPLES:
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            T[x, y, z] = 1.0
-            T[y, x, z] = -1.0
-    # every basis product must land on exactly one signed basis element
-    norms = np.abs(T).sum(axis=2)
-    assert np.array_equal(norms, np.ones((DIM, DIM))), "structure tensor not total"
+    for row in multiplication_table():
+        T[row["i"], row["j"], row["k"]] = row["sign"]
     return T
 
 
@@ -132,13 +106,3 @@ class Octonion:
         out[0] = 0.0
         return Octonion(out)
 
-
-def multiplication_table() -> list[dict]:
-    """Signed basis table as records {i, j, sign, k} meaning J_i J_j = sign * J_k."""
-    rows = []
-    for i in range(DIM):
-        for j in range(DIM):
-            k = int(np.argmax(np.abs(STRUCTURE[i, j])))
-            sign = int(STRUCTURE[i, j, k])
-            rows.append({"i": i, "j": j, "sign": sign, "k": k})
-    return rows

@@ -23,13 +23,10 @@ planes and are locked in by golden tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import grassmannian
 from .certificates import Certificate
 from .errors import (
     ExcludedAngleError,
@@ -39,7 +36,24 @@ from .errors import (
     UnsupportedRegimeError,
 )
 
+if TYPE_CHECKING:
+    from . import grassmannian
+
 _CONST_REGIME_RTOL = 1e-12
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num evenly spaced floats from start to stop, bit for bit those of
+    numpy.linspace: point i is i * step + start, and the last is stop."""
+    div = num - 1
+    step = (stop - start) / div if div > 0 else 0.0
+    if step == 0.0:  # one point, or a step that underflows: numpy scales by i / div
+        grid = [i / max(div, 1) * (stop - start) + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    if num > 1:
+        grid[-1] = stop
+    return grid
 
 
 @dataclass(frozen=True)
@@ -651,8 +665,8 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
             toward_q2 += b.multiplicity
     m2_q1, m1_q1 = cfg.q1_normal_mults()
     m2_q2, m1_q2 = cfg.q2_normal_mults()
-    grid = np.linspace(-mid * 0.98, mid * 0.98, 41)
-    finite = all(math.isfinite(mean_curvature(system, float(t))) for t in grid)
+    grid = linspace(-mid * 0.98, mid * 0.98, 41)
+    finite = all(math.isfinite(mean_curvature(system, t)) for t in grid)
     return {
         "interior_poles": interior_poles,
         "q1_focal_mult_ok": toward_q1 == m2_q1 + m1_q1,
@@ -763,6 +777,8 @@ def theorem3_sweep(
             eigenvectors or the eigenvalue ratio (1 + cos) / (1 - cos) miss
             their tolerances.
     """
+    from . import grassmannian  # numpy, paid only by the theorem-3 callers
+
     if constraint not in CONSTRAINT_MODES:
         raise NormalizationError(f"constraint must be one of {CONSTRAINT_MODES}")
     if bundle is None:
@@ -816,6 +832,8 @@ def theorem3_sweep(
 def theorem3_boundary_case(bundle: "grassmannian.StructureBundle | None" = None) -> Certificate:
     """The alpha = pi/2 corner: the shape equations force lambda2 = 0,
     which the second Riccati equation rejects outright."""
+    from . import grassmannian
+
     if bundle is None:
         bundle = grassmannian.StructureBundle.standard(2)
     xi = grassmannian.unit_with_angle(math.pi / 2, bundle)

@@ -135,6 +135,13 @@ class TestExitCodes:
         assert code == cli.EXIT_NEGATIVE
         assert payload["passed"] is False
 
+    def test_cascade_passes_at_any_multiplicity(self, capsys):
+        for mult in (1, 10**3, 10**6):
+            system = '[{"kappa":2,"theta":1.2,"mult":%d}]' % mult
+            code, payload, _ = run_json(capsys, "cascade", "--system", system, "--t", "0.1")
+            assert code == cli.EXIT_OK, mult
+            assert payload["passed"] is True
+
     def test_usage_errors_exit_one(self, capsys):
         cases = [
             ["tube-table", "--ambient", "op2", "--core", "line"],  # missing radius
@@ -245,6 +252,15 @@ class TestInputHardening:
             capsys, "cascade", "--system", '[{"kappa":2,"theta":1.2,"mult":3}]',
             "--t", "0.1", "--kmax", "4000")
         assert "power" in err and "overflows" in err
+
+    def test_kmax_above_cap_is_usage_error(self, capsys):
+        # the cost and the output of a cascade grow linearly in --kmax
+        err = self.assert_usage_error(
+            capsys, "cascade", "--system", '[{"kappa":0.5,"theta":1.5,"mult":1}]',
+            "--t", "0.1", "--kmax", str(cli.MAX_KMAX + 1))
+        assert str(cli.MAX_KMAX) in err
+        self.assert_usage_error(capsys, "cascade", "--system", P_SYSTEM, "--t", "0.1",
+                                "--kmax", "0")
 
     def test_slot_count_above_cap_is_usage_error(self, capsys):
         too_many = str(cli.MAX_SLOTS + 1)
@@ -562,19 +578,27 @@ class TestPayloadContent:
         assert "tanh" in err
 
 
-class TestImportPath:
-    """The package never loads scipy: not on import, not in a subcommand."""
+def _call(argv):
+    return f"import curvadapt.cli, sys\ncurvadapt.cli.main({argv!r})"
 
-    @pytest.mark.parametrize("code", [
-        "import curvadapt.cli, sys",
-        "import curvadapt.cli, sys\n"
-        "curvadapt.cli.main(['tube-table', '--ambient', 'op2', '--core', 'line',"
-        " '--radius', '0.3927'])",
-        "import curvadapt.cli, sys\n"
-        "curvadapt.cli.main(['theorem3', '--alpha-grid', '0.5:1.1:3'])",
-    ], ids=["import", "tube-table", "theorem3"])
-    def test_scipy_is_not_loaded(self, code):
-        probe = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+#: subcommands that do only scalar or integer math, with README argv
+LIGHT_CALLS = {
+    "octonion-table": _call(["octonion-table"]),
+    "tube-table": _call(["tube-table", "--ambient", "op2", "--core", "line",
+                         "--radius", "0.3927"]),
+    "profile-match": _call(["profile-match", "--p", P_SYSTEM, "--q", Q_SAME]),
+    "cascade": _call(["cascade", "--system", P_SYSTEM, "--t", "0.1"]),
+}
+
+
+class TestImportPath:
+    """The package never loads scipy, and the light subcommands never load
+    numpy: not on import, not in a call, each in a fresh interpreter."""
+
+    @staticmethod
+    def loaded(code, package):
+        probe = f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
         result = subprocess.run(
             [sys.executable, "-c", f"{code}\n{probe}"],
             capture_output=True,
@@ -582,7 +606,119 @@ class TestImportPath:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+        return result.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize("code", [
+        "import curvadapt.cli, sys",
+        LIGHT_CALLS["tube-table"],
+        _call(["theorem3", "--alpha-grid", "0.5:1.1:3"]),
+    ], ids=["import", "tube-table", "theorem3"])
+    def test_scipy_is_not_loaded(self, code):
+        assert self.loaded(code, "scipy") == "[]"
+
+    @pytest.mark.parametrize("code", ["import curvadapt.cli, sys", *LIGHT_CALLS.values()],
+                             ids=["import", *LIGHT_CALLS])
+    def test_numpy_is_not_loaded(self, code):
+        assert self.loaded(code, "numpy") == "[]"
+
+    def test_operator_classes_stay_package_attributes(self):
+        code = ("import curvadapt, sys\n"
+                "assert 'numpy' not in sys.modules\n"
+                "from curvadapt import EigenCluster, SelfAdjointOperator, Spectrum\n"
+                "assert SelfAdjointOperator is curvadapt.operators.SelfAdjointOperator")
+        assert self.loaded(code, "numpy") != "[]"  # first access loaded operators
+
+
+SUBCOMMANDS = ("octonion-table", "jacobi-spectrum", "sectional-range", "tube-table",
+               "theorem2", "theorem3", "profile-match", "cascade",
+               "grassmannian-check", "selftest")
+
+TOP_HELP = """\
+usage: curvadapt [-h]
+                 {octonion-table,jacobi-spectrum,sectional-range,tube-table,theorem2,theorem3,profile-match,cascade,grassmannian-check,selftest}
+                 ...
+
+Command-line front end. One executable, ten subcommands, deterministic output:
+reports go to stdout as JSON (sorted keys) unless a tabular format is
+requested, diagnostics go to stderr. Exit code 0 means success or an affirming
+verdict, 2 means a mathematically meaningful negative verdict (distinct or
+contradiction), 1 means a usage or input error.
+
+positional arguments:
+  {octonion-table,jacobi-spectrum,sectional-range,tube-table,theorem2,theorem3,profile-match,cascade,grassmannian-check,selftest}
+    octonion-table      all 64 basis products
+    jacobi-spectrum     normal Jacobi operator spectrum
+    sectional-range     sampled sectional curvature range
+    tube-table          principal curvatures of a tube
+    theorem2            finite search over focal configurations
+    theorem3            proportional-eigenvalue non-existence sweep
+    profile-match       compare two mean-curvature profiles
+    cascade             power-sum derivative identities
+    grassmannian-check  structure bundle and tensor health
+    selftest            run the invariant suite
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+TUBE_TABLE_HELP = """\
+usage: curvadapt tube-table [-h] [--seed SEED] [--format {json,csv,md}]
+                            [--tol NAME=VALUE] --ambient {op2,oh2} --core
+                            {point,line,hp2,horosphere} [--radius RADIUS]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --format {json,csv,md}
+  --tol NAME=VALUE      override a named tolerance
+  --ambient {op2,oh2}
+  --core {point,line,hp2,horosphere}
+  --radius RADIUS
+"""
+
+UNKNOWN_ERROR = (
+    "curvadapt: error: argument subcommand: invalid choice: 'no-such-command' "
+    "(choose from " + ", ".join(repr(name) for name in SUBCOMMANDS) + ")\n"
+)
+
+
+class TestParser:
+    """A call builds only its own subparser; help and usage errors read
+    as they did when every call built all ten."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+
+    @staticmethod
+    def run(capsys, *argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse exits after printing help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], (1, "", "curvadapt: error: the following arguments are required: subcommand\n")),
+        (["--help"], (0, TOP_HELP, "")),
+        (["no-such-command"], (1, "", UNKNOWN_ERROR)),
+        (["tube-table", "--help"], (0, TUBE_TABLE_HELP, "")),
+        (["tube-table", "--bogus"],
+         (1, "", "curvadapt: error: the following arguments are required: --ambient, --core\n")),
+    ], ids=["no-arguments", "help", "unknown", "tube-table-help", "tube-table-bogus"])
+    def test_help_and_usage_errors_are_unchanged(self, capsys, argv, expected):
+        assert self.run(capsys, *argv) == expected
+
+    def test_help_lists_every_subcommand(self, capsys):
+        _, out, _ = self.run(capsys, "--help")
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and line[4] != " "]
+        assert listed == list(SUBCOMMANDS)
+
+    def test_a_call_builds_only_its_subcommand(self):
+        assert "{cascade}" in cli._build_parser(["cascade"]).format_usage()
+        assert "{octonion-table,jacobi-spectrum," in cli._build_parser([]).format_usage()
 
 
 class TestConsoleScript:

@@ -382,6 +382,19 @@ class TestPowerSumCascade:
         with pytest.raises(NormalizationError):
             iso.power_sum_cascade(sys, 0, 0.0)
 
+    def test_residuals_are_relative_to_the_power_sums(self):
+        # every power sum scales with mult, so the scaled residuals must not
+        # move with it; absolute ones grew past the 1e-6 gate at 10**6
+        def residuals(mult):
+            return iso.power_sum_cascade(
+                system_of(CurvatureBranch.compact(2.0, 1.2, mult)), 5, 0.1)
+
+        base = residuals(1)
+        for mult in (1, 10**3, 10**6):
+            scaled = residuals(mult)
+            assert max(scaled) <= 1e-6, mult
+            assert all(abs(r - r1) <= 1e-9 for r, r1 in zip(scaled, base)), mult
+
 
 class TestWellConditionedTime:
     def test_returns_interior_point_with_small_values(self):

@@ -47,6 +47,39 @@ def interior_time(rng, branch, margin=0.1, box=2.0):
     return float(rng.uniform(lo, hi))
 
 
+class TestLinspace:
+    """tube_flow.linspace is numpy.linspace bit for bit, as plain floats."""
+
+    @staticmethod
+    def assert_same(start, stop, num):
+        grid = tf.linspace(start, stop, num)
+        assert all(type(t) is float for t in grid)
+        assert grid == np.linspace(start, stop, num).tolist()
+        # == forgives the sign of a zero; the bytes do not
+        assert np.array(grid, dtype=float).tobytes() == np.linspace(start, stop, num).tobytes()
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (0.0, math.pi, 258),                     # profile grid, GRID_POINTS + 2
+        (0.31, 0.31 + math.pi, 259),             # well_conditioned_time
+        (-math.pi / 4 * 0.98, math.pi / 4 * 0.98, 41),  # evolution check
+        (0.0, 20.0, 4097),                       # branch_sign_divergence, samples + 1
+        (0.25, 1.30, 24),                        # theorem3 --alpha-grid
+        (0.7, 0.7, 1),
+        (0.3, 1.9, 2),
+        (1.5, 1.5, 5),                           # equal endpoints
+        (-0.0, 0.0, 3),
+        (0.0, 5e-324, 3),                        # the step underflows to zero
+    ])
+    def test_grids_in_use_and_edge_cases(self, start, stop, num):
+        self.assert_same(start, stop, num)
+
+    def test_random_endpoints(self):
+        rng = np.random.default_rng(61)
+        for _ in range(1000):
+            start, stop = (float(x) for x in rng.uniform(-50.0, 50.0, 2))
+            self.assert_same(start, stop, int(rng.integers(1, 300)))
+
+
 class TestBranchConstruction:
     def test_regime_classification(self):
         assert tf.CurvatureBranch.compact(1.0, 0.5).regime == "compact"
