@@ -1,10 +1,12 @@
 """Curvature of the 16-dimensional octonionic projective plane and its
-hyperbolic dual, modelled on pairs of octonions.
+hyperbolic dual, on plain 16-vectors.
 
 Conventions fixed here and relied on everywhere else:
 
-* Tangent vectors are pairs (a, b) of octonions with the product inner
-  product; basis index i < 8 is the first slot, i >= 8 the second.
+* A tangent vector is a numpy array of shape (16,): coordinates 0-7 are
+  the first octonion a, coordinates 8-15 the second octonion b, each
+  over the basis 1, J1..J7.  The inner product is the product one, summed
+  slot by slot: <x, y> = <x[:8], y[:8]> + <x[8:], y[8:]>.
 * ``sign=+1`` selects the compact plane, ``sign=-1`` the hyperbolic dual;
   the tensors differ by a global sign.
 * The normal Jacobi operator is K_xi(X) = R(X, xi) xi, which makes the
@@ -12,7 +14,7 @@ Conventions fixed here and relied on everywhere else:
   8, 0 on xi itself}.
 * METRIC_SCALE = 4 calibrates the raw pair-model tensor so that compact
   sectional curvatures fill [1, 4]: an octonion-line plane such as
-  ((1,0), (J1,0)) reaches 4 and a transverse plane such as ((1,0), (0,1))
+  span{e0, e1} reaches 4 and a transverse plane such as span{e0, e8}
   reaches 1, and the tube principal-curvature tables then hold verbatim.
 """
 
@@ -32,32 +34,24 @@ _GRAM_TOL = 1e-14
 _UNIT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TangentPair:
-    """Tangent vector (a, b), two octonions."""
+def curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int = 1) -> np.ndarray:
+    """Curvature tensor R(x, y)z.
 
-    first: oct.Octonion
-    second: oct.Octonion
+    Args:
+        x, y, z: tangent vectors of shape (16,).
+        sign: +1 compact, -1 hyperbolic.
 
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "TangentPair":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (DIM,):
-            raise NormalizationError(f"tangent vector needs {DIM} components, got {v.shape}")
-        return cls(oct.Octonion(v[:8]), oct.Octonion(v[8:]))
+    Returns:
+        R(x, y)z, shape (16,).
 
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.first.coeffs, self.second.coeffs])
-
-    def inner(self, other: "TangentPair") -> float:
-        return self.first.inner(other.first) + self.second.inner(other.second)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector()))
-
-
-def _curvature_vec(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int) -> np.ndarray:
-    """R(x, y)z on raw 16-vectors; see module docstring for normalization."""
+    Raises:
+        NormalizationError: if sign is not +1 or -1, or a vector is not (16,).
+    """
+    if sign not in (1, -1):
+        raise NormalizationError(f"sign must be +1 or -1, got {sign!r}")
+    for v in (x, y, z):
+        if np.shape(v) != (DIM,):
+            raise NormalizationError(f"tangent vector needs shape ({DIM},), got {np.shape(v)}")
     a, b = x[:8], x[8:]
     c, d = y[:8], y[8:]
     e, f = z[:8], z[8:]
@@ -80,49 +74,30 @@ def _curvature_vec(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int) -> np
     return (sign * METRIC_SCALE / 4.0) * np.concatenate([comp1, comp2])
 
 
-def curvature(x: TangentPair, y: TangentPair, z: TangentPair, sign: int = 1) -> TangentPair:
-    """Curvature tensor R(x, y)z.
-
-    Args:
-        x, y, z: tangent pairs.
-        sign: +1 compact, -1 hyperbolic.
-
-    Returns:
-        R(x, y)z as a TangentPair.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return TangentPair.from_vector(_curvature_vec(x.vector(), y.vector(), z.vector(), sign))
-
-
 def _require_unit(v: np.ndarray, what: str) -> None:
     n = float(np.linalg.norm(v))
     if abs(n - 1.0) > _UNIT_TOL:
         raise NormalizationError(f"{what} must be a unit vector, |.|={n!r}")
 
 
-def jacobi_operator(xi: TangentPair, sign: int = 1) -> SelfAdjointOperator:
+def jacobi_operator(xi: np.ndarray, sign: int = 1) -> SelfAdjointOperator:
     """Normal Jacobi operator K_xi = R(., xi) xi as a 16x16 matrix."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    xv = xi.vector()
-    _require_unit(xv, "xi")
-    cols = [_curvature_vec(np.eye(DIM)[i], xv, xv, sign) for i in range(DIM)]
+    _require_unit(xi, "xi")
+    cols = [curvature(np.eye(DIM)[i], xi, xi, sign) for i in range(DIM)]
     return SelfAdjointOperator(np.column_stack(cols))
 
 
-def sectional_curvature(x: TangentPair, y: TangentPair, sign: int = 1) -> float:
+def sectional_curvature(x: np.ndarray, y: np.ndarray, sign: int = 1) -> float:
     """Sectional curvature of span{x, y}.
 
     Raises:
         DegeneratePlaneError: if the Gram determinant of (x, y) is below
             1e-14, i.e. the two vectors do not span a plane numerically.
     """
-    xv, yv = x.vector(), y.vector()
-    gram = float((xv @ xv) * (yv @ yv) - (xv @ yv) ** 2)
+    num = float(curvature(x, y, y, sign) @ x)
+    gram = float((x @ x) * (y @ y) - (x @ y) ** 2)
     if gram < _GRAM_TOL:
         raise DegeneratePlaneError(f"plane is degenerate: Gram determinant {gram!r}")
-    num = float(_curvature_vec(xv, yv, yv, sign) @ xv)
     return num / gram
 
 
@@ -135,13 +110,13 @@ class AdaptedFrame:
     orthonormal.
     """
 
-    xi: TangentPair
+    xi: np.ndarray  # (16,)
     four_space: np.ndarray  # (16, 7)
     one_space: np.ndarray  # (16, 8)
     spectrum: Spectrum
 
 
-def adapted_frame(xi: TangentPair, sign: int = 1) -> AdaptedFrame:
+def adapted_frame(xi: np.ndarray, sign: int = 1) -> AdaptedFrame:
     """Orthonormal eigenframe of the normal Jacobi operator at xi."""
     op = jacobi_operator(xi, sign)
     spec = op.spectrum()
@@ -150,16 +125,12 @@ def adapted_frame(xi: TangentPair, sign: int = 1) -> AdaptedFrame:
     one = by_value.get(1 * sign)
     if four is None or one is None or four.multiplicity != 7 or one.multiplicity != 8:
         raise NormalizationError(
-            f"unexpected Jacobi spectrum {spec.as_pairs()!r} at xi={xi.vector()!r}"
+            f"unexpected Jacobi spectrum {spec.as_pairs()!r} at xi={xi!r}"
         )
     return AdaptedFrame(xi=xi, four_space=four.vectors, one_space=one.vectors, spectrum=spec)
 
 
-def basis_pair(i: int) -> TangentPair:
-    """The i-th standard basis tangent pair, 0 <= i < 16."""
-    return TangentPair.from_vector(np.eye(DIM)[i])
-
-
-def random_unit_pair(rng: np.random.Generator) -> TangentPair:
+def random_unit_pair(rng: np.random.Generator) -> np.ndarray:
+    """A Gaussian draw of 16 coordinates, normalized to unit length."""
     v = rng.normal(size=DIM)
-    return TangentPair.from_vector(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -10,7 +9,11 @@ VERDICTS = ("equivalent", "distinct", "contradiction")
 
 
 def _json_safe(obj: Any) -> Any:
-    """Recursively convert to plain JSON types; non-finite floats become None."""
+    """Recursively convert to plain JSON types.
+
+    Non-finite floats pass through unchanged, for the strict
+    (``allow_nan=False``) dump to reject.
+    """
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -20,7 +23,7 @@ def _json_safe(obj: Any) -> Any:
     if isinstance(obj, (int,)):
         return int(obj)
     if isinstance(obj, float):
-        return float(obj) if math.isfinite(obj) else None
+        return float(obj)
     if obj is None or isinstance(obj, str):
         return obj
     if hasattr(obj, "tolist"):  # numpy array or scalar

@@ -263,22 +263,19 @@ def _cmd_sectional_range(args, config):
     for _ in range(args.samples):
         x = cayley_plane.random_unit_pair(rng)
         y = cayley_plane.random_unit_pair(rng)
-        # orthonormalize y against x; resample handled by the loop count
-        yv = y.vector() - x.inner(y) * x.vector()
-        norm = float(np.linalg.norm(yv))
+        # orthonormalize y against x; a near-parallel draw is skipped, not
+        # resampled.  The inner product is summed slot by slot: one 16-term
+        # dot rounds differently and would change the reported extremes.
+        y = y - (float(x[:8] @ y[:8]) + float(x[8:] @ y[8:])) * x
+        norm = float(np.linalg.norm(y))
         if norm < 1e-8:
             continue
-        y = cayley_plane.TangentPair.from_vector(yv / norm)
-        k = cayley_plane.sectional_curvature(x, y, sign=args.sign)
+        k = cayley_plane.sectional_curvature(x, y / norm, sign=args.sign)
         lo, hi = min(lo, k), max(hi, k)
     # structured extremal planes: an octonion-line plane and a transverse one
-    e0 = cayley_plane.basis_pair(0)
-    line_plane = cayley_plane.sectional_curvature(
-        e0, cayley_plane.basis_pair(1), sign=args.sign
-    )
-    cross_plane = cayley_plane.sectional_curvature(
-        e0, cayley_plane.basis_pair(8), sign=args.sign
-    )
+    e = np.eye(cayley_plane.DIM)
+    line_plane = cayley_plane.sectional_curvature(e[0], e[1], sign=args.sign)
+    cross_plane = cayley_plane.sectional_curvature(e[0], e[8], sign=args.sign)
     for k in (line_plane, cross_plane):
         lo, hi = min(lo, k), max(hi, k)
     payload = {

@@ -95,15 +95,8 @@ def test_criterion_3_tensor_health(capsys):
     rng = np.random.default_rng(88)
     bundle = gr.StructureBundle.standard()
 
-    def cayley_r(x, y, z):
-        return cp.curvature(
-            cp.TangentPair.from_vector(x),
-            cp.TangentPair.from_vector(y),
-            cp.TangentPair.from_vector(z),
-        ).vector()
-
     worst = 0.0
-    for evaluate, dim in ((cayley_r, 16),
+    for evaluate, dim in ((cp.curvature, 16),
                           (lambda x, y, z: gr.curvature_g2(x, y, z, bundle), 8)):
         for _ in range(1000):
             x, y, z, w = [v / np.linalg.norm(v)

@@ -5,19 +5,6 @@ from curvadapt import cayley_plane as cp
 from curvadapt.errors import DegeneratePlaneError, NormalizationError
 
 
-def random_pairs(rng, n):
-    return [cp.random_unit_pair(rng) for _ in range(n)]
-
-
-def curvature_vec(x, y, z, sign=1):
-    return cp.curvature(
-        cp.TangentPair.from_vector(x),
-        cp.TangentPair.from_vector(y),
-        cp.TangentPair.from_vector(z),
-        sign,
-    ).vector()
-
-
 def assert_spectrum(spec, expected, tol=1e-9):
     got = {round(c.value): c.multiplicity for c in spec.clusters}
     assert got == expected
@@ -47,17 +34,16 @@ class TestJacobiSpectrum:
     def test_kernel_is_the_direction_itself(self):
         rng = np.random.default_rng(103)
         xi = cp.random_unit_pair(rng)
-        out = cp.jacobi_operator(xi).apply(xi.vector())
+        out = cp.jacobi_operator(xi).apply(xi)
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_rejects_non_unit_direction(self):
-        xi = cp.TangentPair.from_vector(np.full(16, 0.5))
         with pytest.raises(NormalizationError):
-            cp.jacobi_operator(xi)
+            cp.jacobi_operator(np.full(16, 0.5))
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
-            cp.jacobi_operator(cp.basis_pair(0), sign=2)
+            cp.jacobi_operator(np.eye(16)[0], sign=2)
 
 
 class TestTensorHealth:
@@ -66,14 +52,14 @@ class TestTensorHealth:
         worst = {"antisym": 0.0, "pair": 0.0, "bianchi": 0.0, "skew": 0.0}
         for _ in range(300):
             x, y, z, w = [v / np.linalg.norm(v) for v in rng.standard_normal((4, 16))]
-            rxyz = curvature_vec(x, y, z)
-            ryxz = curvature_vec(y, x, z)
+            rxyz = cp.curvature(x, y, z)
+            ryxz = cp.curvature(y, x, z)
             worst["antisym"] = max(worst["antisym"], np.max(np.abs(rxyz + ryxz)))
-            pair = abs(rxyz @ w - curvature_vec(z, w, x) @ y)
+            pair = abs(rxyz @ w - cp.curvature(z, w, x) @ y)
             worst["pair"] = max(worst["pair"], pair)
-            bianchi = rxyz + curvature_vec(y, z, x) + curvature_vec(z, x, y)
+            bianchi = rxyz + cp.curvature(y, z, x) + cp.curvature(z, x, y)
             worst["bianchi"] = max(worst["bianchi"], np.max(np.abs(bianchi)))
-            skew = abs(rxyz @ w + curvature_vec(x, y, w) @ z)
+            skew = abs(rxyz @ w + cp.curvature(x, y, w) @ z)
             worst["skew"] = max(worst["skew"], skew)
         for name, value in worst.items():
             assert value <= 1e-10, f"{name} defect {value:.3e}"
@@ -81,7 +67,7 @@ class TestTensorHealth:
     def test_sign_flag_flips_tensor(self):
         rng = np.random.default_rng(105)
         x, y, z = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 16))]
-        assert np.allclose(curvature_vec(x, y, z, 1), -curvature_vec(x, y, z, -1),
+        assert np.allclose(cp.curvature(x, y, z, 1), -cp.curvature(x, y, z, -1),
                            atol=1e-14)
 
 
@@ -94,16 +80,16 @@ class TestSectionalCurvature:
             b = rng.standard_normal(16)
             b -= (b @ a) * a
             b /= np.linalg.norm(b)
-            k = cp.sectional_curvature(cp.TangentPair.from_vector(a),
-                                       cp.TangentPair.from_vector(b))
+            k = cp.sectional_curvature(a, b)
             assert 1.0 - 1e-9 <= k <= 4.0 + 1e-9
 
     def test_extremes_at_structured_planes(self):
+        e = np.eye(16)
         # a plane inside one octonion line is maximally pinched
-        top = cp.sectional_curvature(cp.basis_pair(0), cp.basis_pair(1))
+        top = cp.sectional_curvature(e[0], e[1])
         assert abs(top - 4.0) <= 1e-12
         # a plane straddling the two components sits at the bottom
-        bottom = cp.sectional_curvature(cp.basis_pair(0), cp.basis_pair(8))
+        bottom = cp.sectional_curvature(e[0], e[8])
         assert abs(bottom - 1.0) <= 1e-12
 
     def test_noncompact_range_is_mirrored(self):
@@ -114,19 +100,18 @@ class TestSectionalCurvature:
             b = rng.standard_normal(16)
             b -= (b @ a) * a
             b /= np.linalg.norm(b)
-            k = cp.sectional_curvature(cp.TangentPair.from_vector(a),
-                                       cp.TangentPair.from_vector(b), sign=-1)
+            k = cp.sectional_curvature(a, b, sign=-1)
             assert -4.0 - 1e-9 <= k <= -1.0 + 1e-9
 
     def test_gram_normalization(self):
         # scaling either vector must not move the sectional value
-        a = cp.TangentPair.from_vector(np.eye(16)[0] * 3.0)
-        b = cp.TangentPair.from_vector(np.eye(16)[1] * 0.25)
+        a = np.eye(16)[0] * 3.0
+        b = np.eye(16)[1] * 0.25
         assert abs(cp.sectional_curvature(a, b) - 4.0) <= 1e-12
 
     def test_degenerate_plane_rejected(self):
-        a = cp.basis_pair(2)
-        b = cp.TangentPair.from_vector(a.vector() * (1.0 + 1e-9))
+        a = np.eye(16)[2]
+        b = a * (1.0 + 1e-9)
         with pytest.raises(DegeneratePlaneError):
             cp.sectional_curvature(a, b)
 
@@ -138,7 +123,7 @@ class TestAdaptedFrame:
         frame = cp.adapted_frame(xi)
         assert frame.four_space.shape == (16, 7)
         assert frame.one_space.shape == (16, 8)
-        basis = np.column_stack([xi.vector(), frame.four_space, frame.one_space])
+        basis = np.column_stack([xi, frame.four_space, frame.one_space])
         assert np.allclose(basis.T @ basis, np.eye(16), atol=1e-9)
 
     def test_frame_diagonalizes_jacobi(self):
@@ -160,18 +145,16 @@ class TestAdaptedFrame:
             assert np.max(np.abs(op.apply(col) + 4.0 * col)) <= 1e-9
 
 
-class TestTangentPair:
-    def test_vector_round_trip(self):
-        rng = np.random.default_rng(111)
-        v = rng.standard_normal(16)
-        assert np.array_equal(cp.TangentPair.from_vector(v).vector(), v)
-
-    def test_component_split(self):
-        v = np.arange(16, dtype=float)
-        pair = cp.TangentPair.from_vector(v)
-        assert np.array_equal(pair.first.coeffs, v[:8])
-        assert np.array_equal(pair.second.coeffs, v[8:])
-
+class TestKernelChecks:
     def test_wrong_length_rejected(self):
+        e0 = np.eye(16)[0]
         with pytest.raises(NormalizationError):
-            cp.TangentPair.from_vector(np.zeros(9))
+            cp.curvature(np.zeros(9), e0, e0)
+        with pytest.raises(NormalizationError):
+            cp.curvature(e0, e0, np.zeros((16, 1)))
+
+    @pytest.mark.parametrize("sign", [2, 0])
+    def test_sectional_rejects_bad_sign(self, sign):
+        e = np.eye(16)
+        with pytest.raises(NormalizationError):
+            cp.sectional_curvature(e[0], e[1], sign=sign)

@@ -32,10 +32,13 @@ def test_json_dict_is_serializable():
     assert back["details"]["count"] == 7
 
 
-def test_non_finite_floats_become_null():
-    assert _json_safe(math.inf) is None
-    assert _json_safe(float("nan")) is None
-    assert _json_safe({"a": [math.inf, 1.0]}) == {"a": [None, 1.0]}
+def test_non_finite_floats_pass_through():
+    # strict serialization has to see them to reject them
+    assert _json_safe(math.inf) == math.inf
+    assert math.isnan(_json_safe(float("nan")))
+    assert _json_safe({"a": [-math.inf, 1.0]}) == {"a": [-math.inf, 1.0]}
+    with pytest.raises(ValueError):
+        json.dumps(Certificate("distinct", math.inf).to_json_dict(), allow_nan=False)
 
 
 def test_bools_survive():

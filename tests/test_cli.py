@@ -37,6 +37,12 @@ Q_DIFFERENT = json.dumps([
     {"kappa": 1.0, "theta": 0.93, "mult": 2},
     {"kappa": 2.0, "theta": 1.7, "mult": 3},
 ])
+#: profile-match input whose certificate residual overflows to inf
+NON_FINITE_CERTIFICATE_ARGV = [
+    "profile-match",
+    "--p", '[{"kappa":1e300,"theta":2e300,"mult":9007199254740992,"regime":"coth"}]',
+    "--q", '[{"kappa":1,"theta":-2,"mult":1,"regime":"coth"}]',
+]
 
 
 def load_schema(name):
@@ -235,6 +241,10 @@ class TestInputHardening:
 
         monkeypatch.setattr(cli, "_cmd_octonion_table", handler)
         self.assert_usage_error(capsys, "octonion-table")
+
+    def test_non_finite_certificate_number_is_usage_error(self, capsys):
+        err = self.assert_usage_error(capsys, *NON_FINITE_CERTIFICATE_ARGV)
+        assert "not JSON compliant" in err
 
     def test_negative_samples_is_usage_error(self, capsys):
         self.assert_usage_error(capsys, "sectional-range", "--samples", "-5")
@@ -448,7 +458,7 @@ def _light_argv(draw):
 
 
 class TestArgvFuzz:
-    """Any argv keeps the exit-code contract and emits strict JSON."""
+    """Any argv keeps the exit-code contract and emits strict, schema-valid JSON."""
 
     @settings(max_examples=200, derandomize=True, deadline=5000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -457,13 +467,15 @@ class TestArgvFuzz:
                    "--t", "0.1", "--kmax", "4000"])  # lambda^4000 overflows a float
     @example(argv=["profile-match", "--p", '[{"kappa":1,"theta":0.9,"mult":1%s}]' % ("0" * 400),
                    "--q", '[{"kappa":1,"theta":0.9,"mult":1}]'])  # mult overflows a float
+    @example(argv=NON_FINITE_CERTIFICATE_ARGV + ["--format", "json"])  # residual is inf
     def test_exit_contract_holds(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NEGATIVE)
         if code == cli.EXIT_USAGE:
             assert out == ""
         else:
-            json.loads(out, parse_constant=_reject_constant)
+            payload = json.loads(out, parse_constant=_reject_constant)
+            jsonschema.validate(payload, load_schema(SCHEMA_BY_COMMAND[argv[0]]))
 
 
 class TestTabularFormats:

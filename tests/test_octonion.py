@@ -2,12 +2,11 @@ import itertools
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvadapt import octonion
-from curvadapt.octonion import Octonion, associator, conjugate, inner, multiply, norm
+from curvadapt.octonion import associator, conjugate, inner, multiply, norm
 
 
 def basis(i):
@@ -138,26 +137,3 @@ class TestPropertyBased:
         ab = multiply(a, conjugate(b))
         assert abs(inner(a, b) - ab[0]) <= 1e-10 * max(1.0, norm(a) * norm(b))
 
-
-class TestOctonionClass:
-    def test_operator_overloads_match_functions(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        oa, ob = Octonion(a), Octonion(b)
-        assert np.array_equal((oa * ob).coeffs, multiply(a, b))
-        assert np.array_equal((oa + ob).coeffs, a + b)
-        assert np.array_equal((oa - ob).coeffs, a - b)
-        assert np.array_equal((-oa).coeffs, -a)
-        assert oa.inner(ob) == inner(a, b)
-
-    def test_real_and_imaginary_split(self):
-        o = Octonion(np.arange(8, dtype=float))
-        assert o.real_part == 0.0
-        assert o.imaginary_part().coeffs[0] == 0.0
-        recomposed = o.imaginary_part().coeffs.copy()
-        recomposed[0] = o.real_part
-        assert np.array_equal(recomposed, o.coeffs)
-
-    def test_basis_constructor_bounds(self):
-        with pytest.raises(Exception):
-            Octonion.basis(8)
