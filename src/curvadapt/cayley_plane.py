@@ -7,6 +7,10 @@ Conventions fixed here and relied on everywhere else:
   the first octonion a, coordinates 8-15 the second octonion b, each
   over the basis 1, J1..J7.  The inner product is the product one, summed
   slot by slot: <x, y> = <x[:8], y[:8]> + <x[8:], y[8:]>.
+* ``curvature`` and ``sectional_curvature`` broadcast over leading batch
+  axes: an (N, 16) array is N tangent vectors, and a (16,) vector is a
+  batch of one.  Each row of a batched result equals the call on that row
+  alone, bit for bit.
 * ``sign=+1`` selects the compact plane, ``sign=-1`` the hyperbolic dual;
   the tensors differ by a global sign.
 * The normal Jacobi operator is K_xi(X) = R(X, xi) xi, which makes the
@@ -34,44 +38,52 @@ _GRAM_TOL = 1e-14
 _UNIT_TOL = 1e-10
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise inner products over the last axis, kept as a trailing axis
+    of length one so that they scale vectors of the same batch."""
+    return np.vecdot(u, v)[..., None]
+
+
 def curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int = 1) -> np.ndarray:
-    """Curvature tensor R(x, y)z.
+    """Curvature tensor R(x, y)z, broadcast over leading batch axes.
 
     Args:
-        x, y, z: tangent vectors of shape (16,).
+        x, y, z: tangent vectors of shape (..., 16).
         sign: +1 compact, -1 hyperbolic.
 
     Returns:
-        R(x, y)z, shape (16,).
+        R(x, y)z, shape (..., 16): the broadcast batch shape of x, y, z.
 
     Raises:
-        NormalizationError: if sign is not +1 or -1, or a vector is not (16,).
+        NormalizationError: if sign is not +1 or -1, or a last axis is not 16.
     """
     if sign not in (1, -1):
         raise NormalizationError(f"sign must be +1 or -1, got {sign!r}")
     for v in (x, y, z):
-        if np.shape(v) != (DIM,):
-            raise NormalizationError(f"tangent vector needs shape ({DIM},), got {np.shape(v)}")
-    a, b = x[:8], x[8:]
-    c, d = y[:8], y[8:]
-    e, f = z[:8], z[8:]
-    mul, conj = oct.multiply, oct.conjugate
+        if np.shape(v)[-1:] != (DIM,):
+            raise NormalizationError(
+                f"tangent vector needs shape (..., {DIM}), got {np.shape(v)}"
+            )
+    a, b = x[..., :8], x[..., 8:]
+    c, d = y[..., :8], y[..., 8:]
+    e, f = z[..., :8], z[..., 8:]
+    mul, conj, dot = oct.multiply, oct.conjugate, _dot
     ad_cb = mul(a, d) - mul(c, b)
     comp1 = (
-        4.0 * (c @ e) * a
-        - 4.0 * (a @ e) * c
+        4.0 * dot(c, e) * a
+        - 4.0 * dot(a, e) * c
         + mul(mul(e, d), conj(b))
         - mul(mul(e, b), conj(d))
         + mul(ad_cb, conj(f))
     )
     comp2 = (
-        4.0 * (d @ f) * b
-        - 4.0 * (b @ f) * d
+        4.0 * dot(d, f) * b
+        - 4.0 * dot(b, f) * d
         + mul(conj(a), mul(c, f))
         - mul(conj(c), mul(a, f))
         - mul(conj(e), ad_cb)
     )
-    return (sign * METRIC_SCALE / 4.0) * np.concatenate([comp1, comp2])
+    return (sign * METRIC_SCALE / 4.0) * np.concatenate([comp1, comp2], axis=-1)
 
 
 def _require_unit(v: np.ndarray, what: str) -> None:
@@ -83,22 +95,28 @@ def _require_unit(v: np.ndarray, what: str) -> None:
 def jacobi_operator(xi: np.ndarray, sign: int = 1) -> SelfAdjointOperator:
     """Normal Jacobi operator K_xi = R(., xi) xi as a 16x16 matrix."""
     _require_unit(xi, "xi")
-    cols = [curvature(np.eye(DIM)[i], xi, xi, sign) for i in range(DIM)]
-    return SelfAdjointOperator(np.column_stack(cols))
+    return SelfAdjointOperator(curvature(np.eye(DIM), xi, xi, sign).T)
 
 
-def sectional_curvature(x: np.ndarray, y: np.ndarray, sign: int = 1) -> float:
-    """Sectional curvature of span{x, y}.
+def sectional_curvature(x: np.ndarray, y: np.ndarray, sign: int = 1) -> float | np.ndarray:
+    """Sectional curvature of span{x, y}, broadcast over leading batch axes.
+
+    Returns a float for (16,) inputs and an array of the batch shape for
+    (..., 16) inputs.
 
     Raises:
         DegeneratePlaneError: if the Gram determinant of (x, y) is below
-            1e-14, i.e. the two vectors do not span a plane numerically.
+            1e-14 in any row, i.e. the two vectors do not span a plane
+            numerically.
     """
-    num = float(curvature(x, y, y, sign) @ x)
-    gram = float((x @ x) * (y @ y) - (x @ y) ** 2)
-    if gram < _GRAM_TOL:
-        raise DegeneratePlaneError(f"plane is degenerate: Gram determinant {gram!r}")
-    return num / gram
+    num = np.vecdot(curvature(x, y, y, sign), x)
+    gram = np.vecdot(x, x) * np.vecdot(y, y) - np.vecdot(x, y) ** 2
+    if np.any(gram < _GRAM_TOL):
+        raise DegeneratePlaneError(
+            f"plane is degenerate: Gram determinant {float(np.nanmin(gram))!r}"
+        )
+    k = num / gram
+    return float(k) if np.ndim(k) == 0 else k
 
 
 @dataclass(frozen=True)
@@ -130,7 +148,12 @@ def adapted_frame(xi: np.ndarray, sign: int = 1) -> AdaptedFrame:
     return AdaptedFrame(xi=xi, four_space=four.vectors, one_space=one.vectors, spectrum=spec)
 
 
-def random_unit_pair(rng: np.random.Generator) -> np.ndarray:
-    """A Gaussian draw of 16 coordinates, normalized to unit length."""
-    v = rng.normal(size=DIM)
-    return v / np.linalg.norm(v)
+def random_unit_pair(rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Gaussian draws of 16 coordinates, each normalized to unit length.
+
+    Returns shape batch + (16,); the default is one (16,) vector.  The
+    draws fill the batch in C order, so a batch takes the same random
+    stream as the same number of single draws.
+    """
+    v = rng.normal(size=(*batch, DIM))
+    return v / np.sqrt(np.vecdot(v, v))[..., None]

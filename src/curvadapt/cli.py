@@ -126,6 +126,17 @@ MAX_KMAX = 4096
 #: argparse type for --m: a slot count in [2, MAX_SLOTS]
 _slots = _count(2, MAX_SLOTS)
 
+#: largest sectional-range --samples: time grows linearly in it
+MAX_SAMPLES = 10**6
+
+#: largest grassmannian-check --triples: time grows linearly in it, and
+#: about as m^2 per triple
+MAX_TRIPLES = 10**4
+
+#: rows per kernel call in sectional-range and grassmannian-check: the
+#: kernels broadcast over a batch, and a fixed block bounds their memory
+BLOCK_ROWS = 256
+
 
 #: largest branch multiplicity: every integer up to 2**53 is exact as a float
 MAX_MULT = 2**53
@@ -260,18 +271,22 @@ def _cmd_sectional_range(args, config):
 
     rng = np.random.default_rng(config.seed)
     lo, hi = math.inf, -math.inf
-    for _ in range(args.samples):
-        x = cayley_plane.random_unit_pair(rng)
-        y = cayley_plane.random_unit_pair(rng)
+    for start in range(0, args.samples, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, args.samples - start)
+        pairs = cayley_plane.random_unit_pair(rng, (rows, 2))
+        x, y = pairs[:, 0], pairs[:, 1]
         # orthonormalize y against x; a near-parallel draw is skipped, not
         # resampled.  The inner product is summed slot by slot: one 16-term
-        # dot rounds differently and would change the reported extremes.
-        y = y - (float(x[:8] @ y[:8]) + float(x[8:] @ y[8:])) * x
-        norm = float(np.linalg.norm(y))
-        if norm < 1e-8:
-            continue
-        k = cayley_plane.sectional_curvature(x, y / norm, sign=args.sign)
-        lo, hi = min(lo, k), max(hi, k)
+        # dot rounds differently and would change the sampled curvatures.
+        overlap = np.vecdot(x[:, :8], y[:, :8]) + np.vecdot(x[:, 8:], y[:, 8:])
+        y = y - overlap[:, None] * x
+        norm = np.sqrt(np.vecdot(y, y))
+        keep = ~(norm < 1e-8)
+        k = cayley_plane.sectional_curvature(
+            x[keep], y[keep] / norm[keep, None], sign=args.sign
+        )
+        lo = min(lo, float(k.min(initial=math.inf)))
+        hi = max(hi, float(k.max(initial=-math.inf)))
     # structured extremal planes: an octonion-line plane and a transverse one
     e = np.eye(cayley_plane.DIM)
     line_plane = cayley_plane.sectional_curvature(e[0], e[1], sign=args.sign)
@@ -374,19 +389,23 @@ def _cmd_grassmannian_check(args, config):
     dim = bundle.dim
     health = 0.0
     verbatim_defect = 0.0
-    for _ in range(args.triples):
-        x, y, z = (rng.standard_normal(dim) for _ in range(3))
+    for start in range(0, args.triples, BLOCK_ROWS):
+        x, y, z, w = rng.standard_normal(
+            (min(BLOCK_ROWS, args.triples - start), 4, dim)
+        ).transpose(1, 0, 2)
         rxyz = grassmannian.curvature_g2(x, y, z, bundle)
         ryxz = grassmannian.curvature_g2(y, x, z, bundle)
-        health = max(health, float(np.max(np.abs(rxyz + ryxz))) / max(1.0, float(np.linalg.norm(rxyz))))
-        w = rng.standard_normal(dim)
-        pair_lhs = float(np.dot(rxyz, w))
-        pair_rhs = float(np.dot(grassmannian.curvature_g2(z, w, x, bundle), y))
-        scale = max(1.0, abs(pair_lhs))
-        health = max(health, abs(pair_lhs - pair_rhs) / scale)
-        v_lhs = float(np.dot(grassmannian.curvature_g2(x, y, z, bundle, verbatim=True), w))
-        v_rhs = float(np.dot(grassmannian.curvature_g2(z, w, x, bundle, verbatim=True), y))
-        verbatim_defect = max(verbatim_defect, abs(v_lhs - v_rhs) / max(1.0, abs(v_lhs)))
+        antisym = np.max(np.abs(rxyz + ryxz), axis=-1) / np.maximum(
+            1.0, np.sqrt(np.vecdot(rxyz, rxyz))
+        )
+        pair_lhs = np.vecdot(rxyz, w)
+        pair_rhs = np.vecdot(grassmannian.curvature_g2(z, w, x, bundle), y)
+        pair = np.abs(pair_lhs - pair_rhs) / np.maximum(1.0, np.abs(pair_lhs))
+        health = max(health, float(antisym.max()), float(pair.max()))
+        v_lhs = np.vecdot(grassmannian.curvature_g2(x, y, z, bundle, verbatim=True), w)
+        v_rhs = np.vecdot(grassmannian.curvature_g2(z, w, x, bundle, verbatim=True), y)
+        verbatim = np.abs(v_lhs - v_rhs) / np.maximum(1.0, np.abs(v_lhs))
+        verbatim_defect = max(verbatim_defect, float(verbatim.max()))
     pair = grassmannian.hopf_eigenvectors(
         grassmannian.unit_with_angle(args.alpha, bundle), bundle
     )
@@ -433,12 +452,10 @@ def _selftest_checks(seed: int):
     table = octonion.multiplication_table()
     record("octonion_basis_closure", len(table) == 64, f"{len(table)} products")
 
-    worst = 0.0
-    for _ in range(500):
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        lhs = octonion.norm(octonion.multiply(a, b))
-        rhs = octonion.norm(a) * octonion.norm(b)
-        worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
+    a, b = rng.standard_normal((500, 2, 8)).transpose(1, 0, 2)
+    lhs = octonion.norm(octonion.multiply(a, b))
+    rhs = octonion.norm(a) * octonion.norm(b)
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)))
     record("octonion_norm_multiplicative", worst <= 1e-12, f"max defect {worst:.2e}")
 
     ok = True
@@ -516,7 +533,7 @@ _SUBCOMMANDS = {
         "--m": dict(type=_slots, default=2),
     }),
     "sectional-range": ("sampled sectional curvature range", {
-        "--samples": dict(type=_count(0), default=2000),
+        "--samples": dict(type=_count(0, MAX_SAMPLES), default=2000),
         "--sign": dict(type=int, choices=(1, -1), default=1),
     }),
     "tube-table": ("principal curvatures of a tube", {
@@ -545,7 +562,7 @@ _SUBCOMMANDS = {
     "grassmannian-check": ("structure bundle and tensor health", {
         "--m": dict(type=_slots, default=2),
         "--alpha": dict(type=_finite_float, default=0.7),
-        "--triples": dict(type=_count(1), default=50),
+        "--triples": dict(type=_count(1, MAX_TRIPLES), default=50),
     }),
     "selftest": ("run the invariant suite", {}),
 }

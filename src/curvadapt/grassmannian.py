@@ -20,6 +20,10 @@ The distinguished normal-Jacobi eigenvectors X1, X2 built from (J1, Z)
 carry eigenvalues c (1 + cos alpha) and c (1 - cos alpha); the shared
 constant c is measured from the model (it comes out as 4 in this
 normalization), not asserted.
+
+``curvature_g2`` broadcasts over leading batch axes: an (N, 4m) array is
+N tangent vectors, and a (4m,) vector is a batch of one.  Structures act
+on the last axis, as ``X @ J.T``.
 """
 
 from __future__ import annotations
@@ -126,6 +130,12 @@ class StructureBundle:
         return bundle
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise inner products over the last axis, kept as a trailing axis
+    of length one so that they scale vectors of the same batch."""
+    return np.vecdot(u, v)[..., None]
+
+
 def curvature_g2(
     X: np.ndarray,
     Y: np.ndarray,
@@ -135,21 +145,25 @@ def curvature_g2(
 ) -> np.ndarray:
     """Curvature tensor R(X, Y)Z of the Grassmannian model.
 
+    X, Y, Z have shape (..., 4m); the result has their broadcast shape,
+    and each row of it equals the call on that row alone.
+
     Args:
         verbatim: keep the uncorrected <J.X,Z> J.Z reading of the second
             Kaehler/quaternionic terms.  Only useful as a negative control;
             the result is not a curvature tensor (pair symmetry fails).
     """
-    J = bundle.J
-    JX, JY, JZ = J @ X, J @ Y, J @ Z
-    out = (Y @ Z) * X - (X @ Z) * Y
-    out += (JY @ Z) * JX - (JX @ Z) * (JZ if verbatim else JY) - 2.0 * (JX @ Y) * JZ
+    JT = bundle.J.T
+    JX, JY, JZ = X @ JT, Y @ JT, Z @ JT
+    out = _dot(Y, Z) * X - _dot(X, Z) * Y
+    out += _dot(JY, Z) * JX - _dot(JX, Z) * (JZ if verbatim else JY) - 2.0 * _dot(JX, Y) * JZ
     for Jn in bundle.triple:
-        JnX, JnY, JnZ = Jn @ X, Jn @ Y, Jn @ Z
-        out += (JnY @ Z) * JnX - (JnX @ Z) * (JnZ if verbatim else JnY)
-        out -= 2.0 * (JnX @ Y) * JnZ
-        JnJX, JnJY = Jn @ JX, Jn @ JY
-        out += (JnJY @ Z) * JnJX - (JnJX @ Z) * JnJY
+        JnT = Jn.T
+        JnX, JnY, JnZ = X @ JnT, Y @ JnT, Z @ JnT
+        out += _dot(JnY, Z) * JnX - _dot(JnX, Z) * (JnZ if verbatim else JnY)
+        out -= 2.0 * _dot(JnX, Y) * JnZ
+        JnJX, JnJY = JX @ JnT, JY @ JnT
+        out += _dot(JnJY, Z) * JnJX - _dot(JnJX, Z) * JnJY
     return out
 
 
@@ -160,8 +174,8 @@ def jacobi_operator_g2(
     xi = np.asarray(xi, dtype=float)
     if abs(np.linalg.norm(xi) - 1.0) > _UNIT_TOL:
         raise NormalizationError("xi must be a unit vector")
-    cols = [curvature_g2(e, xi, xi, bundle, verbatim) for e in np.eye(bundle.dim)]
-    return SelfAdjointOperator(np.column_stack(cols))
+    rows = curvature_g2(np.eye(bundle.dim), xi, xi, bundle, verbatim)
+    return SelfAdjointOperator(rows.T)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@
 The signed basis table, its index triples and the dimension come from
 octonion_table, which needs no numpy; this module turns the table into
 the structure tensor that the linear-algebra kernels contract against.
+
+An octonion is a coefficient array whose last axis has length 8; any
+leading axes are a batch, and every function here broadcasts over them.
+A single octonion, shape (8,), is a batch of one.
 """
 
 from __future__ import annotations
@@ -21,13 +25,21 @@ def build_structure_tensor() -> np.ndarray:
 
 
 STRUCTURE = build_structure_tensor()
+#: STRUCTURE with (i, j) flattened, so a product is one matrix product
+_STRUCTURE_64 = STRUCTURE.reshape(DIM * DIM, DIM)
 
 _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
 
 
 def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The octonion product of two coefficient vectors."""
-    return np.einsum("i,j,ijk->k", a, b, STRUCTURE)
+    """The octonion product of two coefficient arrays of shape (..., 8),
+    broadcast over the leading axes.
+
+    Each product coefficient a_i b_j enters one output coordinate with
+    sign +-1, so the contraction rounds only in the sum of eight terms.
+    """
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(*outer.shape[:-2], DIM * DIM) @ _STRUCTURE_64
 
 
 def conjugate(a: np.ndarray) -> np.ndarray:
@@ -35,12 +47,15 @@ def conjugate(a: np.ndarray) -> np.ndarray:
     return a * _CONJ_SIGNS
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a @ b)
+def inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """The Euclidean inner product over the last axis: a float for single
+    octonions, an array of the batch shape for batches."""
+    return np.vecdot(a, b)
 
 
-def norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def norm(a: np.ndarray) -> float | np.ndarray:
+    """The Euclidean norm over the last axis, broadcast like ``inner``."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 def associator(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -53,7 +53,9 @@ class SelfAdjointOperator:
     symmetry_defect: float = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        # C order whatever the caller's layout (a Jacobi build passes a
+        # transpose), so products with the matrix round the same way
+        m = np.ascontiguousarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         object.__setattr__(self, "matrix", m)

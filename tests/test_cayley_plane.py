@@ -158,3 +158,49 @@ class TestKernelChecks:
         e = np.eye(16)
         with pytest.raises(NormalizationError):
             cp.sectional_curvature(e[0], e[1], sign=sign)
+
+
+class TestBatchedKernels:
+    """A batch is rows of the single-vector call, bit for bit."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_batched_curvature_equals_per_row_calls(self, sign):
+        rng = np.random.default_rng(111)
+        x, y, z = rng.standard_normal((3, 700, 16))
+        rows = np.array([cp.curvature(a, b, c, sign) for a, b, c in zip(x, y, z)])
+        assert np.array_equal(cp.curvature(x, y, z, sign), rows)
+        # a single vector broadcast against a batch
+        assert np.array_equal(cp.curvature(x, y[0], z, sign),
+                              [cp.curvature(a, y[0], c, sign) for a, c in zip(x, z)])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_batched_sectional_curvature_equals_per_row_calls(self, sign):
+        rng = np.random.default_rng(112)
+        x, y = rng.standard_normal((2, 700, 16))
+        k = cp.sectional_curvature(x, y, sign)
+        assert k.shape == (700,)
+        assert np.array_equal(k, [cp.sectional_curvature(a, b, sign) for a, b in zip(x, y)])
+        assert type(cp.sectional_curvature(x[0], y[0], sign)) is float
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_jacobi_operator_is_stacked_curvature_columns(self, sign):
+        rng = np.random.default_rng(113)
+        e = np.eye(16)
+        for _ in range(5):
+            xi = cp.random_unit_pair(rng)
+            cols = [cp.curvature(e[i], xi, xi, sign) for i in range(16)]
+            assert np.array_equal(cp.jacobi_operator(xi, sign).matrix, np.column_stack(cols))
+
+    def test_one_degenerate_row_rejects_the_batch(self):
+        rng = np.random.default_rng(114)
+        x, y = rng.standard_normal((2, 10, 16))
+        y[6] = 2.0 * x[6]
+        with pytest.raises(DegeneratePlaneError):
+            cp.sectional_curvature(x, y)
+        cp.sectional_curvature(np.delete(x, 6, axis=0), np.delete(y, 6, axis=0))
+
+    def test_batched_draws_take_the_single_draw_stream(self):
+        batch = cp.random_unit_pair(np.random.default_rng(115), (4, 2))
+        rng = np.random.default_rng(115)
+        singles = np.array([cp.random_unit_pair(rng) for _ in range(8)])
+        assert np.array_equal(batch.reshape(8, 16), singles)

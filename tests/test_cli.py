@@ -314,6 +314,18 @@ class TestInputHardening:
     def test_deeply_nested_json_is_usage_error(self, capsys):
         self.assert_usage_error(capsys, "cascade", "--system", "[" * 100_000, "--t", "0.1")
 
+    def test_samples_above_cap_is_usage_error(self, capsys):
+        err = self.assert_usage_error(capsys, "sectional-range", "--samples",
+                                      str(cli.MAX_SAMPLES + 1))
+        assert str(cli.MAX_SAMPLES) in err
+        assert cli._count(0, cli.MAX_SAMPLES)(str(cli.MAX_SAMPLES)) == cli.MAX_SAMPLES
+
+    def test_triples_above_cap_is_usage_error(self, capsys):
+        err = self.assert_usage_error(capsys, "grassmannian-check", "--triples",
+                                      str(cli.MAX_TRIPLES + 1))
+        assert str(cli.MAX_TRIPLES) in err
+        assert cli._count(1, cli.MAX_TRIPLES)(str(cli.MAX_TRIPLES)) == cli.MAX_TRIPLES
+
     def test_alpha_grid_count_above_cap_is_usage_error(self, capsys):
         err = self.assert_usage_error(capsys, "theorem3", "--alpha-grid",
                                       f"0.25:1.3:{cli.MAX_ANGLES + 1}")
@@ -476,6 +488,107 @@ class TestArgvFuzz:
         else:
             payload = json.loads(out, parse_constant=_reject_constant)
             jsonschema.validate(payload, load_schema(SCHEMA_BY_COMMAND[argv[0]]))
+
+
+def _sectional_range_loop(samples, seed, sign):
+    """The per-sample sectional-range handler, kept as the oracle of the
+    batched one: every sectional curvature it evaluates, in order, the
+    sampled planes first and the two structured planes last."""
+    import numpy as np
+
+    from curvadapt import cayley_plane
+
+    rng = np.random.default_rng(seed)
+    values = []
+    for _ in range(samples):
+        x = cayley_plane.random_unit_pair(rng)
+        y = cayley_plane.random_unit_pair(rng)
+        y = y - (float(x[:8] @ y[:8]) + float(x[8:] @ y[8:])) * x
+        norm = float(np.linalg.norm(y))
+        if norm < 1e-8:
+            continue
+        values.append(cayley_plane.sectional_curvature(x, y / norm, sign=sign))
+    e = np.eye(cayley_plane.DIM)
+    values.append(cayley_plane.sectional_curvature(e[0], e[1], sign=sign))
+    values.append(cayley_plane.sectional_curvature(e[0], e[8], sign=sign))
+    return values
+
+
+def _grassmannian_loop(triples, seed, m):
+    """The per-triple grassmannian-check loop, kept as the oracle of the
+    batched one: (tensor_health, verbatim_pair_defect)."""
+    import numpy as np
+
+    from curvadapt import grassmannian
+
+    bundle = grassmannian.StructureBundle.standard(m)
+    rng = np.random.default_rng(seed)
+    health = verbatim_defect = 0.0
+    for _ in range(triples):
+        x, y, z = (rng.standard_normal(bundle.dim) for _ in range(3))
+        rxyz = grassmannian.curvature_g2(x, y, z, bundle)
+        ryxz = grassmannian.curvature_g2(y, x, z, bundle)
+        health = max(health, float(np.max(np.abs(rxyz + ryxz)))
+                     / max(1.0, float(np.linalg.norm(rxyz))))
+        w = rng.standard_normal(bundle.dim)
+        pair_lhs = float(np.dot(rxyz, w))
+        pair_rhs = float(np.dot(grassmannian.curvature_g2(z, w, x, bundle), y))
+        health = max(health, abs(pair_lhs - pair_rhs) / max(1.0, abs(pair_lhs)))
+        v_lhs = float(np.dot(grassmannian.curvature_g2(x, y, z, bundle, verbatim=True), w))
+        v_rhs = float(np.dot(grassmannian.curvature_g2(z, w, x, bundle, verbatim=True), y))
+        verbatim_defect = max(verbatim_defect, abs(v_lhs - v_rhs) / max(1.0, abs(v_lhs)))
+    return health, verbatim_defect
+
+
+class TestBatchedHandlers:
+    """The handlers run blocks of rows through the batched kernels; the
+    per-sample loops they replaced are the oracles, block edges included."""
+
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 700])
+    @pytest.mark.parametrize("seed,sign", [(0, 1), (5, -1)])
+    def test_sectional_range_matches_per_sample_loop(self, capsys, monkeypatch,
+                                                     samples, seed, sign):
+        import numpy as np
+
+        from curvadapt import cayley_plane
+
+        want = _sectional_range_loop(samples, seed, sign)
+        # the structured planes pin min and max to exactly 1 and 4, so the
+        # sampled values are compared one by one, in draw order
+        seen = []
+        kernel = cayley_plane.sectional_curvature
+
+        def recording(x, y, sign=1):
+            k = kernel(x, y, sign=sign)
+            seen.append(np.atleast_1d(k))
+            return k
+
+        monkeypatch.setattr(cayley_plane, "sectional_curvature", recording)
+        code, payload, _ = run_json(capsys, "sectional-range", "--samples", str(samples),
+                                    "--seed", str(seed), "--sign", str(sign))
+        assert code == cli.EXIT_OK
+        assert np.array_equal(np.concatenate(seen), want)
+        assert (payload["min"], payload["max"]) == (min(want), max(want))
+
+    @pytest.mark.parametrize("triples", [1, 257, 300])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_grassmannian_check_matches_per_triple_loop(self, capsys, triples, m):
+        code, payload, _ = run_json(capsys, "grassmannian-check", "--triples", str(triples),
+                                    "--m", str(m), "--seed", "4")
+        health, verbatim_defect = _grassmannian_loop(triples, 4, m)
+        for got, want in ((payload["tensor_health"], health),
+                          (payload["verbatim_pair_defect"], verbatim_defect)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        tol = cli.DEFAULT_TOLERANCES
+        passed = (
+            payload["bundle_defect"] <= 1e-10
+            and health <= tol["health"]
+            and verbatim_defect > tol["health"]
+            and payload["hopf_residual"] <= tol["spectrum_residual"]
+            and payload["ratio_defect"] <= tol["ratio"]
+        )
+        assert payload["passed"] is passed
+        assert code == (cli.EXIT_OK if passed else cli.EXIT_NEGATIVE)
 
 
 class TestTabularFormats:

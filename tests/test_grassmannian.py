@@ -217,3 +217,27 @@ class TestShapeConsistency:
     def test_alpha_zero_rejected(self):
         with pytest.raises(BoundaryAngleError):
             g.shape_consistency(8.0, 0.0, 0.0, 0.0, 0.0)
+
+
+class TestBatchedKernels:
+    """A batch is rows of the single-vector call, bit for bit."""
+
+    @pytest.mark.parametrize("verbatim", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 64])
+    def test_batched_curvature_equals_per_row_calls(self, m, verbatim):
+        big = g.StructureBundle.standard(m)
+        rng = np.random.default_rng(300 + m)
+        x, y, z = rng.standard_normal((3, 40, big.dim))
+        rows = [g.curvature_g2(a, b, c, big, verbatim) for a, b, c in zip(x, y, z)]
+        assert np.array_equal(g.curvature_g2(x, y, z, big, verbatim), rows)
+        assert np.array_equal(g.curvature_g2(x, y[0], z, big, verbatim),
+                              [g.curvature_g2(a, y[0], c, big, verbatim) for a, c in zip(x, z)])
+
+    @pytest.mark.parametrize("verbatim", [False, True])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_jacobi_operator_is_stacked_curvature_columns(self, m, verbatim):
+        big = g.StructureBundle.standard(m)
+        xi = g.unit_with_angle(0.7, big)
+        cols = [g.curvature_g2(e, xi, xi, big, verbatim) for e in np.eye(big.dim)]
+        op = g.jacobi_operator_g2(xi, big, verbatim)
+        assert np.array_equal(op.matrix, np.column_stack(cols))

@@ -137,3 +137,32 @@ class TestPropertyBased:
         ab = multiply(a, conjugate(b))
         assert abs(inner(a, b) - ab[0]) <= 1e-10 * max(1.0, norm(a) * norm(b))
 
+
+
+class TestBatchedKernels:
+    """A batch is rows of the single-octonion call, bit for bit."""
+
+    def test_batched_product_equals_per_row_products(self):
+        rng = np.random.default_rng(2025)
+        a, b = rng.standard_normal((2, 2000, 8))
+        rows = np.array([multiply(u, v) for u, v in zip(a, b)])
+        assert np.array_equal(multiply(a, b), rows)
+        # one factor broadcast against a batch, and two leading axes
+        assert np.array_equal(multiply(a, b[0]), np.array([multiply(u, b[0]) for u in a]))
+        assert np.array_equal(multiply(a.reshape(40, 50, 8), b.reshape(40, 50, 8)),
+                              rows.reshape(40, 50, 8))
+
+    def test_product_matches_structure_contraction(self):
+        rng = np.random.default_rng(2026)
+        for a, b in rng.standard_normal((200, 2, 8)):
+            assert np.array_equal(multiply(a, b),
+                                  np.einsum("i,j,ijk->k", a, b, octonion.STRUCTURE))
+
+    def test_batched_norm_and_inner_equal_per_row(self):
+        rng = np.random.default_rng(2027)
+        a, b = rng.standard_normal((2, 300, 8))
+        assert np.array_equal(norm(a), [norm(u) for u in a])
+        assert np.array_equal(inner(a, b), [inner(u, v) for u, v in zip(a, b)])
+        assert np.array_equal(associator(a, b, a[::-1]),
+                              [associator(u, v, w) for u, v, w in zip(a, b, a[::-1])])
+        assert isinstance(norm(a[0]), float) and isinstance(inner(a[0], b[0]), float)
