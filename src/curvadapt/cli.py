@@ -631,10 +631,7 @@ def main(argv=None) -> int:
             tolerances=_parse_tolerances(args.tol),
         )
         payload, table, code = args.handler(args, config)
-    except _UsageError as exc:
-        print(f"curvadapt: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CurvAdaptError as exc:
+    except (_UsageError, CurvAdaptError) as exc:
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

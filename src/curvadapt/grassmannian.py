@@ -188,7 +188,6 @@ class AlphaDecomposition:
 
     alpha: float
     j1: np.ndarray  # the chosen structure, as a dim x dim matrix
-    j1_coefficients: np.ndarray  # its coordinates in the bundle triple
     z: np.ndarray | None
     residual: float
 
@@ -220,9 +219,7 @@ def alpha_of(xi: np.ndarray, bundle: StructureBundle) -> AlphaDecomposition:
         residual = float(
             np.linalg.norm(Jxi - cos_alpha * (J1 @ xi) - sin_alpha * (J1 @ z))
         )
-    return AlphaDecomposition(
-        alpha=alpha, j1=J1, j1_coefficients=coeff, z=z, residual=residual
-    )
+    return AlphaDecomposition(alpha=alpha, j1=J1, z=z, residual=residual)
 
 
 def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:

@@ -189,6 +189,11 @@ def _refuse_tanh(*systems: PCSystem) -> None:
                 )
 
 
+def _same_phase(space_sign: int, a: float, b: float, tol: float) -> bool:
+    """Phases equal within tol; compact phases also modulo the cot period pi."""
+    return abs(a - b) <= tol or (space_sign == 1 and abs(abs(a - b) - math.pi) <= tol)
+
+
 def canonical_branch_multiset(
     sys: PCSystem, tol: float = DEFAULT_MERGE_TOL
 ) -> tuple[tuple[int, float, float, int], ...]:
@@ -207,10 +212,7 @@ def canonical_branch_multiset(
     for s, k, p, m in keys:
         if merged:
             s0, k0, p0, m0 = merged[-1]
-            same_phase = abs(p - p0) <= tol or (
-                s == 1 and abs(abs(p - p0) - math.pi) <= tol
-            )
-            if s == s0 and abs(k - k0) <= tol and same_phase:
+            if s == s0 and abs(k - k0) <= tol and _same_phase(s, p, p0, tol):
                 merged[-1][3] += m
                 continue
         merged.append([s, k, p, m])
@@ -227,7 +229,7 @@ def multisets_match(
     for (sa, ka, pa, ma), (sb, kb, pb, mb) in zip(a, b):
         if sa != sb or ma != mb or abs(ka - kb) > tol:
             return False
-        if abs(pa - pb) > tol and not (sa == 1 and abs(abs(pa - pb) - math.pi) <= tol):
+        if not _same_phase(sa, pa, pb, tol):
             return False
     return True
 
@@ -314,41 +316,18 @@ def profiles_equivalent(
             "side": p.label if poles_p else q.label,
         }
         residual = 1.0
-    multiset_ok = multisets_match(p, q, merge_tol)
-    if witness is not None:
-        return Certificate(
-            verdict="distinct",
-            residual=residual,
-            witness=witness,
-            details={
-                "window": list(window),
-                "matched_poles": matched_locations,
-                "multiset_match": multiset_ok,
-            },
-        )
-    all_locs = matched_locations
-    worst, worst_t = _masked_grid_residual(p, q, window, all_locs)
-    if worst <= grid_tol:
-        return Certificate(
-            verdict="equivalent",
-            residual=worst,
-            details={
-                "window": list(window),
-                "matched_poles": matched_locations,
-                "multiset_match": multiset_ok,
-                "comparators_agree": multiset_ok,
-            },
-        )
-    return Certificate(
-        verdict="distinct",
-        residual=worst,
-        witness={"kind": "smooth_part", "t": worst_t, "difference": worst},
-        details={
-            "window": list(window),
-            "matched_poles": matched_locations,
-            "multiset_match": multiset_ok,
-        },
-    )
+    details = {
+        "window": list(window),
+        "matched_poles": matched_locations,
+        "multiset_match": multisets_match(p, q, merge_tol),
+    }
+    if witness is None:
+        residual, worst_t = _masked_grid_residual(p, q, window, matched_locations)
+        if residual <= grid_tol:
+            details["comparators_agree"] = details["multiset_match"]
+            return Certificate(verdict="equivalent", residual=residual, details=details)
+        witness = {"kind": "smooth_part", "t": worst_t, "difference": residual}
+    return Certificate(verdict="distinct", residual=residual, witness=witness, details=details)
 
 
 def isoparametric_verdict(

@@ -414,6 +414,8 @@ _G_VALUES = (1, 2)
 _PHASES = (0, 1, 2, 3)
 _PHASE_LABELS = ("0", "1/4", "1/2", "3/4")  # phase / pi
 _COT_AT = (1, 0, -1)  # cot(pi * p / 4) for p = 1, 2, 3, exact on the lattice
+#: the two focal sets, in the order and under the keys of the certificate payload
+FOCAL_SETS = ("q1", "q2")
 
 
 def _on_focal_lattice(g: int, kappa: int, phase: int) -> bool:
@@ -450,74 +452,42 @@ class FocalConfiguration:
             if mult
         )
 
-    def _phase_at_q2(self, kappa: int, phase: int) -> int:
-        return (phase + kappa * self.spacing) % 4
+    def branches_at(self, q: str) -> list[tuple[int, int, int]]:
+        """(kappa, phase at focal set q, mult) of each occupied branch; the
+        phase at Q2 is the phase at Q1 shifted by kappa * spacing, mod 4."""
+        shift = self.spacing * FOCAL_SETS.index(q)
+        return [(k, (p + k * shift) % 4, m) for (k, p), m in self.multiplicities.items() if m]
 
-    def q1_normal_mults(self) -> tuple[int, int]:
-        """(kappa=2 mult, kappa=1 mult) of branches focalizing at Q1."""
-        m2 = sum(m for (k, p), m in self.multiplicities.items() if k == 2 and p == 0)
-        m1 = sum(m for (k, p), m in self.multiplicities.items() if k == 1 and p == 0)
-        return m2, m1
+    def normal_mults(self, q: str) -> tuple[int, int]:
+        """(kappa=2 mult, kappa=1 mult) of branches focalizing at q."""
+        mults = [0, 0, 0]  # indexed by kappa
+        for k, p, m in self.branches_at(q):
+            if p == 0:
+                mults[k] += m
+        return mults[2], mults[1]
 
-    def q2_normal_mults(self) -> tuple[int, int]:
-        m2 = m1 = 0
-        for (k, p), m in self.multiplicities.items():
-            if self._phase_at_q2(k, p) == 0:
-                if k == 2:
-                    m2 += m
-                else:
-                    m1 += m
-        return m2, m1
+    def tangent_values(self, q: str) -> list[tuple[int, int, int]]:
+        """(kappa, cot value, mult) of branches tangent to q."""
+        return [(k, k * _COT_AT[p - 1], m) for k, p, m in self.branches_at(q) if p]
 
-    def q1_tangent_values(self) -> list[tuple[int, int, int]]:
-        """(kappa, cot value, mult) of branches tangent to Q1."""
-        out = []
-        for (k, p), m in self.multiplicities.items():
-            if p != 0 and m > 0:
-                out.append((k, k * _COT_AT[p - 1], m))
-        return out
-
-    def q2_tangent_values(self) -> list[tuple[int, int, int]]:
-        out = []
-        for (k, p), m in self.multiplicities.items():
-            q2 = self._phase_at_q2(k, p)
-            if q2 != 0 and m > 0:
-                out.append((k, k * _COT_AT[q2 - 1], m))
-        return out
-
-    def q1_signature(self) -> tuple[int, int, int]:
-        m2, m1 = self.q1_normal_mults()
+    def signature(self, q: str) -> tuple[int, int, int]:
+        m2, m1 = self.normal_mults(q)
         return (15 - m2 - m1, m2, m1)
 
-    def q2_signature(self) -> tuple[int, int, int]:
-        m2, m1 = self.q2_normal_mults()
-        return (15 - m2 - m1, m2, m1)
+    def totally_geodesic(self, q: str) -> bool:
+        return all(v == 0 for _, v, _ in self.tangent_values(q))
 
-    def q1_totally_geodesic(self) -> bool:
-        return all(v == 0 for _, v, _ in self.q1_tangent_values())
-
-    def q2_totally_geodesic(self) -> bool:
-        return all(v == 0 for _, v, _ in self.q2_tangent_values())
-
-    def q1_minimal(self) -> bool:
-        return sum(v * m for _, v, m in self.q1_tangent_values()) == 0
-
-    def q2_minimal(self) -> bool:
-        return sum(v * m for _, v, m in self.q2_tangent_values()) == 0
+    def minimal(self, q: str) -> bool:
+        return sum(v * m for _, v, m in self.tangent_values(q)) == 0
 
     def matched_cores(self) -> dict[str, str]:
         """Catalog names of the totally geodesic focal sets, keyed q1/q2."""
         out = {}
-        for key, sig, tg in (
-            ("q1", self.q1_signature(), self.q1_totally_geodesic()),
-            ("q2", self.q2_signature(), self.q2_totally_geodesic()),
-        ):
-            if not tg:
-                continue
-            for name, cat in CATALOG_CORES.items():
-                if sig == cat:
-                    out[key] = name
-                    break
+        for q in filter(self.totally_geodesic, FOCAL_SETS):
+            sig = self.signature(q)
+            names = [n for n, cat in CATALOG_CORES.items() if cat == sig]
+            if names:
+                out[q] = names[0]
         return out
 
     def realize(self, s: float) -> PCSystem:
@@ -540,15 +510,13 @@ class FocalConfiguration:
         return {
             "g": self.g,
             "branches": rows,
-            "q1": {
-                "signature": list(self.q1_signature()),
-                "totally_geodesic": self.q1_totally_geodesic(),
-                "minimal": self.q1_minimal(),
-            },
-            "q2": {
-                "signature": list(self.q2_signature()),
-                "totally_geodesic": self.q2_totally_geodesic(),
-                "minimal": self.q2_minimal(),
+            **{
+                q: {
+                    "signature": list(self.signature(q)),
+                    "totally_geodesic": self.totally_geodesic(q),
+                    "minimal": self.minimal(q),
+                }
+                for q in FOCAL_SETS
             },
             "cores": self.matched_cores(),
         }
@@ -612,8 +580,10 @@ def admissible_focal_configurations() -> list[FocalConfiguration]:
 
     The pole-lattice filter acts on each branch alone, so it runs on each
     (g, kappa) family before the families are combined; the other filters
-    see only the product of the surviving families.  Survivors come in
-    the order of enumerate_focal_configurations.
+    see only the product of the surviving families.  The filters commute,
+    so at each focal set minimality, which rejects most candidates, is
+    tested before properness.  Survivors come in the order of
+    enumerate_focal_configurations.
 
     The search assumes g in {1, 2} distinct principal curvatures.
     Muenzner's restriction for isoparametric hypersurfaces allows
@@ -625,19 +595,12 @@ def admissible_focal_configurations() -> list[FocalConfiguration]:
         for m2 in _lattice_compositions(g, 2, 7):
             for m1 in m1_lattice:
                 cfg = _configuration(g, m2, m1)
-                if sum(cfg.q1_normal_mults()) == 0 or sum(cfg.q2_normal_mults()) == 0:
+                if not all(cfg.minimal(q) and sum(cfg.normal_mults(q)) for q in FOCAL_SETS):
                     continue
-                if not (cfg.q1_minimal() and cfg.q2_minimal()):
-                    continue
-                tg1, tg2 = cfg.q1_totally_geodesic(), cfg.q2_totally_geodesic()
-                if not (tg1 or tg2):
-                    continue
+                geodesic = [q for q in FOCAL_SETS if cfg.totally_geodesic(q)]
                 cores = cfg.matched_cores()
-                if tg1 and "q1" not in cores:
-                    continue
-                if tg2 and "q2" not in cores:
-                    continue
-                out.append(cfg)
+                if geodesic and all(q in cores for q in geodesic):
+                    out.append(cfg)
     return out
 
 
@@ -663,14 +626,12 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
             toward_q1 += b.multiplicity
         if abs(lo + (spacing - mid)) <= 1e-12:
             toward_q2 += b.multiplicity
-    m2_q1, m1_q1 = cfg.q1_normal_mults()
-    m2_q2, m1_q2 = cfg.q2_normal_mults()
+    counted = dict(zip(FOCAL_SETS, (toward_q1, toward_q2)))
     grid = linspace(-mid * 0.98, mid * 0.98, 41)
     finite = all(math.isfinite(mean_curvature(system, t)) for t in grid)
     return {
         "interior_poles": interior_poles,
-        "q1_focal_mult_ok": toward_q1 == m2_q1 + m1_q1,
-        "q2_focal_mult_ok": toward_q2 == m2_q2 + m1_q2,
+        **{f"{q}_focal_mult_ok": counted[q] == sum(cfg.normal_mults(q)) for q in FOCAL_SETS},
         "mean_curvature_finite": finite,
     }
 
@@ -702,8 +663,8 @@ def theorem2_certificate(validate: bool = True) -> Certificate:
             for i, cfg in enumerate(survivors)
         }
         evolution_ok = all(
-            c["interior_poles"] == 0 and c["q1_focal_mult_ok"] and c["q2_focal_mult_ok"]
-            and c["mean_curvature_finite"]
+            c["interior_poles"] == 0 and c["mean_curvature_finite"]
+            and all(c[f"{q}_focal_mult_ok"] for q in FOCAL_SETS)
             for c in checks.values()
         )
     else:
