@@ -335,7 +335,7 @@ def _cmd_tube_table(args, config):
 
 
 def _cmd_theorem2(args, config):
-    cert = tube_flow.theorem2_certificate(validate=not args.no_validate)
+    cert = tube_flow.theorem2_certificate()
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
@@ -484,7 +484,7 @@ def _selftest_checks(seed: int):
         worst = max(worst, abs(fd - (lam**2 + branch.kappa**2)))
     record("riccati_flow_defect", worst <= 1e-6, f"max FD defect {worst:.2e}")
 
-    cert = tube_flow.theorem2_certificate(validate=False)
+    cert = tube_flow.theorem2_certificate()
     record(
         "focal_configuration_search",
         cert.positive and sorted(cert.details["families"]) == ["hp2", "sphere"],
@@ -541,10 +541,7 @@ _SUBCOMMANDS = {
         "--core": dict(choices=tube_flow.CORES, required=True),
         "--radius": dict(type=_finite_float, default=None),
     }),
-    "theorem2": ("finite search over focal configurations", {
-        "--no-validate": dict(action="store_true",
-                              help="skip the brute-force evolution cross-check"),
-    }),
+    "theorem2": ("finite search over focal configurations", {}),
     "theorem3": ("proportional-eigenvalue non-existence sweep", {
         "--alpha-grid": dict(required=True, metavar="A:B:N"),
         "--constraint": dict(choices=sorted(_CONSTRAINT_ALIASES), default="ajj"),

@@ -63,7 +63,6 @@ def profile(sys: PCSystem, t: float) -> float:
 class Pole:
     location: float
     weight: int
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,7 @@ def extract_poles(
     """All profile poles inside the window, weights merged when coincident.
 
     Weight of a pole is the sum of multiplicities of the branches whose
-    flow blows up there; the kappa recorded for a merged pole is the
-    smallest contributing frequency.
+    flow blows up there.
     """
     lo, hi = window
     if not lo < hi:
@@ -144,16 +142,15 @@ def extract_poles(
     raw = []
     for b in sys.branches:
         for r in _branch_poles_in(b, lo, hi):
-            raw.append((r, b.multiplicity, b.kappa))
+            raw.append((r, b.multiplicity))
     raw.sort()
     merged: list[list] = []
-    for r, m, k in raw:
+    for r, m in raw:
         if merged and r - merged[-1][0] <= merge_tol:
             merged[-1][1] += m
-            merged[-1][2] = min(merged[-1][2], k)
         else:
-            merged.append([r, m, k])
-    return PoleData(poles=tuple(Pole(r, m, k) for r, m, k in merged))
+            merged.append([r, m])
+    return PoleData(poles=tuple(Pole(r, m) for r, m in merged))
 
 
 def _kappa_min(*systems: PCSystem) -> float:

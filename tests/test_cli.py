@@ -67,7 +67,7 @@ COMMAND_ARGV = {
     "sectional-range": ["sectional-range", "--samples", "50"],
     "tube-table": ["tube-table", "--ambient", "op2", "--core", "line",
                    "--radius", "0.3"],
-    "theorem2": ["theorem2", "--no-validate"],
+    "theorem2": ["theorem2"],
     "theorem3": ["theorem3", "--alpha-grid", "0.5:1.1:3"],
     "profile-match": ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME],
     "cascade": ["cascade", "--system", P_SYSTEM, "--t", "0.1", "--kmax", "3"],

@@ -84,7 +84,6 @@ class TestPoleExtraction:
         assert len(data.poles) == 1
         assert abs(data.poles[0].location - 0.6) <= 1e-12
         assert data.poles[0].weight == 7
-        assert data.poles[0].kappa == 1.0  # smallest contributing frequency
 
     def test_hyperbolic_poles(self):
         coth = system_of(CurvatureBranch.hyperbolic(1.0, 2.0, 4))
@@ -96,9 +95,9 @@ class TestPoleExtraction:
 
     def test_pole_data_validation(self):
         with pytest.raises(NormalizationError):
-            iso.PoleData(poles=(iso.Pole(1.0, 2, 1.0), iso.Pole(0.5, 2, 1.0)))
+            iso.PoleData(poles=(iso.Pole(1.0, 2), iso.Pole(0.5, 2)))
         with pytest.raises(NormalizationError):
-            iso.PoleData(poles=(iso.Pole(1.0, 0, 1.0),))
+            iso.PoleData(poles=(iso.Pole(1.0, 0),))
 
     def test_empty_window_rejected(self):
         sys = system_of(CurvatureBranch.compact(1.0, 1.0))

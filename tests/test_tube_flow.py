@@ -371,8 +371,11 @@ class TestTubeDescriptorValidation:
 
 class TestFocalEnumeration:
     def test_enumeration_size(self):
-        # compositions of 7 and 8 into 4 labeled parts, for both g values
-        assert len(tf.enumerate_focal_configurations()) == 2 * 120 * 165
+        # compositions of 7 and 8 into 4 labeled parts, for both g values,
+        # listed in sorted order, which the search's sorted() relies on
+        everything = tf.enumerate_focal_configurations()
+        assert len(everything) == 2 * 120 * 165
+        assert sorted(everything) == everything
 
     def test_exactly_four_survivors(self):
         # (g, q1 block, q2 block, cores) in the search's order, written out by
@@ -406,12 +409,8 @@ class TestFocalEnumeration:
     def test_nonzero_top_family_value_on_core_is_rejected(self):
         # a kappa=2 branch with phase pi/4 at Q1 leaves a nonzero principal
         # curvature on the focal set; pole admissibility must kill it
-        mult = {(2, p): 0 for p in tf._PHASES}
-        mult.update({(1, p): 0 for p in tf._PHASES})
-        mult[(2, 1)] = 7  # phase pi/4
-        mult[(1, 0)] = 8
         for g in (1, 2):
-            cfg = tf.FocalConfiguration(g=g, multiplicities=dict(mult))
+            cfg = tf.FocalConfiguration(g=g, m2=(0, 7, 0, 0), m1=(8, 0, 0, 0))
             assert not cfg._poles_admissible()
 
     def test_evolution_confirms_every_survivor(self):
@@ -460,11 +459,25 @@ class TestFocalEnumeration:
         assert funnel == [39600, 1329, 1239, 47, 23, 4]
         searched = tf.admissible_focal_configurations()
         assert [c.to_json_dict() for c in searched] == [c.to_json_dict() for c in catalog]
-        cert = tf.theorem2_certificate(validate=False)
+        cert = tf.theorem2_certificate()
         assert cert.details["total_enumerated"] == len(everything)
 
+    def test_catalog_configuration_is_the_closed_form(self):
+        # every enumerated configuration with a totally geodesic focal set q
+        # carrying a catalog core is the one the search builds for (g, q, core)
+        catalog = {sig: name for name, sig in tf.CATALOG_CORES.items()}
+        matched = 0
+        for cfg in tf.enumerate_focal_configurations():
+            for q in tf.FOCAL_SETS:
+                core = catalog.get(cfg.signature(q))
+                if core and cfg.totally_geodesic(q):
+                    assert cfg == tf._catalog_configuration(cfg.g, q, core), (cfg, q)
+                    matched += 1
+        # 12 (g, q, core) triples, each met exactly once
+        assert matched == 12
+
     def test_certificate_verdict(self):
-        cert = tf.theorem2_certificate(validate=True)
+        cert = tf.theorem2_certificate()
         assert cert.verdict == "equivalent"
         assert cert.details["families"] == ["hp2", "sphere"]
         assert cert.details["total_enumerated"] == 39600
