@@ -24,13 +24,11 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import octonion as oct
 from .errors import DegeneratePlaneError, NormalizationError
-from .operators import SelfAdjointOperator, Spectrum
+from .operators import SelfAdjointOperator
 
 DIM = 16
 METRIC_SCALE = 4.0
@@ -117,35 +115,6 @@ def sectional_curvature(x: np.ndarray, y: np.ndarray, sign: int = 1) -> float | 
         )
     k = num / gram
     return float(k) if np.ndim(k) == 0 else k
-
-
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Eigenframe of K_xi on the complement of xi.
-
-    four_space spans the |4|-eigenvalue directions (dimension 7) and
-    one_space the |1|-eigenvalue directions (dimension 8); columns are
-    orthonormal.
-    """
-
-    xi: np.ndarray  # (16,)
-    four_space: np.ndarray  # (16, 7)
-    one_space: np.ndarray  # (16, 8)
-    spectrum: Spectrum
-
-
-def adapted_frame(xi: np.ndarray, sign: int = 1) -> AdaptedFrame:
-    """Orthonormal eigenframe of the normal Jacobi operator at xi."""
-    op = jacobi_operator(xi, sign)
-    spec = op.spectrum()
-    by_value = {round(c.value): c for c in spec.clusters}
-    four = by_value.get(4 * sign)
-    one = by_value.get(1 * sign)
-    if four is None or one is None or four.multiplicity != 7 or one.multiplicity != 8:
-        raise NormalizationError(
-            f"unexpected Jacobi spectrum {spec.as_pairs()!r} at xi={xi!r}"
-        )
-    return AdaptedFrame(xi=xi, four_space=four.vectors, one_space=one.vectors, spectrum=spec)
 
 
 def random_unit_pair(rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:

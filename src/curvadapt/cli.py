@@ -549,7 +549,8 @@ _SUBCOMMANDS = {
     "profile-match": ("compare two mean-curvature profiles", {
         "--p": dict(required=True, metavar="JSON"),
         "--q": dict(required=True, metavar="JSON"),
-        "--window": dict(default=None, metavar="A,B"),
+        "--window": dict(default=None, metavar="A,B",
+                         help="comparison window; write --window=A,B when A is negative"),
     }),
     "cascade": ("power-sum derivative identities", {
         "--system": dict(required=True, metavar="JSON"),

@@ -114,21 +114,6 @@ class StructureBundle:
             defects.append(np.max(np.abs(J @ Jn - Jn @ J)))
         return float(max(defects))
 
-    def rotated(self, rotation: np.ndarray) -> "StructureBundle":
-        """Replace (J1, J2, J3) by an SO(3)-rotated triple; J is untouched."""
-        R = np.asarray(rotation, dtype=float)
-        if R.shape != (3, 3) or np.max(np.abs(R @ R.T - np.eye(3))) > 1e-10:
-            raise NormalizationError("rotation must be a 3x3 orthogonal matrix")
-        if np.linalg.det(R) < 0:
-            raise NormalizationError("rotation must be orientation preserving")
-        old = self.triple
-        new = [sum(R[n, k] * old[k] for k in range(3)) for n in range(3)]
-        bundle = StructureBundle(m=self.m, J=self.J, J1=new[0], J2=new[1], J3=new[2])
-        defect = bundle.verify()
-        if defect > 1e-10:
-            raise NormalizationError(f"rotated triple broke the relations: {defect!r}")
-        return bundle
-
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise inner products over the last axis, kept as a trailing axis
@@ -278,14 +263,14 @@ def hopf_eigenvectors(xi: np.ndarray, bundle: StructureBundle) -> HopfPair:
     )
 
 
-def eigenvalue_constant(bundle: StructureBundle, alpha: float = 0.7) -> float:
+def eigenvalue_constant(bundle: StructureBundle) -> float:
     """The shared constant c with eigenvalues c (1 +/- cos alpha), measured.
 
-    Computed from the model at a generic angle and cross-checked at a
-    second angle; the two estimates must agree to 1e-9.
+    Computed from the model at the generic angle 0.7 and cross-checked at
+    a second angle; the two estimates must agree to 1e-9.
     """
     estimates = []
-    for a in (alpha, alpha / 2.0 + 0.3):
+    for a in (0.7, 0.7 / 2.0 + 0.3):
         pair = hopf_eigenvectors(unit_with_angle(a, bundle), bundle)
         estimates.append(pair.lambda1 / (1.0 + np.cos(pair.alpha)))
         estimates.append(pair.lambda2 / (1.0 - np.cos(pair.alpha)))

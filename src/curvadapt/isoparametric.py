@@ -25,7 +25,7 @@ evaluated past the first pole, where the flow of tube_flow.evolve ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .certificates import Certificate
@@ -63,26 +63,6 @@ def profile(sys: PCSystem, t: float) -> float:
 class Pole:
     location: float
     weight: int
-
-
-@dataclass(frozen=True)
-class PoleData:
-    poles: tuple[Pole, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        locs = [p.location for p in self.poles]
-        if any(b <= a for a, b in zip(locs, locs[1:])):
-            raise NormalizationError("pole locations must be strictly increasing")
-        if any(p.weight < 1 for p in self.poles):
-            raise NormalizationError("pole weights must be positive integers")
-
-    @property
-    def locations(self) -> tuple[float, ...]:
-        return tuple(p.location for p in self.poles)
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(p.weight for p in self.poles)
 
 
 #: Most poles one compact branch may place in a window.  default_window
@@ -130,9 +110,10 @@ def extract_poles(
     sys: PCSystem,
     window: tuple[float, float],
     merge_tol: float = DEFAULT_MERGE_TOL,
-) -> PoleData:
+) -> tuple[Pole, ...]:
     """All profile poles inside the window, weights merged when coincident.
 
+    The poles come in increasing location, more than merge_tol apart.
     Weight of a pole is the sum of multiplicities of the branches whose
     flow blows up there.
     """
@@ -150,7 +131,7 @@ def extract_poles(
             merged[-1][1] += m
         else:
             merged.append([r, m])
-    return PoleData(poles=tuple(Pole(r, m) for r, m in merged))
+    return tuple(Pole(r, m) for r, m in merged)
 
 
 def _kappa_min(*systems: PCSystem) -> float:
@@ -236,12 +217,11 @@ def _masked_grid_residual(
     q: PCSystem,
     window: tuple[float, float],
     pole_locations,
-    points: int = GRID_POINTS,
 ) -> tuple[float, float]:
     """(max |profile_p - profile_q|, argmax t) over grid points clear of poles."""
     lo, hi = window
-    grid = linspace(lo, hi, points + 2)[1:-1]
-    mask_radius = max(1e-2, 2.0 * (hi - lo) / points)
+    grid = linspace(lo, hi, GRID_POINTS + 2)[1:-1]
+    mask_radius = max(1e-2, 2.0 * (hi - lo) / GRID_POINTS)
     worst = -1.0
     worst_t = lo
     for t in grid:
@@ -277,8 +257,8 @@ def profiles_equivalent(
     _refuse_tanh(p, q)
     if window is None:
         window = default_window(p, q)
-    poles_p = list(extract_poles(p, window, merge_tol).poles)
-    poles_q = list(extract_poles(q, window, merge_tol).poles)
+    poles_p = list(extract_poles(p, window, merge_tol))
+    poles_q = list(extract_poles(q, window, merge_tol))
     matched_locations = []
     witness = None
     residual = 0.0
@@ -377,7 +357,7 @@ def isoparametric_verdict(
 # --------------------------------------------------------------------------
 
 
-def newton_recover(power_sums, n: int | None = None, tol: float = 1e-8):
+def newton_recover(power_sums, tol: float = 1e-8):
     """Recover the real multiset behind the power sums p_1..p_n.
 
     Newton's identities produce the elementary symmetric functions, whose
@@ -389,10 +369,7 @@ def newton_recover(power_sums, n: int | None = None, tol: float = 1e-8):
             round-trip.
     """
     p = [float(x) for x in power_sums]
-    if n is None:
-        n = len(p)
-    if n != len(p):
-        raise NormalizationError(f"need exactly n={n} power sums, got {len(p)}")
+    n = len(p)
     if n == 0:
         return []
     e = [1.0] + [0.0] * n
@@ -440,9 +417,12 @@ def power_sums(sys: PCSystem, t: float, k_max: int) -> list[float]:
     return [sum(m * v**k for v, m in values) for k in range(1, k_max + 1)]
 
 
-def power_sum_cascade(
-    sys: PCSystem, k_max: int, t: float, fd_step: float = 1e-4
-) -> list[float]:
+#: central-difference step of power_sum_cascade: high powers amplify
+#: truncation error steeply, so it is kept moderate
+_FD_STEP = 1e-4
+
+
+def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
     """Relative residuals of the differentiated power-sum identities at t.
 
     The flow equation lambda' = lambda^2 + s kappa^2 turns each power-sum
@@ -451,10 +431,9 @@ def power_sum_cascade(
     Richardson-extrapolated central difference, divided by
     max(1, k sum_i m_i (|lambda_i|^{k+1} + kappa_i^2 |lambda_i|^{k-1})),
     the size of the terms compared, so that it does not grow with the
-    multiplicities or the branch values.  High powers amplify
-    truncation error steeply, so the step is kept moderate and one
-    extrapolation level removes the h^2 term; callers should evaluate at
-    points where the branch values are O(1) (see well_conditioned_time).
+    multiplicities or the branch values.  One extrapolation level of the
+    _FD_STEP difference removes the h^2 term; the residuals are smallest
+    at points where every branch value is O(1), away from the poles.
     """
     if k_max < 1:
         raise NormalizationError("k_max must be >= 1")
@@ -464,8 +443,8 @@ def power_sum_cascade(
         behind = power_sums(sys, t - offset, k_max)
         return [(a - b) / (2 * offset) for a, b in zip(ahead, behind)]
 
-    coarse = derivative(fd_step)
-    fine = derivative(fd_step / 2)
+    coarse = derivative(_FD_STEP)
+    fine = derivative(_FD_STEP / 2)
     fd = [(4 * f - c) / 3 for f, c in zip(fine, coarse)]
     here = power_sums(sys, t, k_max + 1)
     values = [(branch_value(b, t), b.multiplicity, b.space_sign * b.kappa**2)
@@ -481,33 +460,8 @@ def power_sum_cascade(
     return residuals
 
 
-def well_conditioned_time(
-    sys: PCSystem, cap: float = 4.0, window: tuple[float, float] | None = None
-) -> float | None:
-    """A t in the window where every branch value stays within cap.
-
-    Finite-difference checks of high power sums lose accuracy near poles;
-    this picks the evaluation point with the smallest worst branch value,
-    returning None when even that exceeds cap.
-    """
-    if window is None:
-        window = default_window(sys)
-    lo, hi = window
-    best_t, best_worst = None, math.inf
-    for t in linspace(lo, hi, 259)[1:-1]:
-        try:
-            worst = max(abs(branch_value(b, t)) for b in sys.branches)
-        except FocalPointError:
-            continue
-        if worst < best_worst:
-            best_t, best_worst = t, worst
-    if best_t is None or best_worst > cap:
-        return None
-    return best_t
-
-
 # --------------------------------------------------------------------------
-# Randomized systems and the phase-drift witness
+# Randomized systems and the frequency-doubling pair
 # --------------------------------------------------------------------------
 
 
@@ -581,36 +535,3 @@ def doubling_identity_pair() -> tuple[PCSystem, PCSystem]:
         label="q",
     )
     return single, split
-
-
-def reduced_phase(branch: CurvatureBranch, t: float) -> float:
-    """Evolved phase theta - kappa t reduced to (-pi/2, pi/2]."""
-    if branch.space_sign != 1:
-        raise UnsupportedRegimeError("phase reduction applies to compact branches")
-    x = branch.phase - branch.kappa * t
-    return x - math.pi * round(x / math.pi)
-
-
-def branch_sign_divergence(
-    p: CurvatureBranch,
-    q: CurvatureBranch,
-    t_max: float = 20.0,
-    samples: int = 4096,
-) -> float | None:
-    """First t > 0 where the two flows disagree in sign.
-
-    Two compact branches sharing their first pole but with different
-    frequencies drift apart modulo the cot period, so their values
-    eventually take opposite signs; returns a witnessing t or None.
-    """
-    for t in linspace(0.0, t_max, samples + 1)[1:]:
-        try:
-            a = branch_value(p, t)
-            b = branch_value(q, t)
-        except FocalPointError:
-            continue
-        if abs(a) < 1e-6 or abs(b) < 1e-6:
-            continue
-        if (a > 0) != (b > 0):
-            return t
-    return None

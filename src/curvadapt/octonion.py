@@ -47,18 +47,8 @@ def conjugate(a: np.ndarray) -> np.ndarray:
     return a * _CONJ_SIGNS
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """The Euclidean inner product over the last axis: a float for single
-    octonions, an array of the batch shape for batches."""
-    return np.vecdot(a, b)
-
-
 def norm(a: np.ndarray) -> float | np.ndarray:
-    """The Euclidean norm over the last axis, broadcast like ``inner``."""
+    """The Euclidean norm over the last axis: a float for single octonions,
+    an array of the batch shape for batches."""
     return np.sqrt(np.vecdot(a, a))
-
-
-def associator(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(ab)c - a(bc); alternating, and zero when any two arguments agree."""
-    return multiply(multiply(a, b), c) - multiply(a, multiply(b, c))
 

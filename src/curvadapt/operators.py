@@ -30,19 +30,6 @@ class Spectrum:
     """Clustered spectrum of a self-adjoint operator."""
 
     clusters: tuple[EigenCluster, ...]
-    dim: int
-
-    def multiplicities(self) -> dict[float, int]:
-        return {c.value: c.multiplicity for c in self.clusters}
-
-    def values(self) -> list[float]:
-        return [c.value for c in self.clusters]
-
-    def total_multiplicity(self) -> int:
-        return sum(c.multiplicity for c in self.clusters)
-
-    def as_pairs(self) -> list[tuple[float, int]]:
-        return [(c.value, c.multiplicity) for c in self.clusters]
 
 
 @dataclass(frozen=True)
@@ -61,20 +48,16 @@ class SelfAdjointOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "symmetry_defect", float(np.max(np.abs(m - m.T))))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
-    def spectrum(self, gap: float = CLUSTER_GAP) -> Spectrum:
-        """Eigendecomposition with eigenvalues clustered by the given gap."""
+    def spectrum(self) -> Spectrum:
+        """Eigendecomposition with eigenvalues clustered by CLUSTER_GAP."""
         evals, evecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))
         clusters: list[EigenCluster] = []
         start = 0
         for i in range(1, len(evals) + 1):
-            if i == len(evals) or evals[i] - evals[i - 1] > gap:
+            if i == len(evals) or evals[i] - evals[i - 1] > CLUSTER_GAP:
                 block = evecs[:, start:i]
                 clusters.append(
                     EigenCluster(
@@ -84,7 +67,7 @@ class SelfAdjointOperator:
                     )
                 )
                 start = i
-        return Spectrum(clusters=tuple(clusters), dim=self.dim)
+        return Spectrum(clusters=tuple(clusters))
 
     def max_eigen_residual(self, spectrum: Spectrum | None = None) -> float:
         """max over clustered eigenvectors of |K v - lambda v|."""

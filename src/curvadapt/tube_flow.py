@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .certificates import Certificate
 from .errors import (
@@ -33,11 +32,7 @@ from .errors import (
     FocalPointError,
     NoMinimalTubeError,
     NormalizationError,
-    UnsupportedRegimeError,
 )
-
-if TYPE_CHECKING:
-    from . import grassmannian
 
 _CONST_REGIME_RTOL = 1e-12
 
@@ -96,12 +91,6 @@ class CurvatureBranch:
         if theta == 0.0:
             raise NormalizationError("phase is a pole: theta must not be 0 mod pi")
         return cls(kappa=kappa, space_sign=1, phase=theta, multiplicity=multiplicity)
-
-    @classmethod
-    def from_value(cls, kappa: float, value: float, multiplicity: int = 1) -> "CurvatureBranch":
-        """Compact branch through lambda(0) = value."""
-        theta = math.atan2(kappa, value) % math.pi
-        return cls.compact(kappa, theta, multiplicity)
 
     @classmethod
     def hyperbolic(cls, kappa: float, value: float, multiplicity: int = 1) -> "CurvatureBranch":
@@ -198,23 +187,6 @@ def evolve(branch: CurvatureBranch, t: float) -> float:
     return branch_value(branch, t)
 
 
-def focal_radius(branch: CurvatureBranch) -> float:
-    """First pole of the flow in t > 0, or +inf when the flow never blows up."""
-    return branch.regularity_interval()[1]
-
-
-def translated(branch: CurvatureBranch, s: float) -> CurvatureBranch:
-    """The branch re-based at parameter s: evolve(translated(b, s), t) = evolve(b, s+t)."""
-    if branch.space_sign == 1:
-        return CurvatureBranch.compact(
-            branch.kappa, branch.phase - branch.kappa * s, branch.multiplicity
-        )
-    value = evolve(branch, s)
-    if branch.space_sign == 0:
-        return CurvatureBranch.flat(value, branch.multiplicity)
-    return CurvatureBranch.hyperbolic(branch.kappa, value, branch.multiplicity)
-
-
 @dataclass(frozen=True)
 class PCSystem:
     """A full principal-curvature system: branches with multiplicities.
@@ -233,13 +205,6 @@ class PCSystem:
     @property
     def total_multiplicity(self) -> int:
         return sum(b.multiplicity for b in self.branches)
-
-    def values_at(self, t: float) -> list[tuple[float, int]]:
-        return [(evolve(b, t), b.multiplicity) for b in self.branches]
-
-    def regularity_interval(self) -> tuple[float, float]:
-        los, his = zip(*(b.regularity_interval() for b in self.branches))
-        return (max(los), min(his))
 
 
 def mean_curvature(system: PCSystem, t: float = 0.0) -> float:
@@ -324,29 +289,15 @@ def jacobi_tube_curvature(kappa_sq: float, boundary: str, r: float) -> float:
     return 0.0 if boundary == "tangent" else 1.0 / r
 
 
-#: (jacobi eigenvalue magnitude, boundary, multiplicity) rows per core; the
-#: eigenvalue split 7/8 is the adapted-frame dimension count, and the core
-#: tangencies are the catalog dimension counts (line: tangent to the whole
-#: 1-eigenspace; quaternionic plane: 4+4 tangent split with 3+4 normal).
-_CORE_ROWS: dict[str, tuple[tuple[float, str, int], ...]] = {
-    "point": ((1.0, "normal", 8), (4.0, "normal", 7)),
-    "line": ((1.0, "tangent", 8), (4.0, "normal", 7)),
-    "hp2": (
-        (1.0, "normal", 4),
-        (1.0, "tangent", 4),
-        (4.0, "normal", 3),
-        (4.0, "tangent", 4),
-    ),
-}
-
-
 def tube_spectrum(descriptor: TubeDescriptor) -> PCSystem:
     """Principal-curvature system of the tube, with multiplicities.
 
-    The values agree with jacobi_tube_curvature row by row; the op2
-    branch phases are set so that evolving toward the core (increasing t)
-    focalizes the normal branches at t = radius, and the oh2 branches
-    start from jacobi_tube_curvature.
+    A tube about a catalog core is the theorem-2 configuration whose focal
+    set Q1 is that core (_catalog_configuration; its phases at Q1 do not
+    depend on g).  In op2 it is realized at distance radius from Q1, so
+    evolving toward the core (increasing t) focalizes the normal branches
+    at t = radius.  In oh2 each branch starts from jacobi_tube_curvature:
+    phase 0 is a direction normal to the core, phase pi/2 a tangent one.
     """
     if descriptor.core == "horosphere":
         return PCSystem(
@@ -356,19 +307,18 @@ def tube_spectrum(descriptor: TubeDescriptor) -> PCSystem:
             )
         )
     r = descriptor.radius
-    branches = []
-    for magnitude, boundary, mult in _CORE_ROWS[descriptor.core]:
-        k = math.sqrt(magnitude)
-        if descriptor.ambient == "op2":
-            theta = k * r if boundary == "normal" else k * r + math.pi / 2
-            branches.append(CurvatureBranch.compact(k, theta, mult))
-        else:
-            value = jacobi_tube_curvature(-magnitude, boundary, r)
-            branches.append(CurvatureBranch.hyperbolic(k, value, mult))
-    return PCSystem(branches=tuple(branches))
+    cfg = _catalog_configuration(1, "q1", descriptor.core)
+    if descriptor.ambient == "op2":
+        return cfg.realize(r)
+    return PCSystem(branches=tuple(
+        CurvatureBranch.hyperbolic(
+            float(k), jacobi_tube_curvature(-float(k * k), "tangent" if p else "normal", r), m
+        )
+        for k, p, m in cfg.branches_at("q1")
+    ))
 
 
-#: Zeros of the op2 tube mean curvature, from the _CORE_ROWS tables with
+#: Zeros of the op2 tube mean curvature, from the tube_spectrum tables with
 #: 2 cot 2r = cot r - tan r:  H = 15 cot r - 7 tan r (point),
 #: 7 cot r - 15 tan r (line), 14 cot 2r - 8 tan 2r (hp2).
 _MINIMAL_TUBE_RADII = {
@@ -500,12 +450,9 @@ class FocalConfiguration:
 
     def realize(self, s: float) -> PCSystem:
         """The compact principal-curvature system of the tube at distance s from Q1."""
-        branches = []
-        for k, p, m in self.branches_at("q1"):
-            # phase-0 branches must focalize after flowing distance s
-            theta = (p / 4 * math.pi + k * s) % math.pi
-            branches.append(CurvatureBranch.compact(float(k), theta, m))
-        return PCSystem(branches=tuple(branches))
+        return PCSystem(branches=tuple(
+            _realized_branch(k, p, m, s) for k, p, m in self.branches_at("q1")
+        ))
 
     def to_json_dict(self) -> dict:
         rows = [
@@ -525,6 +472,17 @@ class FocalConfiguration:
             },
             "cores": self.matched_cores(),
         }
+
+
+def _realized_branch(kappa: int, phase: int, mult: int, s: float) -> CurvatureBranch:
+    """The branch of the given phase at Q1 (units of pi/4), at distance s from Q1.
+
+    Raises:
+        NormalizationError: if the branch focalizes at distance s itself.
+    """
+    # phase-0 branches must focalize after flowing distance s
+    theta = (phase / 4 * math.pi + kappa * s) % math.pi
+    return CurvatureBranch.compact(float(kappa), theta, mult)
 
 
 def _compositions(total: int, parts: int):
@@ -611,15 +569,24 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
     Evolves the tube system at the midpoint between the focal sets and
     confirms: no branch focalizes strictly between the focal sets, the
     branches focalizing at each end match the configuration's counts, and
-    the mean curvature stays finite inside the interval.
+    the mean curvature stays finite on a grid inside the interval.  A
+    configuration that fails any of these says so in the returned dict;
+    a branch that focalizes at the midpoint itself is an interior pole.
     """
     spacing = cfg.spacing / 4 * math.pi
     mid = spacing / 2.0
-    system = cfg.realize(mid)
     # flow toward Q1 is +t, toward Q2 is -t from the midpoint
     toward_q1 = toward_q2 = 0
     interior_poles = 0
-    for b in system.branches:
+    rows = cfg.branches_at("q1")
+    branches = []
+    for k, p, m in rows:
+        try:
+            b = _realized_branch(k, p, m, mid)
+        except NormalizationError:  # a pole at the midpoint
+            interior_poles += m
+            continue
+        branches.append(b)
         lo, hi = b.regularity_interval()
         if hi < mid - 1e-12 or lo > -(spacing - mid) + 1e-12:
             interior_poles += b.multiplicity
@@ -629,7 +596,13 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
             toward_q2 += b.multiplicity
     counted = dict(zip(FOCAL_SETS, (toward_q1, toward_q2)))
     grid = linspace(-mid * 0.98, mid * 0.98, 41)
-    finite = all(math.isfinite(mean_curvature(system, t)) for t in grid)
+    finite = len(branches) == len(rows)  # the grid runs through the midpoint
+    if finite:
+        system = PCSystem(tuple(branches))
+        try:
+            finite = all(math.isfinite(mean_curvature(system, t)) for t in grid)
+        except FocalPointError:  # the grid crosses a pole
+            finite = False
     return {
         "interior_poles": interior_poles,
         **{f"{q}_focal_mult_ok": counted[q] == sum(cfg.normal_mults(q)) for q in FOCAL_SETS},
@@ -707,10 +680,7 @@ def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
 
 
 def theorem3_sweep(
-    alpha_grid,
-    constraint: str = "a_jj_const",
-    bundle: "grassmannian.StructureBundle | None" = None,
-    ratio_tol: float = 1e-8,
+    alpha_grid, constraint: str = "a_jj_const", ratio_tol: float = 1e-8
 ) -> Certificate:
     """Non-existence certificate for proportionally-curved pairs at generic angles.
 
@@ -742,8 +712,7 @@ def theorem3_sweep(
 
     if constraint not in CONSTRAINT_MODES:
         raise NormalizationError(f"constraint must be one of {CONSTRAINT_MODES}")
-    if bundle is None:
-        bundle = grassmannian.StructureBundle.standard(2)
+    bundle = grassmannian.StructureBundle.standard(2)
     rows = []
     floor = math.inf
     witness = None
@@ -790,13 +759,12 @@ def theorem3_sweep(
     )
 
 
-def theorem3_boundary_case(bundle: "grassmannian.StructureBundle | None" = None) -> Certificate:
+def theorem3_boundary_case() -> Certificate:
     """The alpha = pi/2 corner: the shape equations force lambda2 = 0,
     which the second Riccati equation rejects outright."""
     from . import grassmannian
 
-    if bundle is None:
-        bundle = grassmannian.StructureBundle.standard(2)
+    bundle = grassmannian.StructureBundle.standard(2)
     xi = grassmannian.unit_with_angle(math.pi / 2, bundle)
     op = grassmannian.jacobi_operator_g2(xi, bundle)
     spec = op.spectrum()

@@ -18,6 +18,7 @@ from curvadapt import grassmannian as gr
 from curvadapt import isoparametric as iso
 from curvadapt import octonion as oc
 from curvadapt import tube_flow as tf
+from helpers import associator, translated, values_at, well_conditioned_time
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -51,14 +52,14 @@ def test_criterion_1_octonion_suite(capsys):
     exact = True
     for i, j in itertools.product(range(8), repeat=2):
         a, b = basis[i], basis[j]
-        exact = exact and not np.any(oc.associator(a, a, b))
-        exact = exact and not np.any(oc.associator(b, a, a))
-        exact = exact and not np.any(oc.associator(a, oc.conjugate(a), b))
+        exact = exact and not np.any(associator(a, a, b))
+        exact = exact and not np.any(associator(b, a, a))
+        exact = exact and not np.any(associator(a, oc.conjugate(a), b))
     for i, j, k in itertools.combinations(range(8), 3):
         a = basis[i] + basis[j]
         b = basis[k] - basis[i]
-        exact = exact and not np.any(oc.associator(a, a, b))
-        exact = exact and not np.any(oc.associator(a, oc.conjugate(a), b))
+        exact = exact and not np.any(associator(a, a, b))
+        exact = exact and not np.any(associator(a, oc.conjugate(a), b))
 
     elapsed = time.monotonic() - start
     ok = worst_rel <= 1e-12 and closed and exact and elapsed < 1.0
@@ -133,7 +134,7 @@ def test_criterion_4_tube_tables_vs_goldens(capsys):
                     (GOLDEN_DIR / f"tube_{ambient}_{core}_{tag}.json").read_text()
                 )
                 system = tf.tube_spectrum(tf.TubeDescriptor(ambient, core, radius))
-                got = sorted(system.values_at(0.0))
+                got = sorted(values_at(system, 0.0))
                 expected = sorted(
                     (row["value"], row["multiplicity"]) for row in golden["rows"]
                 )
@@ -144,7 +145,7 @@ def test_criterion_4_tube_tables_vs_goldens(capsys):
                 compared += 1
     golden = json.loads((GOLDEN_DIR / "tube_oh2_horosphere.json").read_text())
     system = tf.tube_spectrum(tf.TubeDescriptor("oh2", "horosphere", None))
-    got = sorted(system.values_at(0.0))
+    got = sorted(values_at(system, 0.0))
     expected = sorted((row["value"], row["multiplicity"]) for row in golden["rows"])
     sums_ok = sums_ok and got == expected and sum(m for _, m in got) == 15
     compared += 1
@@ -198,7 +199,7 @@ def test_criterion_5_riccati_consistency(capsys):
         branch = tf.CurvatureBranch.compact(kappa, theta)
         lo, hi = branch.regularity_interval()
         s = float(rng.uniform(lo + 0.15, hi - 0.15))
-        shifted = tf.translated(branch, s)
+        shifted = translated(branch, s)
         lo2, hi2 = shifted.regularity_interval()
         lo2, hi2 = max(lo2, s - hi) + 0.15, min(hi2, hi - s) - 0.15
         if hi2 <= lo2:
@@ -299,7 +300,7 @@ def test_criterion_9_newton_cascade(capsys):
     evaluated = 0
     while evaluated < 100:
         sys_ = iso.random_profile_system(rng)
-        t = iso.well_conditioned_time(sys_)
+        t = well_conditioned_time(sys_)
         if t is None:
             continue
         worst_cascade = max(worst_cascade, max(iso.power_sum_cascade(sys_, 5, t)))

@@ -696,6 +696,20 @@ class TestPayloadContent:
         assert code == cli.EXIT_OK
         assert payload["details"]["window"] == [0.05, 1.5]
 
+    def test_negative_window_start_takes_the_equals_form(self, capsys):
+        # argparse reads a separate "-1,2" as an option, so a window that
+        # starts below zero is passed as --window=-1,2
+        code, payload, _ = run_json(
+            capsys, "profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window=-1,2"
+        )
+        assert code == cli.EXIT_OK
+        assert payload["details"]["window"] == [-1.0, 2.0]
+        code, _, err = run_cli(
+            capsys, "profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window", "-1,2"
+        )
+        assert code == cli.EXIT_USAGE
+        assert "expected one argument" in err
+
     def test_regime_tag_mismatch_is_usage_error(self, capsys):
         bad = json.dumps([{"kappa": 2.0, "theta": 0.5, "mult": 1, "regime": "coth"}])
         code, _, err = run_cli(capsys, "profile-match", "--p", bad, "--q", Q_SAME)

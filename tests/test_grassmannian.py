@@ -3,6 +3,7 @@ import pytest
 
 from curvadapt import grassmannian as g
 from curvadapt.errors import BoundaryAngleError, NormalizationError
+from helpers import rotated
 
 
 @pytest.fixture(scope="module")
@@ -35,15 +36,15 @@ class TestStructureBundle:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        rotated = bundle.rotated(q)
-        assert rotated.verify() <= 1e-10
+        other = rotated(bundle, q)
+        assert other.verify() <= 1e-10
 
     def test_rotation_validation(self, bundle):
         with pytest.raises(NormalizationError):
-            bundle.rotated(np.eye(3) * 2.0)
+            rotated(bundle, np.eye(3) * 2.0)
         reflection = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(NormalizationError):
-            bundle.rotated(reflection)
+            rotated(bundle, reflection)
 
     def test_dimension(self, bundle):
         assert bundle.dim == 8
@@ -87,12 +88,12 @@ class TestCurvatureTensor:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        rotated = bundle.rotated(q)
+        other = rotated(bundle, q)
         for _ in range(20):
             x, y, z = [v / np.linalg.norm(v)
                        for v in rng.standard_normal((3, bundle.dim))]
             direct = g.curvature_g2(x, y, z, bundle)
-            turned = g.curvature_g2(x, y, z, rotated)
+            turned = g.curvature_g2(x, y, z, other)
             assert np.max(np.abs(direct - turned)) <= 1e-10
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvadapt import octonion
-from curvadapt.octonion import associator, conjugate, inner, multiply, norm
+from curvadapt.octonion import conjugate, multiply, norm
+from helpers import associator, inner
 
 
 def basis(i):

@@ -15,6 +15,7 @@ from curvadapt.errors import (
     NoMinimalTubeError,
     NormalizationError,
 )
+from helpers import branch_from_value, focal_radius, translated, values_at
 
 
 def sample_branches(rng, n):
@@ -106,7 +107,7 @@ class TestBranchConstruction:
 
     def test_from_value_round_trip(self):
         for v in (-5.0, -1.0, 0.0, 0.3, 7.0):
-            b = tf.CurvatureBranch.from_value(2.0, v)
+            b = branch_from_value(2.0, v)
             assert abs(tf.evolve(b, 0.0) - v) <= 1e-12 * max(1.0, abs(v))
 
     def test_phase_reduced_mod_pi(self):
@@ -135,7 +136,7 @@ class TestClosedForms:
     def test_flat_hyperbola(self):
         b = tf.CurvatureBranch.flat(2.0)
         assert abs(tf.evolve(b, 0.25) - 4.0) <= 1e-12
-        assert tf.focal_radius(b) == 0.5
+        assert focal_radius(b) == 0.5
 
     def test_hyperbolic_profiles(self):
         coth = tf.CurvatureBranch.hyperbolic(1.0, 2.0)
@@ -148,12 +149,12 @@ class TestClosedForms:
         assert tf.evolve(const, 5.0) == -2.0
 
     def test_focal_radii(self):
-        assert abs(tf.focal_radius(tf.CurvatureBranch.compact(2.0, math.pi / 2))
+        assert abs(focal_radius(tf.CurvatureBranch.compact(2.0, math.pi / 2))
                    - math.pi / 4) <= 1e-15
-        assert tf.focal_radius(tf.CurvatureBranch.hyperbolic(1.0, 0.5)) == math.inf
-        assert tf.focal_radius(tf.CurvatureBranch.flat(-1.0)) == math.inf
+        assert focal_radius(tf.CurvatureBranch.hyperbolic(1.0, 0.5)) == math.inf
+        assert focal_radius(tf.CurvatureBranch.flat(-1.0)) == math.inf
         coth = tf.CurvatureBranch.hyperbolic(1.0, 2.0)
-        assert abs(tf.focal_radius(coth) - math.atanh(0.5)) <= 1e-15
+        assert abs(focal_radius(coth) - math.atanh(0.5)) <= 1e-15
 
     def test_focal_point_error_carries_radius(self):
         b = tf.CurvatureBranch.compact(2.0, math.pi / 2)
@@ -193,7 +194,7 @@ class TestRiccatiConsistency:
             s = interior_time(rng, branch, margin=0.3)
             if s is None:
                 continue
-            shifted = tf.translated(branch, s)
+            shifted = translated(branch, s)
             t = interior_time(rng, shifted, margin=0.3, box=1.0)
             if t is None:
                 continue
@@ -205,7 +206,7 @@ class TestRiccatiConsistency:
 
     def test_translated_preserves_multiplicity(self):
         b = tf.CurvatureBranch.compact(2.0, 1.0, multiplicity=5)
-        assert tf.translated(b, 0.2).multiplicity == 5
+        assert translated(b, 0.2).multiplicity == 5
 
 
 branch_strategy = st.builds(
@@ -228,7 +229,7 @@ class TestBranchProperties:
         lo, hi = branch.regularity_interval()
         if not lo + 0.1 < s < hi - 0.1:
             return
-        shifted = tf.translated(branch, s)
+        shifted = translated(branch, s)
         assert abs(tf.evolve(shifted, 0.0) - tf.evolve(branch, s)) <= 1e-10
 
 
@@ -236,7 +237,7 @@ class TestTubeTables:
     def test_point_tube_closed_forms(self):
         r = math.pi / 8
         system = tf.tube_spectrum(tf.TubeDescriptor("op2", "point", r))
-        got = sorted(system.values_at(0.0))
+        got = sorted(values_at(system, 0.0))
         expected = sorted([(1.0 / math.tan(r), 8), (2.0 / math.tan(2.0 * r), 7)])
         for (gv, gm), (ev, em) in zip(got, expected):
             assert abs(gv - ev) <= 1e-12
@@ -245,7 +246,7 @@ class TestTubeTables:
     def test_line_tube_closed_forms(self):
         r = math.pi / 6
         system = tf.tube_spectrum(tf.TubeDescriptor("op2", "line", r))
-        got = sorted(system.values_at(0.0))
+        got = sorted(values_at(system, 0.0))
         expected = sorted([(-math.tan(r), 8), (2.0 / math.tan(2.0 * r), 7)])
         for (gv, gm), (ev, em) in zip(got, expected):
             assert abs(gv - ev) <= 1e-12
@@ -254,7 +255,7 @@ class TestTubeTables:
     def test_quaternionic_core_has_four_rows(self):
         r = math.pi / 12
         system = tf.tube_spectrum(tf.TubeDescriptor("op2", "hp2", r))
-        got = sorted(system.values_at(0.0))
+        got = sorted(values_at(system, 0.0))
         expected = sorted([
             (1.0 / math.tan(r), 4),
             (-math.tan(r), 4),
@@ -268,7 +269,7 @@ class TestTubeTables:
     def test_hyperbolic_tables(self):
         r = 0.5
         system = tf.tube_spectrum(tf.TubeDescriptor("oh2", "hp2", r))
-        got = sorted(system.values_at(0.0))
+        got = sorted(values_at(system, 0.0))
         expected = sorted([
             (1.0 / math.tanh(r), 4),
             (math.tanh(r), 4),
@@ -281,7 +282,7 @@ class TestTubeTables:
 
     def test_horosphere_is_radius_free(self):
         system = tf.tube_spectrum(tf.TubeDescriptor("oh2", "horosphere", None))
-        assert sorted(system.values_at(0.0)) == [(1.0, 8), (2.0, 7)]
+        assert sorted(values_at(system, 0.0)) == [(1.0, 8), (2.0, 7)]
 
     def test_every_table_sums_to_fifteen(self):
         for ambient in tf.AMBIENTS:
@@ -292,18 +293,29 @@ class TestTubeTables:
         horo = tf.tube_spectrum(tf.TubeDescriptor("oh2", "horosphere", None))
         assert horo.total_multiplicity == 15
 
+    #: (Jacobi eigenvalue magnitude, boundary, multiplicity) rows per core,
+    #: written out here: the 7/8 eigenvalue split of the Cayley plane, with
+    #: the line tangent to the whole 1-eigenspace and the quaternionic plane
+    #: split 4+4 tangent, 3+4 normal
+    CORE_ROWS = {
+        "point": ((1.0, "normal", 8), (4.0, "normal", 7)),
+        "line": ((1.0, "tangent", 8), (4.0, "normal", 7)),
+        "hp2": ((1.0, "normal", 4), (1.0, "tangent", 4), (4.0, "normal", 3), (4.0, "tangent", 4)),
+    }
+
     def test_spectrum_consistent_with_jacobi_values(self):
-        # branch phases are chosen so the t=0 value reproduces the Jacobi
-        # closed form; check the whole table agrees to 1e-9
+        # tube_spectrum builds each tube from the theorem-2 core catalog;
+        # the t=0 values must reproduce the Jacobi closed form of the rows
+        # above, a second derivation of the same table, to 1e-9
         for ambient, sign in (("op2", 1), ("oh2", -1)):
-            for core, rows in tf._CORE_ROWS.items():
+            for core, rows in self.CORE_ROWS.items():
                 r = 0.3
                 system = tf.tube_spectrum(tf.TubeDescriptor(ambient, core, r))
                 direct = sorted(
                     (tf.jacobi_tube_curvature(sign * mag, boundary, r), m)
                     for mag, boundary, m in rows
                 )
-                got = sorted(system.values_at(0.0))
+                got = sorted(values_at(system, 0.0))
                 for (gv, gm), (dv, dm) in zip(got, direct):
                     assert abs(gv - dv) <= 1e-9
                     assert gm == dm
@@ -312,7 +324,7 @@ class TestTubeTables:
         r = 0.4
         system = tf.tube_spectrum(tf.TubeDescriptor("op2", "point", r))
         for branch in system.branches:
-            assert abs(tf.focal_radius(branch) - r) <= 1e-12
+            assert abs(focal_radius(branch) - r) <= 1e-12
 
     def test_mean_curvature_example(self):
         r = math.pi / 8
@@ -421,12 +433,33 @@ class TestFocalEnumeration:
             assert check["q2_focal_mult_ok"]
             assert check["mean_curvature_finite"]
 
+    def test_evolution_check_reports_instead_of_raising(self):
+        # a branch (kappa, p) at Q1 has its poles at (4n - p) pi / (4 kappa)
+        # from Q1, and the focal sets lie pi / (2g) apart, so it has a pole
+        # strictly between them iff 0 < (4n - p) g < 2 kappa for an integer
+        # n (only n = 1 can qualify), and at the midpoint iff (4n - p) g = kappa
+        midpoint = crossing = 0
+        for cfg in tf.enumerate_focal_configurations()[::5]:
+            rows = cfg.branches_at("q1")
+            poles = [(k, (4 * n - p) * cfg.g, m) for k, p, m in rows for n in range(3)]
+            interior = sum(m for k, x, m in poles if 0 < x < 2 * k)
+            check = tf.verify_configuration_by_evolution(cfg)
+            assert check["interior_poles"] == interior, cfg
+            assert check["mean_curvature_finite"] == (interior == 0), cfg
+            if any(x == k for k, x, _ in poles):
+                midpoint += 1
+            elif interior:
+                crossing += 1
+        # the sample holds both configurations that used to raise: a pole at
+        # the midpoint the system is realized at, and one the grid crosses
+        assert midpoint > 0 and crossing > 0
+
     def test_realized_system_focalizes_at_distance(self):
         cfg = next(c for c in tf.admissible_focal_configurations() if c.g == 2)
         s = 0.3
         system = cfg.realize(s)
         assert system.total_multiplicity == 15
-        focal = min(tf.focal_radius(b) for b in system.branches)
+        focal = min(focal_radius(b) for b in system.branches)
         assert abs(focal - s) <= 1e-12
 
     def test_focal_lattice_matches_rational_pole_positions(self):
