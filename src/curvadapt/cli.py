@@ -406,20 +406,14 @@ def _cmd_grassmannian_check(args, config):
         v_rhs = np.vecdot(grassmannian.curvature_g2(z, w, x, bundle, verbatim=True), y)
         verbatim = np.abs(v_lhs - v_rhs) / np.maximum(1.0, np.abs(v_lhs))
         verbatim_defect = max(verbatim_defect, float(verbatim.max()))
-    pair = grassmannian.hopf_eigenvectors(
-        grassmannian.unit_with_angle(args.alpha, bundle), bundle
-    )
-    ratio_defect = abs(
-        pair.lambda1 / pair.lambda2
-        - (1 + math.cos(args.alpha)) / (1 - math.cos(args.alpha))
-    )
+    pair = grassmannian.hopf_eigenvectors(args.alpha, bundle)
     constant = grassmannian.eigenvalue_constant(bundle)
     passed = (
         bundle_defect <= 1e-10
         and health <= config.tol("health")
         and verbatim_defect > config.tol("health")
         and pair.residual <= config.tol("spectrum_residual")
-        and ratio_defect <= config.tol("ratio")
+        and pair.ratio_defect <= config.tol("ratio")
     )
     payload = {
         "m": args.m,
@@ -431,7 +425,7 @@ def _cmd_grassmannian_check(args, config):
         "verbatim_pair_defect": verbatim_defect,
         "hopf_residual": pair.residual,
         "hopf_eigenvalues": [pair.lambda1, pair.lambda2],
-        "ratio_defect": ratio_defect,
+        "ratio_defect": pair.ratio_defect,
         "eigenvalue_constant": constant,
         "passed": passed,
     }

@@ -28,6 +28,7 @@ on the last axis, as ``X @ J.T``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,6 @@ from .operators import SelfAdjointOperator
 
 _UNIT_TOL = 1e-10
 _STRUCTURE_TOL = 1e-12
-#: below this, cos(alpha) is treated as 0 and the J1 choice falls back to
-#: the bundle's first structure (alpha = pi/2 leaves J1 underdetermined)
-_COS_FLOOR = 1e-12
 
 
 def _left_mult(q):
@@ -163,50 +161,6 @@ def jacobi_operator_g2(
     return SelfAdjointOperator(rows.T)
 
 
-@dataclass(frozen=True)
-class AlphaDecomposition:
-    """Splitting J xi = cos(alpha) J1 xi + sin(alpha) J1 Z.
-
-    Z is None exactly at alpha = 0, where the second summand vanishes and
-    Z is meaningless.  The sign of Z is pinned by <J xi, J1 Z> >= 0.
-    """
-
-    alpha: float
-    j1: np.ndarray  # the chosen structure, as a dim x dim matrix
-    z: np.ndarray | None
-    residual: float
-
-
-def alpha_of(xi: np.ndarray, bundle: StructureBundle) -> AlphaDecomposition:
-    """Angle and splitting data for a unit tangent vector."""
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > _UNIT_TOL:
-        raise NormalizationError("xi must be a unit vector")
-    Jxi = bundle.J @ xi
-    u = np.array([float(Jxi @ (Jn @ xi)) for Jn in bundle.triple])
-    cos_alpha = float(np.linalg.norm(u))
-    alpha = float(np.arccos(np.clip(cos_alpha, 0.0, 1.0)))
-
-    if cos_alpha > _COS_FLOOR:
-        coeff = u / cos_alpha
-    else:
-        # alpha = pi/2: any structure works; take the bundle's first
-        coeff = np.array([1.0, 0.0, 0.0])
-    J1 = sum(c * Jn for c, Jn in zip(coeff, bundle.triple))
-
-    sin_alpha = float(np.sin(alpha))
-    if sin_alpha < 1e-12:
-        z = None
-        residual = float(np.linalg.norm(Jxi - cos_alpha * (J1 @ xi)))
-    else:
-        w = (Jxi - cos_alpha * (J1 @ xi)) / sin_alpha
-        z = -(J1 @ w)  # then J1 z = w and <J xi, J1 z> = sin(alpha) >= 0
-        residual = float(
-            np.linalg.norm(Jxi - cos_alpha * (J1 @ xi) - sin_alpha * (J1 @ z))
-        )
-    return AlphaDecomposition(alpha=alpha, j1=J1, z=z, residual=residual)
-
-
 def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:
     """A unit vector whose angle is exactly alpha.
 
@@ -225,42 +179,57 @@ def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HopfPair:
-    """The two distinguished eigenvectors of K_xi with their eigenvalues."""
+    """The two distinguished eigenvalues of K_xi at a measured angle.
 
-    x1: np.ndarray
-    x2: np.ndarray
+    ``ratio_defect`` is |lambda1 / lambda2 - (1 + cos a) / (1 - cos a)| at
+    the requested angle a; ``alpha`` is the angle measured back from xi.
+    """
+
     lambda1: float
     lambda2: float
     residual: float
     alpha: float
+    ratio_defect: float
 
 
-def hopf_eigenvectors(xi: np.ndarray, bundle: StructureBundle) -> HopfPair:
-    """Eigenvectors X1, X2 built from the alpha-splitting at beta = alpha/2.
+def hopf_eigenvectors(alpha: float, bundle: StructureBundle) -> HopfPair:
+    """Eigenvalues of K_xi on X1, X2 at xi = ``unit_with_angle(alpha)``.
+
+    The angle is measured back from xi through the splitting
+    J xi = cos(alpha) J1 xi + sin(alpha) J1 Z, with the sign of Z pinned by
+    <J xi, J1 Z> >= 0, and X1, X2 are built from (J1 xi, J1 Z) at
+    beta = alpha / 2.
 
     Raises:
-        BoundaryAngleError: at alpha = 0 or alpha = pi/2, where Z (or the
-            J1 choice) degenerates and the pair is not well defined.
+        BoundaryAngleError: outside [0, pi/2], and at alpha = 0 or
+            alpha = pi/2, where Z (or the J1 choice) degenerates and the
+            pair is not well defined.
     """
-    dec = alpha_of(xi, bundle)
-    if dec.z is None or dec.alpha > np.pi / 2 - 1e-9 or dec.alpha < 1e-9:
+    xi = unit_with_angle(alpha, bundle)
+    op = jacobi_operator_g2(xi, bundle)
+    Jxi = bundle.J @ xi
+    u = np.array([float(Jxi @ (Jn @ xi)) for Jn in bundle.triple])
+    cos_alpha = float(np.linalg.norm(u))
+    measured = float(np.arccos(np.clip(cos_alpha, 0.0, 1.0)))
+    if measured > np.pi / 2 - 1e-9 or measured < 1e-9:
         raise BoundaryAngleError(
-            f"hopf eigenvectors need 0 < alpha < pi/2, got alpha={dec.alpha!r}"
+            f"hopf eigenvectors need 0 < alpha < pi/2, got alpha={measured!r}"
         )
-    beta = dec.alpha / 2.0
-    j1xi = dec.j1 @ xi
-    j1z = dec.j1 @ dec.z
+    J1 = sum(c * Jn for c, Jn in zip(u / cos_alpha, bundle.triple))
+    j1xi = J1 @ xi
+    w = (Jxi - cos_alpha * j1xi) / float(np.sin(measured))
+    j1z = J1 @ -(J1 @ w)  # J1 Z = w, so <J xi, J1 Z> = sin(alpha) >= 0
+    beta = measured / 2.0
     x1 = np.cos(beta) * j1xi + np.sin(beta) * j1z
     x2 = np.sin(beta) * j1xi - np.cos(beta) * j1z
-    op = jacobi_operator_g2(xi, bundle)
     k1, k2 = op.apply(x1), op.apply(x2)
     lam1, lam2 = float(x1 @ k1), float(x2 @ k2)
     residual = max(
         float(np.linalg.norm(k1 - lam1 * x1)), float(np.linalg.norm(k2 - lam2 * x2))
     )
-    return HopfPair(
-        x1=x1, x2=x2, lambda1=lam1, lambda2=lam2, residual=residual, alpha=dec.alpha
-    )
+    cos_a = math.cos(alpha)
+    ratio_defect = abs(lam1 / lam2 - (1.0 + cos_a) / (1.0 - cos_a))
+    return HopfPair(lam1, lam2, residual, measured, ratio_defect)
 
 
 def eigenvalue_constant(bundle: StructureBundle) -> float:
@@ -271,7 +240,7 @@ def eigenvalue_constant(bundle: StructureBundle) -> float:
     """
     estimates = []
     for a in (0.7, 0.7 / 2.0 + 0.3):
-        pair = hopf_eigenvectors(unit_with_angle(a, bundle), bundle)
+        pair = hopf_eigenvectors(a, bundle)
         estimates.append(pair.lambda1 / (1.0 + np.cos(pair.alpha)))
         estimates.append(pair.lambda2 / (1.0 - np.cos(pair.alpha)))
     c = float(np.mean(estimates))

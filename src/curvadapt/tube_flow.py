@@ -723,18 +723,15 @@ def theorem3_sweep(
             raise ExcludedAngleError(
                 f"cos(alpha) = {cos_a!r} is in the excluded set {EXCLUDED_COSINES}"
             )
-        pair = grassmannian.hopf_eigenvectors(
-            grassmannian.unit_with_angle(alpha, bundle), bundle
-        )
+        pair = grassmannian.hopf_eigenvectors(alpha, bundle)
         if pair.residual > 1e-8:
             raise NormalizationError(
                 f"model eigenvector residual {pair.residual!r} too large at alpha={alpha!r}"
             )
         mu1, mu2 = pair.lambda1, pair.lambda2
-        ratio_defect = abs(mu1 / mu2 - (1.0 + cos_a) / (1.0 - cos_a))
-        if ratio_defect > ratio_tol:
+        if pair.ratio_defect > ratio_tol:
             raise NormalizationError(
-                f"eigenvalue ratio defect {ratio_defect!r} at alpha={alpha!r}"
+                f"eigenvalue ratio defect {pair.ratio_defect!r} at alpha={alpha!r}"
             )
         residual = mu1 - mu2
         rows.append(
@@ -742,7 +739,7 @@ def theorem3_sweep(
                 "alpha": alpha,
                 "mu1": mu1,
                 "mu2": mu2,
-                "ratio_defect": ratio_defect,
+                "ratio_defect": pair.ratio_defect,
                 "min_residual": residual,
                 "c": 1.0,
                 "flipped_sign_variant": _flipped_sign_floor(mu1, mu2),

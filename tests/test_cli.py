@@ -682,6 +682,12 @@ class TestPayloadContent:
         assert payload["verbatim_pair_defect"] > 1e-3
         assert abs(payload["eigenvalue_constant"] - 4.0) <= 1e-9
 
+    def test_theorem3_row_and_grassmannian_check_share_the_ratio_defect(self, capsys):
+        _, sweep, _ = run_json(capsys, "theorem3", "--alpha-grid", "0.7:0.7:1")
+        _, check, _ = run_json(capsys, "grassmannian-check", "--alpha", "0.7")
+        [row] = sweep["details"]["alphas"]
+        assert row["ratio_defect"] == check["ratio_defect"]
+
     def test_selftest_all_green(self, capsys):
         code, payload, _ = run_json(capsys, "selftest")
         assert code == cli.EXIT_OK

@@ -2,10 +2,13 @@
 
 The scan parses src/curvadapt/*.py.  A definition is a public top-level
 function or class, or a public method or annotated field of a top-level
-class.  It counts as referenced when its name appears as a name, an
-attribute or an imported name anywhere in src/ outside its own
-definition.  Names are matched as text, so a definition whose name is
-reused elsewhere passes; the scan catches code that nothing in src/ names.
+class.  A top-level definition counts as referenced when its name appears
+as a name, an attribute or an imported name anywhere in src/ outside its
+own definition.  A method or field counts only when it is read as an
+attribute (``obj.name``) there: a local variable or a constructor keyword
+of the same name does not.  Names are matched as text, so a definition
+whose name is reused elsewhere passes; the scan catches code that nothing
+in src/ names.
 """
 
 import ast
@@ -31,12 +34,13 @@ ALLOWED_UNREFERENCED = {
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, name, node) of every public definition the scan covers."""
+    """(qualified name, name, node, is member) of every public definition
+    the scan covers."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         if not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
@@ -46,33 +50,36 @@ def _definitions(module: str, tree: ast.Module):
                 else:
                     continue
                 if not name.startswith("_"):
-                    yield f"{module}.{node.name}.{name}", name, member
+                    yield f"{module}.{node.name}.{name}", name, member, True
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every name, attribute and imported name in the tree."""
+    """(name, line, is attribute read) of every name, attribute and
+    imported name in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, isinstance(node.ctx, ast.Load)
         elif isinstance(node, ast.alias):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
 
 
 def unreferenced_definitions(src: Path = SRC) -> set[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     references = [
-        (module, name, line) for module, tree in trees.items()
-        for name, line in _references(tree)
+        (module, name, line, read) for module, tree in trees.items()
+        for name, line, read in _references(tree)
     ]
     return {
         qualified
         for module, tree in trees.items()
-        for qualified, name, node in _definitions(module, tree)
+        for qualified, name, node, member in _definitions(module, tree)
         if not any(
-            ref == name and not (where == module and node.lineno <= line <= node.end_lineno)
-            for where, ref, line in references
+            ref == name
+            and (read or not member)
+            and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, ref, line, read in references
         )
     }
 
@@ -86,9 +93,11 @@ def test_src_holds_no_test_only_code():
 
 
 def test_scan_sees_an_unreferenced_definition(tmp_path):
-    # the scan itself: a function that only calls itself is unreferenced
+    # the scan itself: a function that only calls itself is unreferenced,
+    # and so is a field whose name is only a local or a constructor keyword
     (tmp_path / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
+        "class Pair:\n    first: int\n    second: int\n\n\n"
+        "def used():\n    first = 1\n    return Pair(first=first, second=2).second\n\n\n"
         "def unused(n):\n    return used() + unused(n - 1)\n"
     )
-    assert unreferenced_definitions(tmp_path) == {"mod.unused"}
+    assert unreferenced_definitions(tmp_path) == {"mod.unused", "mod.Pair.first"}
