@@ -21,9 +21,9 @@ carry eigenvalues c (1 + cos alpha) and c (1 - cos alpha); the shared
 constant c is measured from the model (it comes out as 4 in this
 normalization), not asserted.
 
-``curvature_g2`` broadcasts over leading batch axes: an (N, 4m) array is
-N tangent vectors, and a (4m,) vector is a batch of one.  Structures act
-on the last axis, as ``X @ J.T``.
+``curvature_g2`` broadcasts over leading batch axes (an (N, 4m) array is
+N tangent vectors; structures act on the last axis, as ``X @ J.T``), so
+``hopf_eigenvectors`` measures the eigenpairs over a list of angles at once.
 """
 
 from __future__ import annotations
@@ -150,15 +150,18 @@ def curvature_g2(
     return out
 
 
-def jacobi_operator_g2(
-    xi: np.ndarray, bundle: StructureBundle, verbatim: bool = False
-) -> SelfAdjointOperator:
-    """Normal Jacobi operator K_xi = R(., xi) xi on R^{4m}."""
-    xi = np.asarray(xi, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > _UNIT_TOL:
+def _jacobi_matrices(xi, bundle: StructureBundle, verbatim: bool = False) -> np.ndarray:
+    """C-order K_xi = R(., xi) xi per row of xi (..., 4m); the one unit check."""
+    xi = np.asarray(xi, dtype=float)[..., None, :]
+    if np.any(np.abs(np.sqrt(np.vecdot(xi, xi)) - 1.0) > _UNIT_TOL):
         raise NormalizationError("xi must be a unit vector")
     rows = curvature_g2(np.eye(bundle.dim), xi, xi, bundle, verbatim)
-    return SelfAdjointOperator(rows.T)
+    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+
+
+def jacobi_operator_g2(xi, bundle: StructureBundle, verbatim=False) -> SelfAdjointOperator:
+    """Normal Jacobi operator K_xi = R(., xi) xi on R^{4m}."""
+    return SelfAdjointOperator(_jacobi_matrices(xi, bundle, verbatim))
 
 
 def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:
@@ -168,13 +171,20 @@ def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:
     slot sweeps the angle linearly: xi(s) = (cos s) e_1 + (sin s) e_j2 has
     angle 2s, so s = alpha / 2.
     """
-    if not 0.0 <= alpha <= np.pi / 2 + 1e-12:
-        raise BoundaryAngleError(f"alpha must lie in [0, pi/2], got {alpha!r}")
+    if (error := angle_error(alpha)) is not None:
+        raise error
     s = alpha / 2.0
     xi = np.zeros(bundle.dim)
     xi[0] = np.cos(s)
     xi[6] = np.sin(s)  # j-component of the second quaternionic slot
     return xi
+
+
+def angle_error(alpha: float) -> BoundaryAngleError | None:
+    """The error for an angle outside [0, pi/2], else None."""
+    if not 0.0 <= alpha <= np.pi / 2 + 1e-12:
+        return BoundaryAngleError(f"alpha must lie in [0, pi/2], got {alpha!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -192,44 +202,43 @@ class HopfPair:
     ratio_defect: float
 
 
-def hopf_eigenvectors(alpha: float, bundle: StructureBundle) -> HopfPair:
-    """Eigenvalues of K_xi on X1, X2 at xi = ``unit_with_angle(alpha)``.
-
-    The angle is measured back from xi through the splitting
-    J xi = cos(alpha) J1 xi + sin(alpha) J1 Z, with the sign of Z pinned by
-    <J xi, J1 Z> >= 0, and X1, X2 are built from (J1 xi, J1 Z) at
-    beta = alpha / 2.
+def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
+    """Eigenvalues of K_xi on X1, X2 at xi = ``unit_with_angle(alpha)``, one
+    pair per angle, in order, from one stacked evaluation; each pair equals
+    the one for its angle alone, bit for bit.  The angle is measured back
+    from xi through the splitting J xi = cos(alpha) J1 xi + sin(alpha) J1 Z,
+    with the sign of Z pinned by <J xi, J1 Z> >= 0, and X1, X2 are built
+    from (J1 xi, J1 Z) at beta = alpha / 2.
 
     Raises:
-        BoundaryAngleError: outside [0, pi/2], and at alpha = 0 or
-            alpha = pi/2, where Z (or the J1 choice) degenerates and the
-            pair is not well defined.
+        BoundaryAngleError: for the first angle outside [0, pi/2]; else for
+            the first whose measured angle is 0 or pi/2, where Z (or the J1
+            choice) degenerates and the pair is not well defined.
     """
-    xi = unit_with_angle(alpha, bundle)
-    op = jacobi_operator_g2(xi, bundle)
-    Jxi = bundle.J @ xi
-    u = np.array([float(Jxi @ (Jn @ xi)) for Jn in bundle.triple])
-    cos_alpha = float(np.linalg.norm(u))
-    measured = float(np.arccos(np.clip(cos_alpha, 0.0, 1.0)))
-    if measured > np.pi / 2 - 1e-9 or measured < 1e-9:
+    alphas = [float(a) for a in alphas]
+    xi = np.array([unit_with_angle(a, bundle) for a in alphas]).reshape(-1, bundle.dim)
+    jxi = xi @ bundle.J.T
+    u = np.stack([np.vecdot(jxi, xi @ Jn.T) for Jn in bundle.triple], axis=-1)
+    cos_alpha = np.sqrt(np.vecdot(u, u))
+    measured = np.arccos(np.clip(cos_alpha, 0.0, 1.0))
+    if bad := [a for a in measured.tolist() if a > np.pi / 2 - 1e-9 or a < 1e-9]:
         raise BoundaryAngleError(
-            f"hopf eigenvectors need 0 < alpha < pi/2, got alpha={measured!r}"
+            f"hopf eigenvectors need 0 < alpha < pi/2, got alpha={bad[0]!r}"
         )
-    J1 = sum(c * Jn for c, Jn in zip(u / cos_alpha, bundle.triple))
-    j1xi = J1 @ xi
-    w = (Jxi - cos_alpha * j1xi) / float(np.sin(measured))
-    j1z = J1 @ -(J1 @ w)  # J1 Z = w, so <J xi, J1 Z> = sin(alpha) >= 0
-    beta = measured / 2.0
-    x1 = np.cos(beta) * j1xi + np.sin(beta) * j1z
-    x2 = np.sin(beta) * j1xi - np.cos(beta) * j1z
-    k1, k2 = op.apply(x1), op.apply(x2)
-    lam1, lam2 = float(x1 @ k1), float(x2 @ k2)
-    residual = max(
-        float(np.linalg.norm(k1 - lam1 * x1)), float(np.linalg.norm(k2 - lam2 * x2))
-    )
-    cos_a = math.cos(alpha)
-    ratio_defect = abs(lam1 / lam2 - (1.0 + cos_a) / (1.0 - cos_a))
-    return HopfPair(lam1, lam2, residual, measured, ratio_defect)
+    j1 = sum(c[:, None, None] * Jn for c, Jn in zip((u / cos_alpha[:, None]).T, bundle.triple))
+    j1xi = (j1 @ xi[..., None])[..., 0]  # stacked matrix-vector products, as columns
+    w = (jxi - cos_alpha[:, None] * j1xi) / np.sin(measured)[:, None]
+    j1z = -(j1 @ (j1 @ w[..., None]))[..., 0]  # J1 Z = w: <J xi, J1 Z> = sin(alpha) >= 0
+    cb, sb = np.cos(measured / 2.0)[:, None], np.sin(measured / 2.0)[:, None]
+    x = np.stack([cb * j1xi + sb * j1z, sb * j1xi - cb * j1z])  # X1, X2
+    kx = (_jacobi_matrices(xi, bundle) @ x[..., None])[..., 0]
+    lam = np.vecdot(x, kx)
+    r = kx - lam[..., None] * x
+    residual = np.sqrt(np.vecdot(r, r)).max(axis=0)
+    cos_a = np.array([math.cos(a) for a in alphas])  # of the requested angles
+    defect = np.abs(lam[0] / lam[1] - (1.0 + cos_a) / (1.0 - cos_a))
+    rows = zip(*lam.tolist(), residual.tolist(), measured.tolist(), defect.tolist())
+    return [HopfPair(*row) for row in rows]
 
 
 def eigenvalue_constant(bundle: StructureBundle) -> float:
@@ -239,8 +248,7 @@ def eigenvalue_constant(bundle: StructureBundle) -> float:
     a second angle; the two estimates must agree to 1e-9.
     """
     estimates = []
-    for a in (0.7, 0.7 / 2.0 + 0.3):
-        pair = hopf_eigenvectors(a, bundle)
+    for pair in hopf_eigenvectors((0.7, 0.7 / 2.0 + 0.3), bundle):
         estimates.append(pair.lambda1 / (1.0 + np.cos(pair.alpha)))
         estimates.append(pair.lambda2 / (1.0 - np.cos(pair.alpha)))
     c = float(np.mean(estimates))

@@ -48,9 +48,6 @@ class SelfAdjointOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "symmetry_defect", float(np.max(np.abs(m - m.T))))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
     def spectrum(self) -> Spectrum:
         """Eigendecomposition with eigenvalues clustered by CLUSTER_GAP."""
         evals, evecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))

@@ -679,6 +679,16 @@ def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
     }
 
 
+def _excluded_error(alpha: float) -> ExcludedAngleError | None:
+    """The error for an angle whose cosine is excluded, else None."""
+    cos_a = math.cos(alpha)
+    if any(abs(cos_a - x) < 1e-9 for x in EXCLUDED_COSINES):
+        return ExcludedAngleError(
+            f"cos(alpha) = {cos_a!r} is in the excluded set {EXCLUDED_COSINES}"
+        )
+    return None
+
+
 def theorem3_sweep(
     alpha_grid, constraint: str = "a_jj_const", ratio_tol: float = 1e-8
 ) -> Certificate:
@@ -700,10 +710,13 @@ def theorem3_sweep(
     bounds every mode from below and ``constraint`` only labels the
     payload.
 
-    Raises:
-        ExcludedAngleError: if any grid angle has cos(alpha) in
+    Every grid angle is measured in one batched model evaluation.
+
+    Raises (for the first failing angle in grid order):
+        ExcludedAngleError: if a grid angle has cos(alpha) in
             {0, 3/5, 4/5, 1} (within 1e-9), where eigenvalue
             multiplicities jump.
+        BoundaryAngleError: if a grid angle lies outside [0, pi/2].
         NormalizationError: on an unknown constraint, or when the measured
             eigenvectors or the eigenvalue ratio (1 + cos) / (1 - cos) miss
             their tolerances.
@@ -713,17 +726,15 @@ def theorem3_sweep(
     if constraint not in CONSTRAINT_MODES:
         raise NormalizationError(f"constraint must be one of {CONSTRAINT_MODES}")
     bundle = grassmannian.StructureBundle.standard(2)
+    alphas = [float(alpha) for alpha in alpha_grid]
+    # checks needing no model run first; the angles before the first failure
+    # form one batch, checked row by row, so the first failing angle raises
+    errors = [_excluded_error(alpha) or grassmannian.angle_error(alpha) for alpha in alphas]
+    stop = next((k for k, error in enumerate(errors) if error), len(alphas))
     rows = []
     floor = math.inf
     witness = None
-    for alpha in alpha_grid:
-        alpha = float(alpha)
-        cos_a = math.cos(alpha)
-        if any(abs(cos_a - x) < 1e-9 for x in EXCLUDED_COSINES):
-            raise ExcludedAngleError(
-                f"cos(alpha) = {cos_a!r} is in the excluded set {EXCLUDED_COSINES}"
-            )
-        pair = grassmannian.hopf_eigenvectors(alpha, bundle)
+    for alpha, pair in zip(alphas, grassmannian.hopf_eigenvectors(alphas[:stop], bundle)):
         if pair.residual > 1e-8:
             raise NormalizationError(
                 f"model eigenvector residual {pair.residual!r} too large at alpha={alpha!r}"
@@ -748,6 +759,8 @@ def theorem3_sweep(
         if residual < floor:
             floor = residual
             witness = {"alpha": alpha, "c": 1.0, "residual": residual}
+    if stop < len(alphas):
+        raise errors[stop]
     return Certificate(
         verdict="contradiction" if floor > 0.0 else "equivalent",
         residual=float(floor),

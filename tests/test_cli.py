@@ -591,6 +591,42 @@ class TestBatchedHandlers:
         assert code == (cli.EXIT_OK if passed else cli.EXIT_NEGATIVE)
 
 
+class TestInputOrder:
+    """theorem3 measures its grid in one batch yet reports the first failing
+    angle in grid order; grassmannian-check checks --alpha before its
+    tensor loop."""
+
+    @pytest.mark.parametrize("grid", ["0.01:1.6:50", "0.3:1.6:50",
+                                      "0.2:0.6435011087932844:5"])
+    def test_theorem3_reports_the_first_failing_angle(self, capsys, grid):
+        # each grid ends past pi/2 or at the excluded cosine 4/5, which the
+        # sweep checks before any model evaluation; the ratio check of the
+        # first angle still comes first
+        code, out, err = run_cli(capsys, "theorem3", "--alpha-grid", grid,
+                                 "--tol", "ratio=1e-20")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("curvadapt: error: eigenvalue ratio defect ")
+        assert err.endswith(f" at alpha={float(grid.split(':')[0])!r}\n")
+
+    def test_grassmannian_check_rejects_a_boundary_alpha_first(self, capsys, monkeypatch):
+        from curvadapt import grassmannian
+
+        calls = []
+        kernel = grassmannian.curvature_g2
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(grassmannian, "curvature_g2", counting)
+        code, out, err = run_cli(capsys, "grassmannian-check", "--alpha", "0",
+                                 "--triples", "5000")
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "need 0 < alpha < pi/2" in err
+        # neither the tensor loop nor the Jacobi build of the eigenpair ran
+        assert calls == []
+
+
 class TestTabularFormats:
     def test_csv_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "tube-table", "--ambient", "op2",

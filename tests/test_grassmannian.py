@@ -5,6 +5,7 @@ import pytest
 
 from curvadapt import grassmannian as g
 from curvadapt.errors import BoundaryAngleError, NormalizationError
+from curvadapt.tube_flow import linspace
 from helpers import rotated
 
 
@@ -101,8 +102,9 @@ class TestCurvatureTensor:
 
 class TestAlphaDecomposition:
     def test_alpha_law_along_the_sweep(self, bundle):
-        for alpha in np.linspace(0.05, np.pi / 2 - 0.05, 15):
-            assert abs(g.hopf_eigenvectors(alpha, bundle).alpha - alpha) <= 1e-9
+        alphas = np.linspace(0.05, np.pi / 2 - 0.05, 15)
+        for alpha, pair in zip(alphas, g.hopf_eigenvectors(alphas, bundle)):
+            assert abs(pair.alpha - alpha) <= 1e-9
 
     def test_out_of_range_angle_rejected(self, bundle):
         with pytest.raises(BoundaryAngleError):
@@ -113,15 +115,15 @@ class TestAlphaDecomposition:
 
 class TestHopfEigenvectors:
     def test_eigenvalue_law(self, bundle):
-        for alpha in np.linspace(0.1, np.pi / 2 - 0.1, 12):
-            pair = g.hopf_eigenvectors(alpha, bundle)
+        alphas = np.linspace(0.1, np.pi / 2 - 0.1, 12)
+        for alpha, pair in zip(alphas, g.hopf_eigenvectors(alphas, bundle)):
             assert abs(pair.lambda1 - 4.0 * (1.0 + np.cos(alpha))) <= 1e-9
             assert abs(pair.lambda2 - 4.0 * (1.0 - np.cos(alpha))) <= 1e-9
             assert pair.residual <= 1e-9
 
     def test_eigenvalue_ratio(self, bundle):
         alpha = 0.7
-        pair = g.hopf_eigenvectors(alpha, bundle)
+        (pair,) = g.hopf_eigenvectors([alpha], bundle)
         # the theorem-3 rows and grassmannian-check read this defect, taken
         # at the requested angle with math.cos
         expected = (1.0 + math.cos(alpha)) / (1.0 - math.cos(alpha))
@@ -131,9 +133,9 @@ class TestHopfEigenvectors:
 
     def test_boundary_angles_rejected(self, bundle):
         with pytest.raises(BoundaryAngleError):
-            g.hopf_eigenvectors(0.0, bundle)
+            g.hopf_eigenvectors([0.0], bundle)
         with pytest.raises(BoundaryAngleError):
-            g.hopf_eigenvectors(np.pi / 2, bundle)
+            g.hopf_eigenvectors([np.pi / 2], bundle)
 
     def test_measured_constant_is_four(self, bundle):
         assert abs(g.eigenvalue_constant(bundle) - 4.0) <= 1e-9
@@ -227,3 +229,33 @@ class TestBatchedKernels:
         cols = [g.curvature_g2(e, xi, xi, big, verbatim) for e in np.eye(big.dim)]
         op = g.jacobi_operator_g2(xi, big, verbatim)
         assert np.array_equal(op.matrix, np.column_stack(cols))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("grid", [(0.25, 1.30, 24), (0.01, 1.56, 200)])
+    def test_batched_hopf_pairs_equal_per_angle_calls(self, m, grid):
+        big = g.StructureBundle.standard(m)
+        alphas = linspace(*grid)
+        per_angle = [g.hopf_eigenvectors([a], big)[0] for a in alphas]
+        assert g.hopf_eigenvectors(alphas, big) == per_angle
+
+    def test_batch_names_the_first_boundary_angle(self, bundle):
+        with pytest.raises(BoundaryAngleError, match="got 2.0"):
+            g.hopf_eigenvectors([0.5, 2.0, -1.0], bundle)
+        with pytest.raises(BoundaryAngleError, match="alpha=0.0"):
+            g.hopf_eigenvectors([0.5, 0.0, 1.0], bundle)
+        assert g.hopf_eigenvectors([], bundle) == []
+
+    def test_no_sweep_angle_measures_on_the_boundary(self, bundle):
+        # the theorem-3 sweep batches every angle that passes its excluded-
+        # cosine and range checks; none of them may raise in the batch, or
+        # the sweep would report it before an earlier row's error.  Below
+        # pi/2 the excluded cosine 0 stops at cos = 1e-9: check the floats
+        # around it
+        alphas = [math.acos(1e-9)]
+        for _ in range(2000):
+            alphas.append(math.nextafter(alphas[-1], 0.0))
+        for _ in range(2000):
+            alphas.insert(0, math.nextafter(alphas[0], 2.0))
+        sweep = [a for a in alphas if abs(math.cos(a)) >= 1e-9]
+        assert len(sweep) > 1000
+        assert len(g.hopf_eigenvectors(sweep, bundle)) == len(sweep)
