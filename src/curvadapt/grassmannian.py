@@ -191,8 +191,10 @@ def angle_error(alpha: float) -> BoundaryAngleError | None:
 class HopfPair:
     """The two distinguished eigenvalues of K_xi at a measured angle.
 
-    ``ratio_defect`` is |lambda1 / lambda2 - (1 + cos a) / (1 - cos a)| at
-    the requested angle a; ``alpha`` is the angle measured back from xi.
+    ``alpha`` is measured back from xi.  ``ratio_defect`` is the ratio law
+    at the requested angle a without its division, |lambda1 (1 - cos a) -
+    lambda2 (1 + cos a)|; so a tolerance tol misses a relative error in
+    lambda2 below about tol / (2 lambda2), 5e-9 / lambda2 at tol = 1e-8.
     """
 
     lambda1: float
@@ -211,9 +213,8 @@ def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
     from (J1 xi, J1 Z) at beta = alpha / 2.
 
     Raises:
-        BoundaryAngleError: for the first angle outside [0, pi/2]; else for
-            the first whose measured angle is 0 or pi/2, where Z (or the J1
-            choice) degenerates and the pair is not well defined.
+        BoundaryAngleError: for the first angle outside [0, pi/2], else the
+            first measured at 0 or pi/2, where Z (or J1) is not well defined.
     """
     alphas = [float(a) for a in alphas]
     xi = np.array([unit_with_angle(a, bundle) for a in alphas]).reshape(-1, bundle.dim)
@@ -236,7 +237,7 @@ def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
     r = kx - lam[..., None] * x
     residual = np.sqrt(np.vecdot(r, r)).max(axis=0)
     cos_a = np.array([math.cos(a) for a in alphas])  # of the requested angles
-    defect = np.abs(lam[0] / lam[1] - (1.0 + cos_a) / (1.0 - cos_a))
+    defect = np.abs(lam[0] * (1.0 - cos_a) - lam[1] * (1.0 + cos_a))
     rows = zip(*lam.tolist(), residual.tolist(), measured.tolist(), defect.tolist())
     return [HopfPair(*row) for row in rows]
 

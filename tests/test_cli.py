@@ -718,6 +718,14 @@ class TestPayloadContent:
         assert payload["verbatim_pair_defect"] > 1e-3
         assert abs(payload["eigenvalue_constant"] - 4.0) <= 1e-9
 
+    @pytest.mark.parametrize("alpha", ["0.01", "0.001"])
+    def test_exact_model_passes_at_small_angles(self, capsys, alpha):
+        code, sweep, _ = run_json(capsys, "theorem3", "--alpha-grid", f"{alpha}:{alpha}:1")
+        assert code == cli.EXIT_NEGATIVE and sweep["verdict"] == "contradiction"
+        code, check, _ = run_json(capsys, "grassmannian-check", "--alpha", alpha)
+        assert code == cli.EXIT_OK and check["passed"] is True
+        assert check["ratio_defect"] == sweep["details"]["alphas"][0]["ratio_defect"]
+
     def test_theorem3_row_and_grassmannian_check_share_the_ratio_defect(self, capsys):
         _, sweep, _ = run_json(capsys, "theorem3", "--alpha-grid", "0.7:0.7:1")
         _, check, _ = run_json(capsys, "grassmannian-check", "--alpha", "0.7")

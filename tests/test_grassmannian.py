@@ -124,12 +124,19 @@ class TestHopfEigenvectors:
     def test_eigenvalue_ratio(self, bundle):
         alpha = 0.7
         (pair,) = g.hopf_eigenvectors([alpha], bundle)
-        # the theorem-3 rows and grassmannian-check read this defect, taken
-        # at the requested angle with math.cos
-        expected = (1.0 + math.cos(alpha)) / (1.0 - math.cos(alpha))
-        assert abs(pair.lambda1 / pair.lambda2 - expected) <= 1e-9
+        # the theorem-3 rows and grassmannian-check read this defect: the
+        # ratio law without its division, at the requested angle with math.cos
+        c = math.cos(alpha)
+        assert abs(pair.lambda1 / pair.lambda2 - (1.0 + c) / (1.0 - c)) <= 1e-9
         assert pair.ratio_defect <= 1e-9
-        assert pair.ratio_defect == abs(pair.lambda1 / pair.lambda2 - expected)
+        assert pair.ratio_defect == abs(pair.lambda1 * (1.0 - c) - pair.lambda2 * (1.0 + c))
+
+    def test_exact_model_meets_the_ratio_law_at_small_angles(self, bundle):
+        # the divided ratio grows like 4 / alpha^2, and its absolute error
+        # was 5.6e-8 at alpha = 0.01; the cross-multiplied law stays at the
+        # eigenvalue scale
+        for pair in g.hopf_eigenvectors([1e-5, 1e-4, 1e-3, 0.01, 0.7, 1.57], bundle):
+            assert pair.ratio_defect <= 1e-14
 
     def test_boundary_angles_rejected(self, bundle):
         with pytest.raises(BoundaryAngleError):
