@@ -159,7 +159,9 @@ def _jacobi_matrices(xi, bundle: StructureBundle, verbatim: bool = False) -> np.
     return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
 
-def jacobi_operator_g2(xi, bundle: StructureBundle, verbatim=False) -> SelfAdjointOperator:
+def jacobi_operator_g2(
+    xi: np.ndarray, bundle: StructureBundle, verbatim: bool = False
+) -> SelfAdjointOperator:
     """Normal Jacobi operator K_xi = R(., xi) xi on R^{4m}."""
     return SelfAdjointOperator(_jacobi_matrices(xi, bundle, verbatim))
 
