@@ -6,9 +6,9 @@ OLD_SRC and NEW_SRC are directories that hold a ``curvadapt`` package,
 such as ``src`` of two checkouts.  Each tree runs in one subprocess that
 calls ``curvadapt.cli.main`` in-process over a fixed corpus and records
 the exit code, stdout and stderr of every argv.  The corpus is the argv of
-the three perfbench workloads at seeds 1, 11, 12 and 777, plus theorem-3
-and grassmannian-check edge cases.  Prints each argv whose results differ
-and exits 1 if there is one, else exits 0.
+the three perfbench workloads at seeds 1, 11, 12 and 777, plus theorem-3,
+grassmannian-check and tube-table edge cases.  Prints each argv whose
+results differ and exits 1 if there is one, else exits 0.
 """
 
 from __future__ import annotations
@@ -40,6 +40,24 @@ EDGES = [
     ["grassmannian-check", "--alpha", alpha, "--triples", "3", "--m", m]
     for alpha in ("0", "0.001", "0.01", "0.7", "1.5707963267948966", "2", "-0.1")
     for m in ("2", "5")
+] + [
+    ["tube-table", "--ambient", ambient, "--core", core, *radius]
+    for ambient, core, radius in (
+        ("op2", "horosphere", []),
+        ("oh2", "horosphere", ["--radius", "1"]),
+        ("op2", "point", []),
+        ("op2", "point", ["--radius=-0.3"]),
+        ("oh2", "line", ["--radius=-0.3"]),
+        ("op2", "line", ["--radius", "0"]),
+        ("oh2", "hp2", ["--radius", "0"]),
+        ("op2", "hp2", ["--radius", "0.7853981633974483"]),
+        ("op2", "line", ["--radius", "1.5707963267948966"]),
+        ("oh2", "point", ["--radius", "1e-300"]),
+        ("oh2", "point", ["--radius", "800"]),
+    )
+] + [
+    ["tube-table", "--ambient", ambient, "--core", "hp2", "--radius", "0.3", "--format", fmt]
+    for ambient in ("op2", "oh2") for fmt in ("csv", "md")
 ]
 
 

@@ -6,7 +6,8 @@ Submodule map:
     operators      eigencluster bookkeeping for self-adjoint operators
     cayley_plane   sixteen-dimensional curvature tensor, Jacobi operators
     grassmannian   Kaehler + quaternionic structure bundles and their tensor
-    tube_flow      Riccati evolution, tube spectra, focal-configuration search
+    tube_flow      branch kernel and Riccati evolution, focal-configuration
+                   search, tube spectra built from its core catalog
     isoparametric  mean-curvature profiles, pole stripping, power-sum cascade
     certificates   verdict objects shared by the oracles
     cli            command-line front end
@@ -25,11 +26,10 @@ from .errors import (
     ExcludedAngleError,
     FocalPointError,
     InconsistentPowerSumsError,
-    NoMinimalTubeError,
     NormalizationError,
     UnsupportedRegimeError,
 )
-from .tube_flow import CurvatureBranch, PCSystem, TubeDescriptor
+from .tube_flow import CurvatureBranch, PCSystem
 
 __version__ = "0.1.0"
 
@@ -53,12 +53,10 @@ __all__ = [
     "ExcludedAngleError",
     "FocalPointError",
     "InconsistentPowerSumsError",
-    "NoMinimalTubeError",
     "NormalizationError",
     "PCSystem",
     "SelfAdjointOperator",
     "Spectrum",
-    "TubeDescriptor",
     "UnsupportedRegimeError",
     "__version__",
 ]

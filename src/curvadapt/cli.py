@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import isoparametric, octonion_table, tube_flow
 from .errors import CurvAdaptError
-from .tube_flow import CurvatureBranch, PCSystem, TubeDescriptor
+from .tube_flow import CurvatureBranch, PCSystem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -308,12 +308,9 @@ def _cmd_tube_table(args, config):
     if args.core == "horosphere":
         if args.radius is not None:
             raise _UsageError("--radius is meaningless for a horosphere")
-        descriptor = TubeDescriptor(args.ambient, args.core, None)
-    else:
-        if args.radius is None:
-            raise _UsageError(f"--radius is required for core {args.core!r}")
-        descriptor = TubeDescriptor(args.ambient, args.core, args.radius)
-    system = tube_flow.tube_spectrum(descriptor)
+    elif args.radius is None:
+        raise _UsageError(f"--radius is required for core {args.core!r}")
+    system = tube_flow.tube_spectrum(args.ambient, args.core, args.radius)
     rows = [
         {
             "value": tube_flow.evolve(b, 0.0),
@@ -462,7 +459,7 @@ def _selftest_checks(seed: int):
 
     sums_ok = True
     for ambient, core in (("op2", "line"), ("op2", "hp2"), ("oh2", "hp2")):
-        system = tube_flow.tube_spectrum(TubeDescriptor(ambient, core, 0.3))
+        system = tube_flow.tube_spectrum(ambient, core, 0.3)
         sums_ok = sums_ok and system.total_multiplicity == 15
     record("tube_multiplicity_sum", sums_ok, "all columns sum to 15")
 

@@ -27,10 +27,6 @@ class FocalPointError(CurvAdaptError):
         self.focal_radius = focal_radius
 
 
-class NoMinimalTubeError(CurvAdaptError):
-    """A tube family whose mean curvature vanishes at no radius."""
-
-
 class BoundaryAngleError(CurvAdaptError):
     """An operation requested at an angle where its output degenerates."""
 

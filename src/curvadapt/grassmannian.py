@@ -10,8 +10,10 @@ J3 J1 = J2 hold exactly; the relations are verified, never assumed.
 The curvature tensor implemented by default repairs a sign-level defect in
 one published display of this tensor: the second term of each Kaehler and
 quaternionic block must read <JX,Z> JY (respectively <J_nu X,Z> J_nu Y).
-The uncorrected reading ("verbatim=True") is kept only as a negative
-control: it fails the pair-symmetry identity and is rejected by tests.
+The uncorrected reading (``curvature_g2(..., verbatim=True)``) is kept
+only as a negative control: it fails the pair-symmetry identity and is
+rejected by tests.  It cannot change a Jacobi operator R(., xi) xi, where
+Y = Z makes both readings agree.
 
 For a unit tangent xi, the angle alpha in [0, pi/2] measures how far J xi
 leans out of the quaternionic span of xi:  J xi = cos(alpha) J1 xi +
@@ -150,20 +152,18 @@ def curvature_g2(
     return out
 
 
-def _jacobi_matrices(xi, bundle: StructureBundle, verbatim: bool = False) -> np.ndarray:
+def _jacobi_matrices(xi, bundle: StructureBundle) -> np.ndarray:
     """C-order K_xi = R(., xi) xi per row of xi (..., 4m); the one unit check."""
     xi = np.asarray(xi, dtype=float)[..., None, :]
     if np.any(np.abs(np.sqrt(np.vecdot(xi, xi)) - 1.0) > _UNIT_TOL):
         raise NormalizationError("xi must be a unit vector")
-    rows = curvature_g2(np.eye(bundle.dim), xi, xi, bundle, verbatim)
+    rows = curvature_g2(np.eye(bundle.dim), xi, xi, bundle)
     return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
 
-def jacobi_operator_g2(
-    xi: np.ndarray, bundle: StructureBundle, verbatim: bool = False
-) -> SelfAdjointOperator:
+def jacobi_operator_g2(xi: np.ndarray, bundle: StructureBundle) -> SelfAdjointOperator:
     """Normal Jacobi operator K_xi = R(., xi) xi on R^{4m}."""
-    return SelfAdjointOperator(_jacobi_matrices(xi, bundle, verbatim))
+    return SelfAdjointOperator(_jacobi_matrices(xi, bundle))
 
 
 def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:

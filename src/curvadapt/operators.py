@@ -66,11 +66,10 @@ class SelfAdjointOperator:
                 start = i
         return Spectrum(clusters=tuple(clusters))
 
-    def max_eigen_residual(self, spectrum: Spectrum | None = None) -> float:
-        """max over clustered eigenvectors of |K v - lambda v|."""
-        spec = spectrum if spectrum is not None else self.spectrum()
+    def max_eigen_residual(self, spectrum: Spectrum) -> float:
+        """max over the spectrum's clustered eigenvectors of |K v - lambda v|."""
         worst = 0.0
-        for c in spec.clusters:
+        for c in spectrum.clusters:
             resid = self.matrix @ c.vectors - c.value * c.vectors
             worst = max(worst, float(np.max(np.abs(resid))) if resid.size else 0.0)
         return worst

@@ -27,12 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .certificates import Certificate
-from .errors import (
-    ExcludedAngleError,
-    FocalPointError,
-    NoMinimalTubeError,
-    NormalizationError,
-)
+from .errors import ExcludedAngleError, FocalPointError, NormalizationError
 
 _CONST_REGIME_RTOL = 1e-12
 
@@ -107,7 +102,7 @@ class CurvatureBranch:
     def regime(self) -> str:
         if self.space_sign == 1:
             return "compact"
-        if self.space_sign == 0 or self.kappa == 0.0:
+        if self.space_sign == 0:
             return "flat"
         lam0 = abs(self.phase)
         if abs(lam0 - self.kappa) <= _CONST_REGIME_RTOL * max(1.0, self.kappa):
@@ -220,129 +215,57 @@ AMBIENTS = ("op2", "oh2")
 CORES = ("point", "line", "hp2", "horosphere")
 
 
-@dataclass(frozen=True)
-class TubeDescriptor:
-    """A tube: ambient plane, totally geodesic core, and radius.
+def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
+    """Principal-curvature system of the tube of the given radius about a
+    totally geodesic core, with multiplicities.
 
     The horosphere is the radius-free limit object of the hyperbolic
-    ambient; its descriptor takes radius None.
+    ambient and takes radius None.  A tube about a catalog core is the
+    theorem-2 configuration whose focal set Q1 is that core
+    (_catalog_configuration; its phases at Q1 do not depend on g).  In op2
+    it is realized at distance radius from Q1, so evolving toward the core
+    (increasing t) focalizes the normal branches at t = radius.  In oh2 a
+    phase-0 branch is normal to the core and starts at kappa coth(kappa r);
+    a tangent one (phase pi/2) starts at kappa tanh(kappa r).
+
+    Raises:
+        NormalizationError: on an unknown ambient or core, a horosphere
+            outside oh2 or with a radius, or a radius that is not positive.
+        FocalPointError: if an op2 radius reaches the focal set of the core,
+            at pi/2 (pi/4 for hp2); focal_radius is that limit.
     """
-
-    ambient: str
-    core: str
-    radius: float | None
-
-    def __post_init__(self):
-        if self.ambient not in AMBIENTS:
-            raise NormalizationError(f"ambient must be one of {AMBIENTS}: {self.ambient!r}")
-        if self.core not in CORES:
-            raise NormalizationError(f"core must be one of {CORES}: {self.core!r}")
-        if self.core == "horosphere":
-            if self.ambient != "oh2":
-                raise NormalizationError("horospheres only exist in the hyperbolic plane")
-            if self.radius is not None:
-                raise NormalizationError("a horosphere has no radius; pass None")
-            return
-        if self.radius is None or self.radius <= 0.0:
-            raise NormalizationError(f"tube radius must be positive, got {self.radius!r}")
-        if self.ambient == "op2":
-            limit = math.pi / 4 if self.core == "hp2" else math.pi / 2
-            if self.radius >= limit:
-                raise FocalPointError(
-                    f"radius {self.radius!r} reaches the focal set of core "
-                    f"{self.core!r} at {limit!r}",
-                    focal_radius=limit,
-                )
-
-
-def jacobi_tube_curvature(kappa_sq: float, boundary: str, r: float) -> float:
-    """Principal curvature of a tube branch from the Jacobi equation Y'' + kappa_sq Y = 0.
-
-    Args:
-        kappa_sq: Jacobi eigenvalue; positive compact, negative hyperbolic,
-            zero flat.
-        boundary: "tangent" for directions tangent to the core
-            (Y(0)=1, Y'(0)=0), "normal" for directions normal to it
-            (Y(0)=0, Y'(0)=1).
-        r: tube radius, inside the first focal radius.
-    """
-    if boundary not in ("tangent", "normal"):
-        raise NormalizationError(f"boundary must be tangent|normal: {boundary!r}")
-    if r <= 0.0:
-        raise NormalizationError(f"radius must be positive: {r!r}")
-    if kappa_sq > 0.0:
-        k = math.sqrt(kappa_sq)
-        if boundary == "tangent":
-            if k * r >= math.pi / 2:
-                raise FocalPointError(
-                    "tangent branch focalizes", focal_radius=math.pi / (2 * k)
-                )
-            return -k * math.tan(k * r)
-        if k * r >= math.pi:
-            raise FocalPointError("normal branch focalizes", focal_radius=math.pi / k)
-        return k / math.tan(k * r)
-    if kappa_sq < 0.0:
-        k = math.sqrt(-kappa_sq)
-        if boundary == "tangent":
-            return k * math.tanh(k * r)
-        return k / math.tanh(k * r)
-    return 0.0 if boundary == "tangent" else 1.0 / r
-
-
-def tube_spectrum(descriptor: TubeDescriptor) -> PCSystem:
-    """Principal-curvature system of the tube, with multiplicities.
-
-    A tube about a catalog core is the theorem-2 configuration whose focal
-    set Q1 is that core (_catalog_configuration; its phases at Q1 do not
-    depend on g).  In op2 it is realized at distance radius from Q1, so
-    evolving toward the core (increasing t) focalizes the normal branches
-    at t = radius.  In oh2 each branch starts from jacobi_tube_curvature:
-    phase 0 is a direction normal to the core, phase pi/2 a tangent one.
-    """
-    if descriptor.core == "horosphere":
+    if ambient not in AMBIENTS:
+        raise NormalizationError(f"ambient must be one of {AMBIENTS}: {ambient!r}")
+    if core not in CORES:
+        raise NormalizationError(f"core must be one of {CORES}: {core!r}")
+    if core == "horosphere":
+        if ambient != "oh2":
+            raise NormalizationError("horospheres only exist in the hyperbolic plane")
+        if radius is not None:
+            raise NormalizationError("a horosphere has no radius; pass None")
         return PCSystem(
             branches=(
                 CurvatureBranch.hyperbolic(1.0, 1.0, 8),
                 CurvatureBranch.hyperbolic(2.0, 2.0, 7),
             )
         )
-    r = descriptor.radius
-    cfg = _catalog_configuration(1, "q1", descriptor.core)
-    if descriptor.ambient == "op2":
-        return cfg.realize(r)
-    return PCSystem(branches=tuple(
-        CurvatureBranch.hyperbolic(
-            float(k), jacobi_tube_curvature(-float(k * k), "tangent" if p else "normal", r), m
+    if radius is None or radius <= 0.0:
+        raise NormalizationError(f"tube radius must be positive, got {radius!r}")
+    cfg = _catalog_configuration(1, "q1", core)
+    if ambient == "oh2":
+        return PCSystem(branches=tuple(
+            CurvatureBranch.hyperbolic(
+                float(k), k * math.tanh(k * radius) if p else k / math.tanh(k * radius), m
+            )
+            for k, p, m in cfg.branches_at("q1")
+        ))
+    limit = math.pi / 4 if core == "hp2" else math.pi / 2
+    if radius >= limit:
+        raise FocalPointError(
+            f"radius {radius!r} reaches the focal set of core {core!r} at {limit!r}",
+            focal_radius=limit,
         )
-        for k, p, m in cfg.branches_at("q1")
-    ))
-
-
-#: Zeros of the op2 tube mean curvature, from the tube_spectrum tables with
-#: 2 cot 2r = cot r - tan r:  H = 15 cot r - 7 tan r (point),
-#: 7 cot r - 15 tan r (line), 14 cot 2r - 8 tan 2r (hp2).
-_MINIMAL_TUBE_RADII = {
-    "point": math.atan(math.sqrt(15.0 / 7.0)),
-    "line": math.atan(math.sqrt(7.0 / 15.0)),
-    "hp2": 0.5 * math.atan(math.sqrt(7.0 / 4.0)),
-}
-
-
-def minimal_tube_radius(ambient: str, core: str) -> float:
-    """Radius at which the tube's mean curvature vanishes, in closed form.
-
-    Raises:
-        NoMinimalTubeError: in oh2, where every branch value of every tube
-            and of the horosphere is positive, so no radius is minimal.
-        NormalizationError: for an unknown ambient or core, or a
-            horosphere outside oh2.
-    """
-    if ambient == "op2" and core in _MINIMAL_TUBE_RADII:
-        return _MINIMAL_TUBE_RADII[core]
-    TubeDescriptor(ambient, core, None if core == "horosphere" else 1.0)
-    raise NoMinimalTubeError(
-        f"the mean curvature never vanishes for core {core!r} in {ambient!r}"
-    )
+    return cfg.realize(radius)
 
 
 # --------------------------------------------------------------------------

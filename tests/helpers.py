@@ -1,8 +1,9 @@
 """Helpers that only the tests use, built on the package's public kernels.
 
 They construct, transform or probe the package's objects in ways no
-subcommand needs: re-based and value-seeded branches, adapted eigenframes,
-rotated quaternionic triples, octonion associators.
+subcommand needs: re-based and value-seeded branches, the Jacobi closed
+form and minimal radii of tubes, adapted eigenframes, rotated quaternionic
+triples, octonion associators.
 """
 
 import math
@@ -11,12 +12,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from curvadapt import cayley_plane
-from curvadapt.errors import FocalPointError, NormalizationError, UnsupportedRegimeError
+from curvadapt.errors import (
+    CurvAdaptError,
+    FocalPointError,
+    NormalizationError,
+    UnsupportedRegimeError,
+)
 from curvadapt.grassmannian import StructureBundle
 from curvadapt.isoparametric import default_window
 from curvadapt.octonion import multiply
 from curvadapt.operators import Spectrum
-from curvadapt.tube_flow import CurvatureBranch, PCSystem, branch_value, evolve, linspace
+from curvadapt.tube_flow import (
+    CurvatureBranch,
+    PCSystem,
+    branch_value,
+    evolve,
+    linspace,
+    tube_spectrum,
+)
 
 # --------------------------------------------------------------------------
 # Branches and systems
@@ -107,6 +120,54 @@ def branch_sign_divergence(
         if (a > 0) != (b > 0):
             return t
     return None
+
+
+# --------------------------------------------------------------------------
+# Tubes
+# --------------------------------------------------------------------------
+
+
+def jacobi_tube_curvature(kappa_sq: float, boundary: str, r: float) -> float:
+    """Y'(r) / Y(r) for the Jacobi field Y'' + kappa_sq Y = 0, the principal
+    curvature at radius r of a tube branch with Jacobi eigenvalue kappa_sq
+    (positive compact, negative hyperbolic).  A "tangent" direction of the
+    core starts at Y(0) = 1, Y'(0) = 0, a "normal" one at Y(0) = 0, Y'(0) = 1.
+    """
+    k = math.sqrt(abs(kappa_sq))
+    if kappa_sq > 0.0:
+        return -k * math.tan(k * r) if boundary == "tangent" else k / math.tan(k * r)
+    return k * math.tanh(k * r) if boundary == "tangent" else k / math.tanh(k * r)
+
+
+class NoMinimalTubeError(CurvAdaptError):
+    """A tube family whose mean curvature vanishes at no radius."""
+
+
+#: Zeros of the op2 tube mean curvature, from the tube_spectrum tables with
+#: 2 cot 2r = cot r - tan r:  H = 15 cot r - 7 tan r (point),
+#: 7 cot r - 15 tan r (line), 14 cot 2r - 8 tan 2r (hp2).
+_MINIMAL_TUBE_RADII = {
+    "point": math.atan(math.sqrt(15.0 / 7.0)),
+    "line": math.atan(math.sqrt(7.0 / 15.0)),
+    "hp2": 0.5 * math.atan(math.sqrt(7.0 / 4.0)),
+}
+
+
+def minimal_tube_radius(ambient: str, core: str) -> float:
+    """Radius at which the tube's mean curvature vanishes, in closed form.
+
+    Raises:
+        NoMinimalTubeError: in oh2, where every branch value of every tube
+            and of the horosphere is positive, so no radius is minimal.
+        NormalizationError: for an unknown ambient or core, or a
+            horosphere outside oh2.
+    """
+    if ambient == "op2" and core in _MINIMAL_TUBE_RADII:
+        return _MINIMAL_TUBE_RADII[core]
+    tube_spectrum(ambient, core, None if core == "horosphere" else 1.0)
+    raise NoMinimalTubeError(
+        f"the mean curvature never vanishes for core {core!r} in {ambient!r}"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_criterion_4_tube_tables_vs_goldens(capsys):
                 golden = json.loads(
                     (GOLDEN_DIR / f"tube_{ambient}_{core}_{tag}.json").read_text()
                 )
-                system = tf.tube_spectrum(tf.TubeDescriptor(ambient, core, radius))
+                system = tf.tube_spectrum(ambient, core, radius)
                 got = sorted(values_at(system, 0.0))
                 expected = sorted(
                     (row["value"], row["multiplicity"]) for row in golden["rows"]
@@ -144,7 +144,7 @@ def test_criterion_4_tube_tables_vs_goldens(capsys):
                     sums_ok = sums_ok and gm == em
                 compared += 1
     golden = json.loads((GOLDEN_DIR / "tube_oh2_horosphere.json").read_text())
-    system = tf.tube_spectrum(tf.TubeDescriptor("oh2", "horosphere", None))
+    system = tf.tube_spectrum("oh2", "horosphere", None)
     got = sorted(values_at(system, 0.0))
     expected = sorted((row["value"], row["multiplicity"]) for row in golden["rows"])
     sums_ok = sums_ok and got == expected and sum(m for _, m in got) == 15

@@ -27,8 +27,6 @@ ALLOWED_UNREFERENCED = {
     "operators.SelfAdjointOperator.symmetry_defect": "a stored fault check",
     "tube_flow.enumerate_focal_configurations":
         "the brute-force oracle, named in the perfbench LAYERS",
-    "tube_flow.minimal_tube_radius":
-        "waits on joining the op2 tube-table payload or moving to the tests",
     "tube_flow.theorem3_boundary_case": "to become the boundary block of theorem3",
 }
 

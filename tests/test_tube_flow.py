@@ -9,13 +9,16 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from curvadapt import tube_flow as tf
-from curvadapt.errors import (
-    ExcludedAngleError,
-    FocalPointError,
+from curvadapt.errors import ExcludedAngleError, FocalPointError, NormalizationError
+from helpers import (
     NoMinimalTubeError,
-    NormalizationError,
+    branch_from_value,
+    focal_radius,
+    jacobi_tube_curvature,
+    minimal_tube_radius,
+    translated,
+    values_at,
 )
-from helpers import branch_from_value, focal_radius, translated, values_at
 
 
 def sample_branches(rng, n):
@@ -236,7 +239,7 @@ class TestBranchProperties:
 class TestTubeTables:
     def test_point_tube_closed_forms(self):
         r = math.pi / 8
-        system = tf.tube_spectrum(tf.TubeDescriptor("op2", "point", r))
+        system = tf.tube_spectrum("op2", "point", r)
         got = sorted(values_at(system, 0.0))
         expected = sorted([(1.0 / math.tan(r), 8), (2.0 / math.tan(2.0 * r), 7)])
         for (gv, gm), (ev, em) in zip(got, expected):
@@ -245,7 +248,7 @@ class TestTubeTables:
 
     def test_line_tube_closed_forms(self):
         r = math.pi / 6
-        system = tf.tube_spectrum(tf.TubeDescriptor("op2", "line", r))
+        system = tf.tube_spectrum("op2", "line", r)
         got = sorted(values_at(system, 0.0))
         expected = sorted([(-math.tan(r), 8), (2.0 / math.tan(2.0 * r), 7)])
         for (gv, gm), (ev, em) in zip(got, expected):
@@ -254,7 +257,7 @@ class TestTubeTables:
 
     def test_quaternionic_core_has_four_rows(self):
         r = math.pi / 12
-        system = tf.tube_spectrum(tf.TubeDescriptor("op2", "hp2", r))
+        system = tf.tube_spectrum("op2", "hp2", r)
         got = sorted(values_at(system, 0.0))
         expected = sorted([
             (1.0 / math.tan(r), 4),
@@ -268,7 +271,7 @@ class TestTubeTables:
 
     def test_hyperbolic_tables(self):
         r = 0.5
-        system = tf.tube_spectrum(tf.TubeDescriptor("oh2", "hp2", r))
+        system = tf.tube_spectrum("oh2", "hp2", r)
         got = sorted(values_at(system, 0.0))
         expected = sorted([
             (1.0 / math.tanh(r), 4),
@@ -281,16 +284,16 @@ class TestTubeTables:
             assert gm == em
 
     def test_horosphere_is_radius_free(self):
-        system = tf.tube_spectrum(tf.TubeDescriptor("oh2", "horosphere", None))
+        system = tf.tube_spectrum("oh2", "horosphere", None)
         assert sorted(values_at(system, 0.0)) == [(1.0, 8), (2.0, 7)]
 
     def test_every_table_sums_to_fifteen(self):
         for ambient in tf.AMBIENTS:
             for core in ("point", "line", "hp2"):
                 r = math.pi / 12
-                system = tf.tube_spectrum(tf.TubeDescriptor(ambient, core, r))
+                system = tf.tube_spectrum(ambient, core, r)
                 assert system.total_multiplicity == 15
-        horo = tf.tube_spectrum(tf.TubeDescriptor("oh2", "horosphere", None))
+        horo = tf.tube_spectrum("oh2", "horosphere", None)
         assert horo.total_multiplicity == 15
 
     #: (Jacobi eigenvalue magnitude, boundary, multiplicity) rows per core,
@@ -310,9 +313,9 @@ class TestTubeTables:
         for ambient, sign in (("op2", 1), ("oh2", -1)):
             for core, rows in self.CORE_ROWS.items():
                 r = 0.3
-                system = tf.tube_spectrum(tf.TubeDescriptor(ambient, core, r))
+                system = tf.tube_spectrum(ambient, core, r)
                 direct = sorted(
-                    (tf.jacobi_tube_curvature(sign * mag, boundary, r), m)
+                    (jacobi_tube_curvature(sign * mag, boundary, r), m)
                     for mag, boundary, m in rows
                 )
                 got = sorted(values_at(system, 0.0))
@@ -322,63 +325,63 @@ class TestTubeTables:
 
     def test_normal_branches_focalize_at_core(self):
         r = 0.4
-        system = tf.tube_spectrum(tf.TubeDescriptor("op2", "point", r))
+        system = tf.tube_spectrum("op2", "point", r)
         for branch in system.branches:
             assert abs(focal_radius(branch) - r) <= 1e-12
 
     def test_mean_curvature_example(self):
         r = math.pi / 8
-        h = tf.mean_curvature(tf.tube_spectrum(tf.TubeDescriptor("op2", "line", r)))
+        h = tf.mean_curvature(tf.tube_spectrum("op2", "line", r))
         expected = 8.0 * (-math.tan(r)) + 14.0 / math.tan(2.0 * r)
         assert abs(h - expected) <= 1e-12
 
     def test_minimal_point_tube_radius(self):
-        r = tf.minimal_tube_radius("op2", "point")
+        r = minimal_tube_radius("op2", "point")
         assert abs(r - 0.9714824303776113) <= 1e-9
-        h = tf.mean_curvature(tf.tube_spectrum(tf.TubeDescriptor("op2", "point", r)))
+        h = tf.mean_curvature(tf.tube_spectrum("op2", "point", r))
         assert abs(h) <= 1e-9
 
     @pytest.mark.parametrize("core", ["point", "line", "hp2"])
     def test_minimal_tube_radius_matches_numerical_root(self, core):
         def h(r):
-            return tf.mean_curvature(tf.tube_spectrum(tf.TubeDescriptor("op2", core, r)))
+            return tf.mean_curvature(tf.tube_spectrum("op2", core, r))
 
         limit = math.pi / 4 if core == "hp2" else math.pi / 2
         root = brentq(h, 1e-3, limit - 1e-3, xtol=1e-14)
-        assert abs(tf.minimal_tube_radius("op2", core) - root) <= 1e-12
+        assert abs(minimal_tube_radius("op2", core) - root) <= 1e-12
 
     @pytest.mark.parametrize("core", ["point", "line", "hp2", "horosphere"])
     def test_hyperbolic_tubes_are_never_minimal(self, core):
         with pytest.raises(NoMinimalTubeError):
-            tf.minimal_tube_radius("oh2", core)
+            minimal_tube_radius("oh2", core)
 
 
-class TestTubeDescriptorValidation:
+class TestTubeSpectrumValidation:
     def test_radius_limits_in_compact_ambient(self):
         with pytest.raises(FocalPointError) as err:
-            tf.TubeDescriptor("op2", "point", math.pi / 2)
+            tf.tube_spectrum("op2", "point", math.pi / 2)
         assert abs(err.value.focal_radius - math.pi / 2) <= 1e-15
         with pytest.raises(FocalPointError) as err:
-            tf.TubeDescriptor("op2", "hp2", math.pi / 4)
+            tf.tube_spectrum("op2", "hp2", math.pi / 4)
         assert abs(err.value.focal_radius - math.pi / 4) <= 1e-15
         # hyperbolic ambient has no focal bound
-        tf.TubeDescriptor("oh2", "point", 5.0)
+        tf.tube_spectrum("oh2", "point", 5.0)
 
     def test_horosphere_rules(self):
         with pytest.raises(NormalizationError):
-            tf.TubeDescriptor("op2", "horosphere", None)
+            tf.tube_spectrum("op2", "horosphere", None)
         with pytest.raises(NormalizationError):
-            tf.TubeDescriptor("oh2", "horosphere", 1.0)
+            tf.tube_spectrum("oh2", "horosphere", 1.0)
 
     def test_basic_field_validation(self):
         with pytest.raises(NormalizationError):
-            tf.TubeDescriptor("sphere", "point", 0.3)
+            tf.tube_spectrum("sphere", "point", 0.3)
         with pytest.raises(NormalizationError):
-            tf.TubeDescriptor("op2", "torus", 0.3)
+            tf.tube_spectrum("op2", "torus", 0.3)
         with pytest.raises(NormalizationError):
-            tf.TubeDescriptor("op2", "point", -0.3)
+            tf.tube_spectrum("op2", "point", -0.3)
         with pytest.raises(NormalizationError):
-            tf.TubeDescriptor("op2", "point", None)
+            tf.tube_spectrum("op2", "point", None)
 
 
 class TestFocalEnumeration:
