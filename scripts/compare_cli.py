@@ -5,9 +5,11 @@
 OLD_SRC and NEW_SRC are directories that hold a ``curvadapt`` package,
 such as ``src`` of two checkouts.  Each tree runs in one subprocess that
 calls ``curvadapt.cli.main`` in-process over a fixed corpus and records
-the exit code, stdout and stderr of every argv.  The corpus is the argv of
-the three perfbench workloads at seeds 1, 11, 12 and 777, plus theorem-3,
-grassmannian-check and tube-table edge cases.  Prints each argv whose
+the exit code (a ``SystemExit`` code, as ``--help`` raises, included),
+stdout and stderr of every argv.  The corpus is the argv of the three
+perfbench workloads at seeds 1, 11, 12 and 777, plus theorem-3,
+grassmannian-check and tube-table edge cases, the bare command and the
+help of the command and of each subcommand.  Prints each argv whose
 results differ and exits 1 if there is one, else exits 0.
 """
 
@@ -23,6 +25,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 11, 12, 777)
+SUBCOMMANDS = ("octonion-table", "jacobi-spectrum", "sectional-range", "tube-table",
+               "theorem2", "theorem3", "profile-match", "cascade",
+               "grassmannian-check", "selftest")
 GRIDS = ("0.25:1.30:24", "0.01:1.56:200", "0.001:0.05:9")
 EDGES = [
     ["theorem3", "--alpha-grid", grid, "--constraint", mode, *fmt]
@@ -38,7 +43,7 @@ EDGES = [
     ["theorem3", "--alpha-grid", "1.5707963267948966:1.5707963267948966:1"],
 ] + [
     ["grassmannian-check", "--alpha", alpha, "--triples", "3", "--m", m]
-    for alpha in ("0", "0.001", "0.01", "0.7", "1.5707963267948966", "2", "-0.1")
+    for alpha in ("0", "1e-8", "0.001", "0.01", "0.7", "1.5707963267948966", "2", "-0.1")
     for m in ("2", "5")
 ] + [
     ["tube-table", "--ambient", ambient, "--core", core, *radius]
@@ -54,11 +59,16 @@ EDGES = [
         ("op2", "line", ["--radius", "1.5707963267948966"]),
         ("oh2", "point", ["--radius", "1e-300"]),
         ("oh2", "point", ["--radius", "800"]),
+        # within the branch kernel's 1e-12 pole proximity of a focal set
+        ("oh2", "point", ["--radius", "1e-13"]),
+        ("op2", "point", ["--radius", "1e-13"]),
+        ("op2", "line", ["--radius", "1.5707963267948"]),
+        ("op2", "hp2", ["--radius", "0.7853981633974"]),
     )
 ] + [
     ["tube-table", "--ambient", ambient, "--core", "hp2", "--radius", "0.3", "--format", fmt]
     for ambient in ("op2", "oh2") for fmt in ("csv", "md")
-]
+] + [[], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 
 def corpus() -> list[list[str]]:
@@ -84,7 +94,10 @@ def run_corpus() -> None:
     for argv in json.load(sys.stdin):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse exits after printing help
+                code = exc.code
         results.append([code, out.getvalue(), err.getvalue()])
     json.dump(results, sys.__stdout__)
 

@@ -3,34 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 VERDICTS = ("equivalent", "distinct", "contradiction")
-
-
-def _json_safe(obj: Any) -> Any:
-    """Recursively convert to plain JSON types.
-
-    Non-finite floats pass through unchanged, for the strict
-    (``allow_nan=False``) dump to reject.
-    """
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int,)):
-        return int(obj)
-    if isinstance(obj, float):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    if hasattr(obj, "tolist"):  # numpy array or scalar
-        return _json_safe(obj.tolist())
-    if hasattr(obj, "item"):  # other array-like scalars
-        return _json_safe(obj.item())
-    return str(obj)
 
 
 @dataclass(frozen=True)
@@ -57,11 +31,11 @@ class Certificate:
         return self.verdict == "equivalent"
 
     def to_json_dict(self) -> dict:
-        return _json_safe(
-            {
-                "verdict": self.verdict,
-                "residual": self.residual,
-                "witness": self.witness,
-                "details": self.details,
-            }
-        )
+        """The four fields as built, from plain JSON types; a non-finite
+        number is left for the strict (``allow_nan=False``) dump to reject."""
+        return {
+            "verdict": self.verdict,
+            "residual": self.residual,
+            "witness": self.witness,
+            "details": self.details,
+        }

@@ -15,10 +15,9 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass, field
 
 from . import isoparametric, octonion_table, tube_flow
-from .errors import CurvAdaptError
+from .errors import CurvAdaptError, FocalPointError
 from .tube_flow import CurvatureBranch, PCSystem
 
 EXIT_OK = 0
@@ -45,16 +44,6 @@ _CONSTRAINT_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    format: str = "json"
-    tolerances: dict = field(default_factory=dict)
-
-    def tol(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
-
-
 class _UsageError(Exception):
     pass
 
@@ -65,7 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_tolerances(pairs) -> dict:
-    out = {}
+    """DEFAULT_TOLERANCES with the --tol NAME=VALUE overrides applied."""
+    out = dict(DEFAULT_TOLERANCES)
     for item in pairs or []:
         name, sep, value = item.partition("=")
         if not sep or name not in DEFAULT_TOLERANCES:
@@ -224,29 +214,31 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 # --------------------------------------------------------------------------
-# Subcommand handlers: each returns (payload, table_spec_or_None, exit_code).
+# Subcommand handlers: each takes the parsed args, with args.tolerances
+# holding every named tolerance, and returns (payload, table_spec_or_None,
+# exit_code).
 # numpy and the modules built on it are imported inside the handlers that
 # do linear algebra, so the other subcommands never load them.
 # --------------------------------------------------------------------------
 
 
-def _cmd_octonion_table(args, config):
+def _cmd_octonion_table(args):
     rows = octonion_table.multiplication_table()
     payload = {"dimension": octonion_table.DIM, "products": rows}
     table = (rows, ["i", "j", "sign", "k"])
     return payload, table, EXIT_OK
 
 
-def _cmd_jacobi_spectrum(args, config):
+def _cmd_jacobi_spectrum(args):
     import numpy as np
 
     from . import cayley_plane, grassmannian
 
     if args.space == "cayley":
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(args.seed)
         xi = cayley_plane.random_unit_pair(rng)
         op = cayley_plane.jacobi_operator(xi, sign=args.sign)
-        context = {"space": "cayley", "sign": args.sign, "seed": config.seed}
+        context = {"space": "cayley", "sign": args.sign, "seed": args.seed}
     else:
         bundle = grassmannian.StructureBundle.standard(args.m)
         xi = grassmannian.unit_with_angle(args.alpha, bundle)
@@ -255,21 +247,21 @@ def _cmd_jacobi_spectrum(args, config):
     spec = op.spectrum()
     residual = op.max_eigen_residual(spec)
     clusters = [
-        {"value": c.value, "multiplicity": c.multiplicity} for c in spec.clusters
+        {"value": c.value, "multiplicity": c.multiplicity} for c in spec
     ]
     payload = dict(context, clusters=clusters, max_residual=residual)
-    ok = residual <= config.tol("spectrum_residual")
+    ok = residual <= args.tolerances["spectrum_residual"]
     payload["residual_ok"] = ok
     table = (clusters, ["value", "multiplicity"])
     return payload, table, EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def _cmd_sectional_range(args, config):
+def _cmd_sectional_range(args):
     import numpy as np
 
     from . import cayley_plane
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     lo, hi = math.inf, -math.inf
     for start in range(0, args.samples, BLOCK_ROWS):
         rows = min(BLOCK_ROWS, args.samples - start)
@@ -296,7 +288,7 @@ def _cmd_sectional_range(args, config):
     payload = {
         "sign": args.sign,
         "samples": args.samples,
-        "seed": config.seed,
+        "seed": args.seed,
         "min": lo,
         "max": hi,
         "structured_planes": {"line": line_plane, "transverse": cross_plane},
@@ -304,22 +296,29 @@ def _cmd_sectional_range(args, config):
     return payload, None, EXIT_OK
 
 
-def _cmd_tube_table(args, config):
+def _cmd_tube_table(args):
     if args.core == "horosphere":
         if args.radius is not None:
             raise _UsageError("--radius is meaningless for a horosphere")
     elif args.radius is None:
         raise _UsageError(f"--radius is required for core {args.core!r}")
     system = tube_flow.tube_spectrum(args.ambient, args.core, args.radius)
-    rows = [
-        {
-            "value": tube_flow.evolve(b, 0.0),
-            "multiplicity": b.multiplicity,
-            "kappa": b.kappa,
-            "regime": b.regime,
-        }
-        for b in system.branches
-    ]
+    try:
+        rows = [
+            {
+                "value": tube_flow.evolve(b, 0.0),
+                "multiplicity": b.multiplicity,
+                "kappa": b.kappa,
+                "regime": b.regime,
+            }
+            for b in system.branches
+        ]
+    except FocalPointError:  # the branch kernel's pole proximity
+        raise _UsageError(
+            f"the tube of radius {args.radius!r} lies within "
+            f"{tube_flow.POLE_PROXIMITY!r} of a focal set of core {args.core!r}, "
+            "so no finite table can be evaluated"
+        ) from None
     payload = {
         "ambient": args.ambient,
         "core": args.core,
@@ -331,23 +330,23 @@ def _cmd_tube_table(args, config):
     return payload, table, EXIT_OK
 
 
-def _cmd_theorem2(args, config):
+def _cmd_theorem2(args):
     cert = tube_flow.theorem2_certificate()
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
-def _cmd_theorem3(args, config):
+def _cmd_theorem3(args):
     grid = _parse_alpha_grid(args.alpha_grid)
     constraint = _CONSTRAINT_ALIASES[args.constraint]
     cert = tube_flow.theorem3_sweep(
-        grid, constraint=constraint, ratio_tol=config.tol("ratio")
+        grid, constraint=constraint, ratio_tol=args.tolerances["ratio"]
     )
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
-def _cmd_profile_match(args, config):
+def _cmd_profile_match(args):
     p = _parse_system_json(_load_json_arg(args.p, "--p"), "--p", "p")
     q = _parse_system_json(_load_json_arg(args.q, "--q"), "--q", "q")
     window = _parse_window(args.window) if args.window else None
@@ -355,14 +354,14 @@ def _cmd_profile_match(args, config):
         p,
         q,
         window=window,
-        grid_tol=config.tol("profile_grid"),
-        merge_tol=config.tol("pole_merge"),
+        grid_tol=args.tolerances["profile_grid"],
+        merge_tol=args.tolerances["pole_merge"],
     )
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
-def _cmd_cascade(args, config):
+def _cmd_cascade(args):
     sys_ = _parse_system_json(_load_json_arg(args.system, "--system"), "--system", "p")
     residuals = isoparametric.power_sum_cascade(sys_, args.kmax, args.t)
     payload = {
@@ -370,12 +369,12 @@ def _cmd_cascade(args, config):
         "k_max": args.kmax,
         "residuals": residuals,
         "max_residual": max(residuals),
-        "passed": max(residuals) <= config.tol("cascade"),
+        "passed": max(residuals) <= args.tolerances["cascade"],
     }
     return payload, None, EXIT_OK if payload["passed"] else EXIT_NEGATIVE
 
 
-def _cmd_grassmannian_check(args, config):
+def _cmd_grassmannian_check(args):
     import numpy as np
 
     from . import grassmannian
@@ -383,7 +382,7 @@ def _cmd_grassmannian_check(args, config):
     bundle = grassmannian.StructureBundle.standard(args.m)
     bundle_defect = bundle.verify()
     (hopf,) = grassmannian.hopf_eigenvectors([args.alpha], bundle)  # rejects a boundary alpha
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     dim = bundle.dim
     health = 0.0
     verbatim_defect = 0.0
@@ -407,15 +406,15 @@ def _cmd_grassmannian_check(args, config):
     constant = grassmannian.eigenvalue_constant(bundle)
     passed = (
         bundle_defect <= 1e-10
-        and health <= config.tol("health")
-        and verbatim_defect > config.tol("health")
-        and hopf.residual <= config.tol("spectrum_residual")
-        and hopf.ratio_defect <= config.tol("ratio")
+        and health <= args.tolerances["health"]
+        and verbatim_defect > args.tolerances["health"]
+        and hopf.residual <= args.tolerances["spectrum_residual"]
+        and hopf.ratio_defect <= args.tolerances["ratio"]
     )
     payload = {
         "m": args.m,
         "alpha": args.alpha,
-        "seed": config.seed,
+        "seed": args.seed,
         "triples": args.triples,
         "bundle_defect": bundle_defect,
         "tensor_health": health,
@@ -440,7 +439,7 @@ def _selftest_checks(seed: int):
     def record(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    table = octonion.multiplication_table()
+    table = octonion_table.multiplication_table()
     record("octonion_basis_closure", len(table) == 64, f"{len(table)} products")
 
     a, b = rng.standard_normal((500, 2, 8)).transpose(1, 0, 2)
@@ -453,7 +452,7 @@ def _selftest_checks(seed: int):
     for _ in range(5):
         xi = cayley_plane.random_unit_pair(rng)
         spec = cayley_plane.jacobi_operator(xi).spectrum()
-        pairs = sorted((round(c.value), c.multiplicity) for c in spec.clusters)
+        pairs = sorted((round(c.value), c.multiplicity) for c in spec)
         ok = ok and pairs == [(0, 1), (1, 8), (4, 7)]
     record("cayley_spectrum_shape", ok, "clusters {0:1, 1:8, 4:7}")
 
@@ -501,10 +500,10 @@ def _selftest_checks(seed: int):
     return checks
 
 
-def _cmd_selftest(args, config):
-    checks = _selftest_checks(config.seed)
+def _cmd_selftest(args):
+    checks = _selftest_checks(args.seed)
     all_passed = all(c["passed"] for c in checks)
-    payload = {"seed": config.seed, "checks": checks, "all_passed": all_passed}
+    payload = {"seed": args.seed, "checks": checks, "all_passed": all_passed}
     return payload, None, EXIT_OK if all_passed else EXIT_NEGATIVE
 
 
@@ -614,17 +613,13 @@ def main(argv=None) -> int:
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        config = RunConfig(
-            seed=args.seed,
-            format=args.format,
-            tolerances=_parse_tolerances(args.tol),
-        )
-        payload, table, code = args.handler(args, config)
+        args.tolerances = _parse_tolerances(args.tol)
+        payload, table, code = args.handler(args)
     except (_UsageError, CurvAdaptError) as exc:
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _emit(payload, table, config.format, sys.stdout)
+        _emit(payload, table, args.format, sys.stdout)
     except ValueError as exc:  # a non-finite number reached the JSON output
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

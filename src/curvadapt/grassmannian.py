@@ -224,9 +224,12 @@ def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
     u = np.stack([np.vecdot(jxi, xi @ Jn.T) for Jn in bundle.triple], axis=-1)
     cos_alpha = np.sqrt(np.vecdot(u, u))
     measured = np.arccos(np.clip(cos_alpha, 0.0, 1.0))
-    if bad := [a for a in measured.tolist() if a > np.pi / 2 - 1e-9 or a < 1e-9]:
+    if bad := [(a, m) for a, m in zip(alphas, measured.tolist())
+               if m > np.pi / 2 - 1e-9 or m < 1e-9]:
+        requested, measured_alpha = bad[0]
         raise BoundaryAngleError(
-            f"hopf eigenvectors need 0 < alpha < pi/2, got alpha={bad[0]!r}"
+            f"hopf eigenvectors need 0 < alpha < pi/2 as measured back from xi; "
+            f"requested alpha={requested!r} measures alpha={measured_alpha!r}"
         )
     j1 = sum(c[:, None, None] * Jn for c, Jn in zip((u / cos_alpha[:, None]).T, bundle.triple))
     j1xi = (j1 @ xi[..., None])[..., 0]  # stacked matrix-vector products, as columns

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .octonion_table import DIM, TRIPLES, multiplication_table  # TRIPLES is re-exported
+from . import octonion_table
+from .octonion_table import DIM
 
 
 def build_structure_tensor() -> np.ndarray:
     """Return T with (e_i e_j)_k = T[i, j, k], entries in {-1, 0, +1}."""
     T = np.zeros((DIM, DIM, DIM))
-    for row in multiplication_table():
+    for row in octonion_table.multiplication_table():
         T[row["i"], row["j"], row["k"]] = row["sign"]
     return T
 

@@ -26,13 +26,6 @@ class EigenCluster:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Clustered spectrum of a self-adjoint operator."""
-
-    clusters: tuple[EigenCluster, ...]
-
-
-@dataclass(frozen=True)
 class SelfAdjointOperator:
     """A dense symmetric matrix with verified self-adjointness."""
 
@@ -48,8 +41,9 @@ class SelfAdjointOperator:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "symmetry_defect", float(np.max(np.abs(m - m.T))))
 
-    def spectrum(self) -> Spectrum:
-        """Eigendecomposition with eigenvalues clustered by CLUSTER_GAP."""
+    def spectrum(self) -> tuple[EigenCluster, ...]:
+        """Eigendecomposition with eigenvalues clustered by CLUSTER_GAP, in
+        increasing order of value."""
         evals, evecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))
         clusters: list[EigenCluster] = []
         start = 0
@@ -64,12 +58,12 @@ class SelfAdjointOperator:
                     )
                 )
                 start = i
-        return Spectrum(clusters=tuple(clusters))
+        return tuple(clusters)
 
-    def max_eigen_residual(self, spectrum: Spectrum) -> float:
-        """max over the spectrum's clustered eigenvectors of |K v - lambda v|."""
+    def max_eigen_residual(self, spectrum: tuple[EigenCluster, ...]) -> float:
+        """max over the clustered eigenvectors of |K v - lambda v|."""
         worst = 0.0
-        for c in spectrum.clusters:
+        for c in spectrum:
             resid = self.matrix @ c.vectors - c.value * c.vectors
             worst = max(worst, float(np.max(np.abs(resid))) if resid.size else 0.0)
         return worst

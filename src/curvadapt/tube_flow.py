@@ -126,7 +126,8 @@ class CurvatureBranch:
         return (-math.inf, math.inf)  # tanh, const
 
 
-_POLE_PROXIMITY = 1e-12
+#: branch_value treats a closed-form denominator below this as a pole
+POLE_PROXIMITY = 1e-12
 
 
 def branch_value(branch: CurvatureBranch, t: float) -> float:
@@ -155,7 +156,7 @@ def branch_value(branch: CurvatureBranch, t: float) -> float:
             return branch.phase
         else:
             return k * math.tanh(math.atanh(branch.phase / k) - k * t)
-    if abs(den) < _POLE_PROXIMITY:
+    if abs(den) < POLE_PROXIMITY:
         raise FocalPointError(
             f"evaluation at a pole of the {branch.regime} branch: t={t!r}",
             focal_radius=t,
@@ -703,11 +704,11 @@ def theorem3_boundary_case() -> Certificate:
     spec = op.spectrum()
     # at the boundary the would-be lambda2 eigenvalue is the top cluster's
     # partner 4(1 - cos) = 4; lambda2 = 0 constant has Riccati defect mu2
-    mu2 = max(c.value for c in spec.clusters)  # equals 4(1 - 0) here
+    mu2 = max(c.value for c in spec)  # equals 4(1 - 0) here
     residual = abs(0.0 - (0.0**2 + mu2))
     return Certificate(
         verdict="contradiction",
         residual=float(residual),
         witness={"alpha": math.pi / 2, "lambda2": 0.0, "riccati_defect": residual},
-        details={"spectrum": [[c.value, c.multiplicity] for c in spec.clusters]},
+        details={"spectrum": [[c.value, c.multiplicity] for c in spec]},
     )

@@ -21,7 +21,7 @@ from curvadapt.errors import (
 from curvadapt.grassmannian import StructureBundle
 from curvadapt.isoparametric import default_window
 from curvadapt.octonion import multiply
-from curvadapt.operators import Spectrum
+from curvadapt.operators import EigenCluster
 from curvadapt.tube_flow import (
     CurvatureBranch,
     PCSystem,
@@ -187,17 +187,17 @@ class AdaptedFrame:
     xi: np.ndarray  # (16,)
     four_space: np.ndarray  # (16, 7)
     one_space: np.ndarray  # (16, 8)
-    spectrum: Spectrum
+    spectrum: tuple[EigenCluster, ...]
 
 
 def adapted_frame(xi: np.ndarray, sign: int = 1) -> AdaptedFrame:
     """Orthonormal eigenframe of the Cayley-plane normal Jacobi operator at xi."""
     spec = cayley_plane.jacobi_operator(xi, sign).spectrum()
-    by_value = {round(c.value): c for c in spec.clusters}
+    by_value = {round(c.value): c for c in spec}
     four = by_value.get(4 * sign)
     one = by_value.get(1 * sign)
     if four is None or one is None or four.multiplicity != 7 or one.multiplicity != 8:
-        pairs = [(c.value, c.multiplicity) for c in spec.clusters]
+        pairs = [(c.value, c.multiplicity) for c in spec]
         raise NormalizationError(f"unexpected Jacobi spectrum {pairs!r} at xi={xi!r}")
     return AdaptedFrame(xi=xi, four_space=four.vectors, one_space=one.vectors, spectrum=spec)
 

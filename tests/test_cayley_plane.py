@@ -7,9 +7,9 @@ from helpers import adapted_frame
 
 
 def assert_spectrum(spec, expected, tol=1e-9):
-    got = {round(c.value): c.multiplicity for c in spec.clusters}
+    got = {round(c.value): c.multiplicity for c in spec}
     assert got == expected
-    for c in spec.clusters:
+    for c in spec:
         assert abs(c.value - round(c.value)) <= tol
 
 

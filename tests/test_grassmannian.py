@@ -160,7 +160,7 @@ class TestJacobiSpectrum:
             (2.0 * (1.0 + np.sin(alpha)), 2),
             (4.0 * (1.0 + np.cos(alpha)), 1),
         ])
-        got = [(c.value, c.multiplicity) for c in spec.clusters]
+        got = [(c.value, c.multiplicity) for c in spec]
         assert len(got) == len(expected)
         for (ev, em), (gv, gm) in zip(expected, got):
             assert abs(ev - gv) <= 1e-9
@@ -171,14 +171,14 @@ class TestJacobiSpectrum:
         # clusters fuse and the spectrum degenerates
         alpha = float(np.arccos(0.8))
         spec = g.jacobi_operator_g2(g.unit_with_angle(alpha, bundle), bundle).spectrum()
-        got = [(round(c.value, 9), c.multiplicity) for c in spec.clusters]
+        got = [(round(c.value, 9), c.multiplicity) for c in spec]
         assert got == [(0.0, 2), (0.8, 3), (3.2, 2), (7.2, 1)]
 
     def test_no_collision_at_cos_three_fifths_for_m_two(self, bundle):
         # this excluded cosine only bites for larger quaternionic rank
         alpha = float(np.arccos(0.6))
         spec = g.jacobi_operator_g2(g.unit_with_angle(alpha, bundle), bundle).spectrum()
-        assert [c.multiplicity for c in spec.clusters] == [2, 2, 1, 2, 1]
+        assert [c.multiplicity for c in spec] == [2, 2, 1, 2, 1]
 
     def test_non_unit_direction_rejected(self, bundle):
         with pytest.raises(NormalizationError):

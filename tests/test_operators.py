@@ -19,14 +19,14 @@ def test_rejects_non_square():
 def test_clustering_merges_within_gap():
     vals = np.diag([1.0, 1.0 + 1e-9, 2.0])
     spec = SelfAdjointOperator(vals).spectrum()
-    assert sum(c.multiplicity for c in spec.clusters) == 3
-    assert [c.multiplicity for c in spec.clusters] == [2, 1]
+    assert sum(c.multiplicity for c in spec) == 3
+    assert [c.multiplicity for c in spec] == [2, 1]
 
 
 def test_clustering_respects_gap():
     vals = np.diag([1.0, 1.0 + 1e-3, 2.0])
     spec = SelfAdjointOperator(vals).spectrum()
-    assert [c.multiplicity for c in spec.clusters] == [1, 1, 1]
+    assert [c.multiplicity for c in spec] == [1, 1, 1]
 
 
 def test_eigen_residual_small_for_exact_operator():
@@ -36,7 +36,7 @@ def test_eigen_residual_small_for_exact_operator():
     op = SelfAdjointOperator(0.5 * (m + m.T))
     spec = op.spectrum()
     assert op.max_eigen_residual(spec) <= 1e-12
-    assert [(round(c.value), c.multiplicity) for c in spec.clusters] == [(0, 1), (1, 3), (3, 2)]
+    assert [(round(c.value), c.multiplicity) for c in spec] == [(0, 1), (1, 3), (3, 2)]
 
 
 def test_cluster_vectors_orthonormal():
@@ -44,7 +44,7 @@ def test_cluster_vectors_orthonormal():
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     m = q @ np.diag([2.0, 2.0, 2.0, -1.0, -1.0]) @ q.T
     spec = SelfAdjointOperator(0.5 * (m + m.T)).spectrum()
-    for cluster in spec.clusters:
+    for cluster in spec:
         v = cluster.vectors
         assert np.allclose(v.T @ v, np.eye(cluster.multiplicity), atol=1e-12)
 
