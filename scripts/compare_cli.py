@@ -8,9 +8,11 @@ calls ``curvadapt.cli.main`` in-process over a fixed corpus and records
 the exit code (a ``SystemExit`` code, as ``--help`` raises, included),
 stdout and stderr of every argv.  The corpus is the argv of the three
 perfbench workloads at seeds 1, 11, 12 and 777, plus theorem-3,
-grassmannian-check and tube-table edge cases, the bare command and the
-help of the command and of each subcommand.  Prints each argv whose
-results differ and exits 1 if there is one, else exits 0.
+grassmannian-check and tube-table edge cases, malformed option values,
+the bare command and the help of the command and of each subcommand.
+Prints each argv whose results differ with the channels that differ,
+then how many argv are identical in each channel, and exits 1 if an
+argv differs, else exits 0.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ SUBCOMMANDS = ("octonion-table", "jacobi-spectrum", "sectional-range", "tube-tab
                "theorem2", "theorem3", "profile-match", "cascade",
                "grassmannian-check", "selftest")
 GRIDS = ("0.25:1.30:24", "0.01:1.56:200", "0.001:0.05:9")
+SYSTEM = '[{"kappa":1,"theta":0.9,"mult":2}]'
+CHANNELS = ("exit code", "stdout", "stderr")
 EDGES = [
     ["theorem3", "--alpha-grid", grid, "--constraint", mode, *fmt]
     for grid in GRIDS for mode in ("ajj", "azz", "ratio") for fmt in ([], ["--format", "csv"])
@@ -68,6 +72,12 @@ EDGES = [
 ] + [
     ["tube-table", "--ambient", ambient, "--core", "hp2", "--radius", "0.3", "--format", fmt]
     for ambient in ("op2", "oh2") for fmt in ("csv", "md")
+] + [
+    ["profile-match", "--p", "[", "--q", SYSTEM],
+    ["profile-match", "--p", SYSTEM, "--q", SYSTEM, "--window", "2,1"],
+    ["theorem3", "--alpha-grid", "nonsense"],
+    ["octonion-table", "--tol", "bogus=1"],
+    ["cascade", "--system", '[{"kappa":5,"theta":1,"mult":1,"regime":"flat"}]', "--t", "0.1"],
 ] + [[], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 
@@ -120,10 +130,16 @@ def main() -> int:
         return 2
     argvs = corpus()
     old, new = (results_for(src, argvs) for src in sys.argv[1:])
-    differing = [argv for argv, a, b in zip(argvs, old, new) if a != b]
-    for argv in differing:
-        print("differs:", json.dumps(argv))
-    print(f"{len(argvs) - len(differing)} of {len(argvs)} argv identical")
+    differing = 0
+    for argv, a, b in zip(argvs, old, new):
+        if a != b:
+            differing += 1
+            channels = [name for name, x, y in zip(CHANNELS, a, b) if x != y]
+            print("differs:", json.dumps(argv), "in", ", ".join(channels))
+    print(f"{len(argvs) - differing} of {len(argvs)} argv identical")
+    for i, name in enumerate(CHANNELS):
+        same = sum(a[i] == b[i] for a, b in zip(old, new))
+        print(f"{name}: {same} of {len(argvs)} argv identical")
     return 1 if differing else 0
 
 

@@ -3,7 +3,7 @@
 Submodule map:
     octonion_table the signed basis table, in pure Python
     octonion       division-algebra arithmetic over the eight-dimensional basis
-    operators      eigencluster bookkeeping for self-adjoint operators
+    operators      self-adjoint operators, eigenclusters, the Jacobi build
     cayley_plane   sixteen-dimensional curvature tensor, Jacobi operators
     grassmannian   Kaehler + quaternionic structure bundles and their tensor
     tube_flow      branch kernel and Riccati evolution, focal-configuration

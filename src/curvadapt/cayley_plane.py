@@ -24,22 +24,17 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import octonion as oct
 from .errors import DegeneratePlaneError, NormalizationError
-from .operators import SelfAdjointOperator
+from .operators import SelfAdjointOperator, dot, jacobi_matrices
 
 DIM = 16
 METRIC_SCALE = 4.0
 _GRAM_TOL = 1e-14
-_UNIT_TOL = 1e-10
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise inner products over the last axis, kept as a trailing axis
-    of length one so that they scale vectors of the same batch."""
-    return np.vecdot(u, v)[..., None]
 
 
 def curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int = 1) -> np.ndarray:
@@ -65,7 +60,7 @@ def curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int = 1) -> np.
     a, b = x[..., :8], x[..., 8:]
     c, d = y[..., :8], y[..., 8:]
     e, f = z[..., :8], z[..., 8:]
-    mul, conj, dot = oct.multiply, oct.conjugate, _dot
+    mul, conj = oct.multiply, oct.conjugate
     ad_cb = mul(a, d) - mul(c, b)
     comp1 = (
         4.0 * dot(c, e) * a
@@ -84,16 +79,9 @@ def curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int = 1) -> np.
     return (sign * METRIC_SCALE / 4.0) * np.concatenate([comp1, comp2], axis=-1)
 
 
-def _require_unit(v: np.ndarray, what: str) -> None:
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > _UNIT_TOL:
-        raise NormalizationError(f"{what} must be a unit vector, |.|={n!r}")
-
-
 def jacobi_operator(xi: np.ndarray, sign: int = 1) -> SelfAdjointOperator:
     """Normal Jacobi operator K_xi = R(., xi) xi as a 16x16 matrix."""
-    _require_unit(xi, "xi")
-    return SelfAdjointOperator(curvature(np.eye(DIM), xi, xi, sign).T)
+    return SelfAdjointOperator(jacobi_matrices(partial(curvature, sign=sign), xi))
 
 
 def sectional_curvature(x: np.ndarray, y: np.ndarray, sign: int = 1) -> float | np.ndarray:

@@ -15,6 +15,7 @@ import math
 import os
 import reprlib
 import sys
+from functools import partial
 
 from . import isoparametric, octonion_table, tube_flow
 from .errors import CurvAdaptError, FocalPointError
@@ -51,26 +52,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract wants 1
         raise _UsageError(message)
-
-
-def _parse_tolerances(pairs) -> dict:
-    """DEFAULT_TOLERANCES with the --tol NAME=VALUE overrides applied."""
-    out = dict(DEFAULT_TOLERANCES)
-    for item in pairs or []:
-        name, sep, value = item.partition("=")
-        if not sep or name not in DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(DEFAULT_TOLERANCES))
-            raise _UsageError(
-                f"unknown tolerance override {item!r}; use name=value with "
-                f"name among: {known}"
-            )
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise _UsageError(f"tolerance {name!r} needs a numeric value, got {value!r}")
-        if not (math.isfinite(out[name]) and out[name] > 0.0):
-            raise _UsageError(f"tolerance {name!r} must be finite and positive, got {value!r}")
-    return out
 
 
 def _finite_float(text: str) -> float:
@@ -132,85 +113,101 @@ BLOCK_ROWS = 256
 MAX_MULT = 2**53
 
 
-def _load_json_arg(text: str, flag: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _UsageError(
-            f"{flag}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+def _tolerance(text: str) -> tuple[str, float]:
+    """argparse type for --tol NAME=VALUE: a known tolerance name and a
+    finite positive value."""
+    name, sep, value = text.partition("=")
+    if not sep or name not in DEFAULT_TOLERANCES:
+        known = ", ".join(sorted(DEFAULT_TOLERANCES))
+        raise argparse.ArgumentTypeError(
+            f"unknown tolerance override {text!r}; use name=value with "
+            f"name among: {known}"
         )
-    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
-        raise _UsageError(f"{flag}: invalid JSON: {exc}")
-
-
-def _parse_system_json(payload, flag: str, label: str) -> PCSystem:
-    if not isinstance(payload, list) or not payload:
-        raise _UsageError(f"{flag}: expected a nonempty JSON array of branches")
-    branches = []
-    for idx, row in enumerate(payload):
-        if not isinstance(row, dict):
-            raise _UsageError(f"{flag}: branch {idx} is not an object")
-        try:
-            kappa = float(row["kappa"])
-            theta = float(row["theta"])
-            mult = row["mult"]
-            regime = row.get("regime", "compact")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise _UsageError(f"{flag}: branch {idx} malformed: {exc}")
-        if not (math.isfinite(kappa) and math.isfinite(theta)):
-            raise _UsageError(f"{flag}: branch {idx} needs finite kappa and theta")
-        if type(mult) is not int or not 1 <= mult <= MAX_MULT:  # type(): a bool is no count
-            raise _UsageError(f"{flag}: branch {idx} needs an integer mult in "
-                              f"[1, 2**53], got {reprlib.repr(mult)}")
-        try:
-            if regime == "compact":
-                branch = CurvatureBranch.compact(kappa, theta, mult)
-            elif regime == "flat":
-                branch = CurvatureBranch.flat(theta, mult)
-            elif regime in ("coth", "tanh", "const"):
-                branch = CurvatureBranch.hyperbolic(kappa, theta, mult)
-                if branch.regime != regime:
-                    raise _UsageError(
-                        f"{flag}: branch {idx} tagged {regime!r} but "
-                        f"lambda(0)={theta!r} vs kappa={kappa!r} implies "
-                        f"{branch.regime!r}"
-                    )
-            else:
-                raise _UsageError(f"{flag}: branch {idx} has unknown regime {regime!r}")
-        except CurvAdaptError as exc:
-            raise _UsageError(f"{flag}: branch {idx}: {exc}")
-        branches.append(branch)
-    return PCSystem(tuple(branches), label=label)
-
-
-def _parse_alpha_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise _UsageError(f"--alpha-grid expects a:b:n, got {text!r}")
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        number = float(value)
     except ValueError:
-        raise _UsageError(f"--alpha-grid expects numeric a:b:n, got {text!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise _UsageError(f"--alpha-grid endpoints must be finite, got {text!r}")
-    if not 1 <= n <= MAX_ANGLES:
-        raise _UsageError(f"--alpha-grid needs 1 <= n <= {MAX_ANGLES}, got {n}")
-    return tube_flow.linspace(a, b, n)
+        raise argparse.ArgumentTypeError(
+            f"tolerance {name!r} needs a numeric value, got {value!r}")
+    if not (math.isfinite(number) and number > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance {name!r} must be finite and positive, got {value!r}")
+    return name, number
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"--window expects a,b, got {text!r}")
-    try:
-        a, b = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise _UsageError(f"--window expects numeric a,b, got {text!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise _UsageError(f"--window endpoints must be finite, got {text!r}")
+def _endpoints(text: str, form: str) -> tuple[float, float, list[str]]:
+    """The fields of text, shaped as form ("a:b:n" or "a,b"): the first
+    two as finite floats, then the rest as they are."""
+    sep = form[1]
+    parts = text.split(sep)
+    if len(parts) != form.count(sep) + 1:
+        raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1]), parts[2:]
+
+
+def _alpha_grid(text: str) -> list[float]:
+    """argparse type for --alpha-grid A:B:N: N evenly spaced angles from A
+    to B, with N in [1, MAX_ANGLES]."""
+    a, b, (n,) = _endpoints(text, "a:b:n")
+    return tube_flow.linspace(a, b, _count(1, MAX_ANGLES)(n))
+
+
+def _window(text: str) -> tuple[float, float]:
+    """argparse type for --window A,B: a comparison window with A < B."""
+    a, b, _ = _endpoints(text, "a,b")
     if not a < b:
-        raise _UsageError("--window needs a < b")
+        raise argparse.ArgumentTypeError(f"needs a < b, got {text!r}")
     return (a, b)
+
+
+def _branch(idx: int, row) -> CurvatureBranch:
+    """Branch idx of a system from its JSON row."""
+    if not isinstance(row, dict):
+        raise argparse.ArgumentTypeError(f"branch {idx} is not an object")
+    try:
+        kappa = float(row["kappa"])
+        theta = float(row["theta"])
+        mult = row["mult"]
+        regime = row.get("regime", "compact")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise argparse.ArgumentTypeError(f"branch {idx} malformed: {exc}")
+    if not (math.isfinite(kappa) and math.isfinite(theta)):
+        raise argparse.ArgumentTypeError(f"branch {idx} needs finite kappa and theta")
+    if type(mult) is not int or not 1 <= mult <= MAX_MULT:  # type(): a bool is no count
+        raise argparse.ArgumentTypeError(f"branch {idx} needs an integer mult in "
+                                         f"[1, 2**53], got {reprlib.repr(mult)}")
+    if regime == "flat" and kappa != 0.0:
+        raise argparse.ArgumentTypeError(
+            f"branch {idx} is flat, so its kappa must be 0, got {kappa!r}")
+    try:
+        if regime == "compact":
+            return CurvatureBranch.compact(kappa, theta, mult)
+        if regime == "flat":
+            return CurvatureBranch.flat(theta, mult)
+        if regime not in ("coth", "tanh", "const"):
+            raise argparse.ArgumentTypeError(f"branch {idx} has unknown regime {regime!r}")
+        branch = CurvatureBranch.hyperbolic(kappa, theta, mult)
+    except CurvAdaptError as exc:
+        raise argparse.ArgumentTypeError(f"branch {idx}: {exc}")
+    if branch.regime != regime:
+        raise argparse.ArgumentTypeError(
+            f"branch {idx} tagged {regime!r} but lambda(0)={theta!r} vs kappa={kappa!r} "
+            f"implies {branch.regime!r}")
+    return branch
+
+
+def _system(label: str, text: str) -> PCSystem:
+    """argparse type, with label bound, for a branch system: a nonempty JSON
+    array of branch rows.  label names the system in profile witnesses."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise argparse.ArgumentTypeError(f"invalid JSON: {exc}")
+    if not isinstance(payload, list) or not payload:
+        raise argparse.ArgumentTypeError("expected a nonempty JSON array of branches")
+    return PCSystem(tuple(_branch(idx, row) for idx, row in enumerate(payload)), label=label)
 
 
 # --------------------------------------------------------------------------
@@ -297,11 +294,6 @@ def _cmd_sectional_range(args):
 
 
 def _cmd_tube_table(args):
-    if args.core == "horosphere":
-        if args.radius is not None:
-            raise _UsageError("--radius is meaningless for a horosphere")
-    elif args.radius is None:
-        raise _UsageError(f"--radius is required for core {args.core!r}")
     system = tube_flow.tube_spectrum(args.ambient, args.core, args.radius)
     try:
         rows = [
@@ -337,33 +329,25 @@ def _cmd_theorem2(args):
 
 
 def _cmd_theorem3(args):
-    grid = _parse_alpha_grid(args.alpha_grid)
     constraint = _CONSTRAINT_ALIASES[args.constraint]
     cert = tube_flow.theorem3_sweep(
-        grid, constraint=constraint, ratio_tol=args.tolerances["ratio"]
+        args.alpha_grid, constraint=constraint, ratio_tol=args.tolerances["ratio"]
     )
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
 def _cmd_profile_match(args):
-    p = _parse_system_json(_load_json_arg(args.p, "--p"), "--p", "p")
-    q = _parse_system_json(_load_json_arg(args.q, "--q"), "--q", "q")
-    window = _parse_window(args.window) if args.window else None
     cert = isoparametric.profiles_equivalent(
-        p,
-        q,
-        window=window,
-        grid_tol=args.tolerances["profile_grid"],
-        merge_tol=args.tolerances["pole_merge"],
+        args.p, args.q, window=args.window,
+        grid_tol=args.tolerances["profile_grid"], merge_tol=args.tolerances["pole_merge"],
     )
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
 def _cmd_cascade(args):
-    sys_ = _parse_system_json(_load_json_arg(args.system, "--system"), "--system", "p")
-    residuals = isoparametric.power_sum_cascade(sys_, args.kmax, args.t)
+    residuals = isoparametric.power_sum_cascade(args.system, args.kmax, args.t)
     payload = {
         "t": args.t,
         "k_max": args.kmax,
@@ -380,7 +364,6 @@ def _cmd_grassmannian_check(args):
     from . import grassmannian
 
     bundle = grassmannian.StructureBundle.standard(args.m)
-    bundle_defect = bundle.verify()
     (hopf,) = grassmannian.hopf_eigenvectors([args.alpha], bundle)  # rejects a boundary alpha
     rng = np.random.default_rng(args.seed)
     dim = bundle.dim
@@ -405,8 +388,7 @@ def _cmd_grassmannian_check(args):
         verbatim_defect = max(verbatim_defect, float(verbatim.max()))
     constant = grassmannian.eigenvalue_constant(bundle)
     passed = (
-        bundle_defect <= 1e-10
-        and health <= args.tolerances["health"]
+        health <= args.tolerances["health"]
         and verbatim_defect > args.tolerances["health"]
         and hopf.residual <= args.tolerances["spectrum_residual"]
         and hopf.ratio_defect <= args.tolerances["ratio"]
@@ -416,7 +398,7 @@ def _cmd_grassmannian_check(args):
         "alpha": args.alpha,
         "seed": args.seed,
         "triples": args.triples,
-        "bundle_defect": bundle_defect,
+        "bundle_defect": bundle.defect,
         "tensor_health": health,
         "verbatim_pair_defect": verbatim_defect,
         "hopf_residual": hopf.residual,
@@ -533,17 +515,17 @@ _SUBCOMMANDS = {
     }),
     "theorem2": ("finite search over focal configurations", {}),
     "theorem3": ("proportional-eigenvalue non-existence sweep", {
-        "--alpha-grid": dict(required=True, metavar="A:B:N"),
+        "--alpha-grid": dict(type=_alpha_grid, required=True, metavar="A:B:N"),
         "--constraint": dict(choices=sorted(_CONSTRAINT_ALIASES), default="ajj"),
     }),
     "profile-match": ("compare two mean-curvature profiles", {
-        "--p": dict(required=True, metavar="JSON"),
-        "--q": dict(required=True, metavar="JSON"),
-        "--window": dict(default=None, metavar="A,B",
+        "--p": dict(type=partial(_system, "p"), required=True, metavar="JSON"),
+        "--q": dict(type=partial(_system, "q"), required=True, metavar="JSON"),
+        "--window": dict(type=_window, default=None, metavar="A,B",
                          help="comparison window; write --window=A,B when A is negative"),
     }),
     "cascade": ("power-sum derivative identities", {
-        "--system": dict(required=True, metavar="JSON"),
+        "--system": dict(type=partial(_system, "p"), required=True, metavar="JSON"),
         "--kmax": dict(type=_count(1, MAX_KMAX), default=5),
         "--t": dict(type=_finite_float, required=True),
     }),
@@ -575,6 +557,7 @@ def _build_parser(argv: list[str]) -> _Parser:
         p.add_argument("--format", choices=("json", "csv", "md"), default=env_format)
         p.add_argument(
             "--tol",
+            type=_tolerance,
             action="append",
             metavar="NAME=VALUE",
             help="override a named tolerance",
@@ -613,7 +596,7 @@ def main(argv=None) -> int:
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        args.tolerances = _parse_tolerances(args.tol)
+        args.tolerances = DEFAULT_TOLERANCES | dict(args.tol or ())
         payload, table, code = args.handler(args)
     except (_UsageError, CurvAdaptError) as exc:
         print(f"curvadapt: error: {exc}", file=sys.stderr)

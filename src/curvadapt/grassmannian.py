@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import BoundaryAngleError, NormalizationError
-from .operators import SelfAdjointOperator
+from .operators import SelfAdjointOperator, dot, jacobi_matrices
 
-_UNIT_TOL = 1e-10
 _STRUCTURE_TOL = 1e-12
 
 
@@ -84,9 +84,8 @@ class StructureBundle:
             J2=_blockdiag(m, _right_mult((0, 0, 1, 0))),
             J3=-_blockdiag(m, _right_mult((0, 0, 0, 1))),
         )
-        defect = bundle.verify()
-        if defect > _STRUCTURE_TOL:
-            raise NormalizationError(f"structure relations violated: defect {defect!r}")
+        if bundle.defect > _STRUCTURE_TOL:
+            raise NormalizationError(f"structure relations violated: defect {bundle.defect!r}")
         return bundle
 
     @property
@@ -97,7 +96,8 @@ class StructureBundle:
     def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.J1, self.J2, self.J3)
 
-    def verify(self) -> float:
+    @cached_property
+    def defect(self) -> float:
         """Max defect over the defining relations; 0 for a valid bundle."""
         eye = np.eye(self.dim)
         J, J1, J2, J3 = self.J, self.J1, self.J2, self.J3
@@ -113,12 +113,6 @@ class StructureBundle:
             defects.append(np.max(np.abs(Jn + Jn.T)))
             defects.append(np.max(np.abs(J @ Jn - Jn @ J)))
         return float(max(defects))
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise inner products over the last axis, kept as a trailing axis
-    of length one so that they scale vectors of the same batch."""
-    return np.vecdot(u, v)[..., None]
 
 
 def curvature_g2(
@@ -140,30 +134,21 @@ def curvature_g2(
     """
     JT = bundle.J.T
     JX, JY, JZ = X @ JT, Y @ JT, Z @ JT
-    out = _dot(Y, Z) * X - _dot(X, Z) * Y
-    out += _dot(JY, Z) * JX - _dot(JX, Z) * (JZ if verbatim else JY) - 2.0 * _dot(JX, Y) * JZ
+    out = dot(Y, Z) * X - dot(X, Z) * Y
+    out += dot(JY, Z) * JX - dot(JX, Z) * (JZ if verbatim else JY) - 2.0 * dot(JX, Y) * JZ
     for Jn in bundle.triple:
         JnT = Jn.T
         JnX, JnY, JnZ = X @ JnT, Y @ JnT, Z @ JnT
-        out += _dot(JnY, Z) * JnX - _dot(JnX, Z) * (JnZ if verbatim else JnY)
-        out -= 2.0 * _dot(JnX, Y) * JnZ
+        out += dot(JnY, Z) * JnX - dot(JnX, Z) * (JnZ if verbatim else JnY)
+        out -= 2.0 * dot(JnX, Y) * JnZ
         JnJX, JnJY = JX @ JnT, JY @ JnT
-        out += _dot(JnJY, Z) * JnJX - _dot(JnJX, Z) * JnJY
+        out += dot(JnJY, Z) * JnJX - dot(JnJX, Z) * JnJY
     return out
-
-
-def _jacobi_matrices(xi, bundle: StructureBundle) -> np.ndarray:
-    """C-order K_xi = R(., xi) xi per row of xi (..., 4m); the one unit check."""
-    xi = np.asarray(xi, dtype=float)[..., None, :]
-    if np.any(np.abs(np.sqrt(np.vecdot(xi, xi)) - 1.0) > _UNIT_TOL):
-        raise NormalizationError("xi must be a unit vector")
-    rows = curvature_g2(np.eye(bundle.dim), xi, xi, bundle)
-    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
 
 def jacobi_operator_g2(xi: np.ndarray, bundle: StructureBundle) -> SelfAdjointOperator:
     """Normal Jacobi operator K_xi = R(., xi) xi on R^{4m}."""
-    return SelfAdjointOperator(_jacobi_matrices(xi, bundle))
+    return SelfAdjointOperator(jacobi_matrices(partial(curvature_g2, bundle=bundle), xi))
 
 
 def unit_with_angle(alpha: float, bundle: StructureBundle) -> np.ndarray:
@@ -237,7 +222,7 @@ def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
     j1z = -(j1 @ (j1 @ w[..., None]))[..., 0]  # J1 Z = w: <J xi, J1 Z> = sin(alpha) >= 0
     cb, sb = np.cos(measured / 2.0)[:, None], np.sin(measured / 2.0)[:, None]
     x = np.stack([cb * j1xi + sb * j1z, sb * j1xi - cb * j1z])  # X1, X2
-    kx = (_jacobi_matrices(xi, bundle) @ x[..., None])[..., 0]
+    kx = (jacobi_matrices(partial(curvature_g2, bundle=bundle), xi) @ x[..., None])[..., 0]
     lam = np.vecdot(x, kx)
     r = kx - lam[..., None] * x
     residual = np.sqrt(np.vecdot(r, r)).max(axis=0)

@@ -434,6 +434,8 @@ def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
     multiplicities or the branch values.  One extrapolation level of the
     _FD_STEP difference removes the h^2 term; the residuals are smallest
     at points where every branch value is O(1), away from the poles.
+    At large |t| the phases kappa (t +/- _FD_STEP) round by about kappa |t|
+    2^-52, so the residuals grow like kappa |t| 2^-52 / _FD_STEP.
     """
     if k_max < 1:
         raise NormalizationError("k_max must be >= 1")

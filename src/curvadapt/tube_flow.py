@@ -71,10 +71,12 @@ class CurvatureBranch:
         if self.multiplicity < 1:
             raise NormalizationError(f"multiplicity must be >= 1: {self.multiplicity!r}")
         if self.space_sign != 0 and self.kappa == 0:
-            raise NormalizationError("curved branches need kappa > 0; use flat()")
+            raise NormalizationError(
+                "curved branches need kappa > 0; kappa 0 is the flat regime")
         if self.space_sign == 1 and not 0.0 < self.phase < math.pi:
             raise NormalizationError(
-                f"compact phase must lie in (0, pi), got {self.phase!r}"
+                f"compact phase must lie in (0, pi), got {self.phase!r}; "
+                "a phase that is a multiple of pi is a pole"
             )
 
     # -- constructors ------------------------------------------------------
@@ -82,10 +84,7 @@ class CurvatureBranch:
     @classmethod
     def compact(cls, kappa: float, theta: float, multiplicity: int = 1) -> "CurvatureBranch":
         """Branch lambda(t) = kappa cot(theta - kappa t); theta reduced mod pi."""
-        theta = theta % math.pi
-        if theta == 0.0:
-            raise NormalizationError("phase is a pole: theta must not be 0 mod pi")
-        return cls(kappa=kappa, space_sign=1, phase=theta, multiplicity=multiplicity)
+        return cls(kappa=kappa, space_sign=1, phase=theta % math.pi, multiplicity=multiplicity)
 
     @classmethod
     def hyperbolic(cls, kappa: float, value: float, multiplicity: int = 1) -> "CurvatureBranch":
@@ -231,9 +230,10 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
 
     Raises:
         NormalizationError: on an unknown ambient or core, a horosphere
-            outside oh2 or with a radius, or a radius that is not positive.
+            outside oh2 or with a radius, or a missing or nonpositive radius.
         FocalPointError: if an op2 radius reaches the focal set of the core,
-            at pi/2 (pi/4 for hp2); focal_radius is that limit.
+            the first pole of its branches: pi/2 (pi/4 for hp2);
+            focal_radius is that limit.
     """
     if ambient not in AMBIENTS:
         raise NormalizationError(f"ambient must be one of {AMBIENTS}: {ambient!r}")
@@ -243,15 +243,17 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
         if ambient != "oh2":
             raise NormalizationError("horospheres only exist in the hyperbolic plane")
         if radius is not None:
-            raise NormalizationError("a horosphere has no radius; pass None")
+            raise NormalizationError(f"core 'horosphere' takes no radius, got {radius!r}")
         return PCSystem(
             branches=(
                 CurvatureBranch.hyperbolic(1.0, 1.0, 8),
                 CurvatureBranch.hyperbolic(2.0, 2.0, 7),
             )
         )
-    if radius is None or radius <= 0.0:
-        raise NormalizationError(f"tube radius must be positive, got {radius!r}")
+    if radius is None:
+        raise NormalizationError(f"core {core!r} needs a radius")
+    if not radius > 0.0:
+        raise NormalizationError(f"core {core!r} needs a positive radius, got {radius!r}")
     cfg = _catalog_configuration(1, "q1", core)
     if ambient == "oh2":
         return PCSystem(branches=tuple(
@@ -260,7 +262,8 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
             )
             for k, p, m in cfg.branches_at("q1")
         ))
-    limit = math.pi / 4 if core == "hp2" else math.pi / 2
+    # phase pi p/4 + kappa r first reaches pi at r = (4 - p) pi / (4 kappa)
+    limit = math.pi / 4 * min((4 - p) / k for k, p, _ in cfg.branches_at("q1"))
     if radius >= limit:
         raise FocalPointError(
             f"radius {radius!r} reaches the focal set of core {core!r} at {limit!r}",

@@ -212,9 +212,8 @@ def rotated(bundle: StructureBundle, rotation: np.ndarray) -> StructureBundle:
     old = bundle.triple
     new = [sum(R[n, k] * old[k] for k in range(3)) for n in range(3)]
     turned = StructureBundle(m=bundle.m, J=bundle.J, J1=new[0], J2=new[1], J3=new[2])
-    defect = turned.verify()
-    if defect > 1e-10:
-        raise NormalizationError(f"rotated triple broke the relations: {defect!r}")
+    if turned.defect > 1e-10:
+        raise NormalizationError(f"rotated triple broke the relations: {turned.defect!r}")
     return turned
 
 

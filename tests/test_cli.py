@@ -148,23 +148,6 @@ class TestExitCodes:
             assert code == cli.EXIT_OK, mult
             assert payload["passed"] is True
 
-    def test_usage_errors_exit_one(self, capsys):
-        cases = [
-            ["tube-table", "--ambient", "op2", "--core", "line"],  # missing radius
-            ["tube-table", "--ambient", "oh2", "--core", "horosphere",
-             "--radius", "1.0"],
-            ["theorem3", "--alpha-grid", "nonsense"],
-            ["profile-match", "--p", "[", "--q", Q_SAME],
-            ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window", "2,1"],
-            ["cascade", "--system", P_SYSTEM],  # missing --t
-            ["octonion-table", "--tol", "bogus=1"],
-            ["no-such-command"],
-        ]
-        for argv in cases:
-            code, out, err = run_cli(capsys, *argv)
-            assert code == cli.EXIT_USAGE, argv
-            assert err, argv
-
     def test_malformed_json_reports_position(self, capsys):
         code, _, err = run_cli(capsys, "profile-match", "--p", "[{\"kappa\": }]",
                                "--q", Q_SAME)
@@ -186,6 +169,57 @@ class TestExitCodes:
         assert "spectrum_residual" in err
 
 
+def _row(kappa, theta, regime="compact"):
+    return json.dumps([{"kappa": kappa, "theta": theta, "mult": 1, "regime": regime}])
+
+
+#: (argv, stderr fragment) of usage errors: each exits 1 with empty stdout
+USAGE_ERRORS = [
+    pytest.param(argv, fragment, id=name) for name, argv, fragment in [
+        ("tube-missing-radius", ["tube-table", "--ambient", "op2", "--core", "line"],
+         "error: core 'line' needs a radius\n"),
+        ("tube-negative-radius",
+         ["tube-table", "--ambient", "op2", "--core", "point", "--radius=-0.3"],
+         "error: core 'point' needs a positive radius, got -0.3\n"),
+        ("horosphere-radius",
+         ["tube-table", "--ambient", "oh2", "--core", "horosphere", "--radius", "1.0"],
+         "error: core 'horosphere' takes no radius, got 1.0\n"),
+        ("alpha-grid-shape", ["theorem3", "--alpha-grid", "nonsense"],
+         "error: argument --alpha-grid: expects a:b:n, got 'nonsense'\n"),
+        ("alpha-grid-inf", ["theorem3", "--alpha-grid", "0.5:inf:3"],
+         "error: argument --alpha-grid: must be finite, got 'inf'\n"),
+        ("alpha-grid-nan", ["theorem3", "--alpha-grid", "nan:1.1:3"],
+         "error: argument --alpha-grid: must be finite, got 'nan'\n"),
+        ("alpha-grid-count", ["theorem3", "--alpha-grid", "0.5:1.1:0"],
+         "error: argument --alpha-grid: must be >= 1, got 0\n"),
+        ("p-json", ["profile-match", "--p", "[", "--q", Q_SAME],
+         "error: argument --p: invalid JSON at line 1 column 2"),
+        ("window-order", ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window", "2,1"],
+         "error: argument --window: needs a < b, got '2,1'\n"),
+        ("window-inf",
+         ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window", "0.05,inf"],
+         "error: argument --window: must be finite, got 'inf'\n"),
+        ("window-empty", ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window="],
+         "error: argument --window: expects a,b, got ''\n"),
+        ("missing-t", ["cascade", "--system", P_SYSTEM],
+         "error: the following arguments are required: --t\n"),
+        ("tol-name", ["octonion-table", "--tol", "bogus=1"],
+         "error: argument --tol: unknown tolerance override 'bogus=1'"),
+        ("tol-value", ["octonion-table", "--tol", "cascade=abc"],
+         "error: argument --tol: tolerance 'cascade' needs a numeric value, got 'abc'\n"),
+        ("unknown-command", ["no-such-command"], "invalid choice: 'no-such-command'"),
+        ("flat-row-kappa", ["cascade", "--system", _row(5, 1, "flat"), "--t", "0.1"],
+         "error: argument --system: branch 0 is flat, so its kappa must be 0, got 5.0\n"),
+        ("curved-row-kappa-zero", ["cascade", "--system", _row(0, 1), "--t", "0.1"],
+         "error: argument --system: branch 0: curved branches need kappa > 0; "
+         "kappa 0 is the flat regime\n"),
+        ("compact-row-pole", ["profile-match", "--p", _row(1, 0), "--q", Q_SAME],
+         "error: argument --p: branch 0: compact phase must lie in (0, pi), got 0.0; "
+         "a phase that is a multiple of pi is a pole\n"),
+    ]
+]
+
+
 class TestInputHardening:
     """Non-finite numbers, bad tolerances and negative counts exit 1."""
 
@@ -195,6 +229,15 @@ class TestInputHardening:
         assert out == ""
         assert "curvadapt: error:" in err
         return err
+
+    @pytest.mark.parametrize("argv, fragment", USAGE_ERRORS)
+    def test_usage_error_names_the_input(self, capsys, argv, fragment):
+        assert fragment in self.assert_usage_error(capsys, *argv)
+
+    def test_flat_row_with_kappa_zero_passes(self, capsys):
+        code, payload, _ = run_json(capsys, "cascade", "--system", _row(0, 1, "flat"),
+                                    "--t", "0.1")
+        assert code == cli.EXIT_OK and payload["passed"] is True
 
     def test_infinite_radius_is_usage_error(self, capsys):
         err = self.assert_usage_error(capsys, "tube-table", "--ambient", "oh2",
@@ -218,14 +261,6 @@ class TestInputHardening:
         self.assert_usage_error(capsys, "jacobi-spectrum", "--space", "grassmannian",
                                 "--alpha", "inf")
         self.assert_usage_error(capsys, "grassmannian-check", "--alpha", "nan")
-
-    def test_non_finite_alpha_grid_endpoint_is_usage_error(self, capsys):
-        self.assert_usage_error(capsys, "theorem3", "--alpha-grid", "0.5:inf:3")
-        self.assert_usage_error(capsys, "theorem3", "--alpha-grid", "nan:1.1:3")
-
-    def test_non_finite_window_endpoint_is_usage_error(self, capsys):
-        self.assert_usage_error(capsys, "profile-match", "--p", P_SYSTEM,
-                                "--q", Q_SAME, "--window", "0.05,inf")
 
     def test_non_finite_branch_json_is_usage_error(self, capsys):
         bad = '[{"kappa": Infinity, "theta": 1.2, "mult": 3}]'
@@ -343,7 +378,7 @@ class TestInputHardening:
         err = self.assert_usage_error(capsys, "theorem3", "--alpha-grid",
                                       f"0.25:1.3:{cli.MAX_ANGLES + 1}")
         assert str(cli.MAX_ANGLES) in err
-        assert len(cli._parse_alpha_grid(f"0.25:1.3:{cli.MAX_ANGLES}")) == cli.MAX_ANGLES
+        assert len(cli._alpha_grid(f"0.25:1.3:{cli.MAX_ANGLES}")) == cli.MAX_ANGLES
 
     def assert_prompt_usage_error(self, *argv):
         """Run in a subprocess, so that a hang fails the test instead of the suite."""
@@ -592,10 +627,10 @@ class TestBatchedHandlers:
         for got, want in ((payload["tensor_health"], health),
                           (payload["verbatim_pair_defect"], verbatim_defect)):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert payload["bundle_defect"] <= 1e-12  # the most StructureBundle.standard allows
         tol = cli.DEFAULT_TOLERANCES
         passed = (
-            payload["bundle_defect"] <= 1e-10
-            and health <= tol["health"]
+            health <= tol["health"]
             and verbatim_defect > tol["health"]
             and payload["hopf_residual"] <= tol["spectrum_residual"]
             and payload["ratio_defect"] <= tol["ratio"]

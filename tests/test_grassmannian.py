@@ -16,7 +16,7 @@ def bundle():
 
 class TestStructureBundle:
     def test_defect_is_zero_for_standard_bundle(self, bundle):
-        assert bundle.verify() <= 1e-12
+        assert bundle.defect <= 1e-12
 
     def test_quaternion_relations(self, bundle):
         j1, j2, j3 = bundle.triple
@@ -40,7 +40,7 @@ class TestStructureBundle:
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         other = rotated(bundle, q)
-        assert other.verify() <= 1e-10
+        assert other.defect <= 1e-10
 
     def test_rotation_validation(self, bundle):
         with pytest.raises(NormalizationError):

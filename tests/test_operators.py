@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from curvadapt.errors import NormalizationError
 from curvadapt.operators import SelfAdjointOperator
 
 
-def test_symmetry_defect_is_recorded():
+def test_asymmetric_matrix_is_rejected():
     m = np.eye(3)
     m[0, 1] = 1e-6
-    op = SelfAdjointOperator(m)
-    assert op.symmetry_defect == 1e-6
+    with pytest.raises(NormalizationError, match="not symmetric: defect 1e-06"):
+        SelfAdjointOperator(m)
+    # the bound scales with the largest entry
+    SelfAdjointOperator(1e7 * np.eye(3) + m)
 
 
 def test_rejects_non_square():

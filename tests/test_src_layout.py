@@ -24,7 +24,6 @@ ALLOWED_UNREFERENCED = {
         "whose verdicts workload runs all three modes",
     "isoparametric.isoparametric_verdict": "for the planned Cartan certificate",
     "isoparametric.random_profile_pair": "for the planned Cartan certificate",
-    "operators.SelfAdjointOperator.symmetry_defect": "a stored fault check",
     "tube_flow.enumerate_focal_configurations":
         "the brute-force oracle, named in the perfbench LAYERS",
     "tube_flow.theorem3_boundary_case": "to become the boundary block of theorem3",

@@ -99,13 +99,14 @@ class TestBranchConstruction:
         assert tf.CurvatureBranch.hyperbolic(2.0, clearly).regime == "coth"
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(NormalizationError):
-            tf.CurvatureBranch.compact(1.0, 0.0)
+        for theta in (0.0, math.pi, -1e-20):  # -1e-20 reduces to pi
+            with pytest.raises(NormalizationError, match="a multiple of pi is a pole"):
+                tf.CurvatureBranch.compact(1.0, theta)
         with pytest.raises(NormalizationError):
             tf.CurvatureBranch.compact(-1.0, 0.5)
         with pytest.raises(NormalizationError):
             tf.CurvatureBranch.compact(1.0, 0.5, multiplicity=0)
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError, match="kappa 0 is the flat regime"):
             tf.CurvatureBranch(kappa=0.0, space_sign=1, phase=0.5, multiplicity=1)
 
     def test_from_value_round_trip(self):
@@ -370,7 +371,7 @@ class TestTubeSpectrumValidation:
     def test_horosphere_rules(self):
         with pytest.raises(NormalizationError):
             tf.tube_spectrum("op2", "horosphere", None)
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError, match="core 'horosphere' takes no radius, got 1.0"):
             tf.tube_spectrum("oh2", "horosphere", 1.0)
 
     def test_basic_field_validation(self):
@@ -378,9 +379,10 @@ class TestTubeSpectrumValidation:
             tf.tube_spectrum("sphere", "point", 0.3)
         with pytest.raises(NormalizationError):
             tf.tube_spectrum("op2", "torus", 0.3)
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError,
+                           match="core 'point' needs a positive radius, got -0.3"):
             tf.tube_spectrum("op2", "point", -0.3)
-        with pytest.raises(NormalizationError):
+        with pytest.raises(NormalizationError, match="core 'point' needs a radius"):
             tf.tube_spectrum("op2", "point", None)
 
 
