@@ -6,9 +6,11 @@ OLD_SRC and NEW_SRC are directories that hold a ``curvadapt`` package,
 such as ``src`` of two checkouts.  Each tree runs in one subprocess that
 calls ``curvadapt.cli.main`` in-process over a fixed corpus and records
 the exit code (a ``SystemExit`` code, as ``--help`` raises, included),
-stdout and stderr of every argv.  The corpus is the argv of the three
-perfbench workloads at seeds 1, 11, 12 and 777, plus theorem-3,
-grassmannian-check and tube-table edge cases, malformed option values,
+stdout and stderr of every argv.  An uncaught exception is recorded as
+that argv's result too: exit value "exception", with its type and message
+appended to stderr.  The corpus is the argv of the three perfbench
+workloads at seeds 1, 11, 12 and 777, plus theorem-3, grassmannian-check,
+tube-table, profile-match and cascade edge cases, malformed option values,
 the bare command and the help of the command and of each subcommand.
 Prints each argv whose results differ with the channels that differ,
 then how many argv are identical in each channel, and exits 1 if an
@@ -32,6 +34,16 @@ SUBCOMMANDS = ("octonion-table", "jacobi-spectrum", "sectional-range", "tube-tab
                "grassmannian-check", "selftest")
 GRIDS = ("0.25:1.30:24", "0.01:1.56:200", "0.001:0.05:9")
 SYSTEM = '[{"kappa":1,"theta":0.9,"mult":2}]'
+#: one branch row of each non-compact regime, the flat one with and without a pole
+ROWS = {
+    "coth": '{"kappa":1,"theta":2,"mult":3,"regime":"coth"}',
+    "coth-negative": '{"kappa":2,"theta":-3,"mult":1,"regime":"coth"}',
+    "flat": '{"kappa":0,"theta":0.5,"mult":2,"regime":"flat"}',
+    "flat-zero": '{"kappa":0,"theta":0,"mult":1,"regime":"flat"}',
+    "const": '{"kappa":1,"theta":1,"mult":2,"regime":"const"}',
+    "tanh": '{"kappa":1,"theta":0.5,"mult":1,"regime":"tanh"}',
+}
+COMPACT_ROW = '{"kappa":1,"theta":1,"mult":1}'
 CHANNELS = ("exit code", "stdout", "stderr")
 EDGES = [
     ["theorem3", "--alpha-grid", grid, "--constraint", mode, *fmt]
@@ -78,6 +90,21 @@ EDGES = [
     ["theorem3", "--alpha-grid", "nonsense"],
     ["octonion-table", "--tol", "bogus=1"],
     ["cascade", "--system", '[{"kappa":5,"theta":1,"mult":1,"regime":"flat"}]', "--t", "0.1"],
+] + [
+    ["profile-match", "--p", f"[{row},{COMPACT_ROW}]", "--q", q, *window]
+    for row in ROWS.values()
+    for q in (f"[{row},{COMPACT_ROW}]", f"[{COMPACT_ROW}]")
+    for window in ([], ["--window=1,2"], ["--window=-1,3"])
+] + [
+    ["profile-match", "--p", f"[{p}]", "--q", f"[{COMPACT_ROW}]", *window]
+    for p in ('{"kappa":1e-9,"theta":0.9,"mult":1}', '{"kappa":1e-310,"theta":1,"mult":1}')
+    for window in ([], ["--window=0,1"])
+] + [
+    ["profile-match", "--p", '[{"kappa":1e-310,"theta":1,"mult":1}]',
+     "--q", '[{"kappa":1e-310,"theta":1,"mult":1}]', "--window=0,1"],
+] + [
+    ["cascade", "--system", f"[{ROWS[name]},{COMPACT_ROW}]", "--t", t]
+    for name in ("coth", "coth-negative", "flat", "flat-zero") for t in ("0.1", "-0.4")
 ] + [[], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 
@@ -108,6 +135,9 @@ def run_corpus() -> None:
                 code = cli.main(argv)
             except SystemExit as exc:  # argparse exits after printing help
                 code = exc.code
+            except Exception as exc:  # a crash is this argv's result, not the run's end
+                code = "exception"
+                print(f"{type(exc).__name__}: {exc}", file=err)
         results.append([code, out.getvalue(), err.getvalue()])
     json.dump(results, sys.__stdout__)
 

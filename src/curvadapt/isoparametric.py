@@ -18,8 +18,10 @@ authoritative and the multiset comparator is reported alongside it.
 
 Systems are tube_flow.PCSystem values; their labels name them in the
 witnesses.  Branch values come from tube_flow.branch_value, the one
-closed-form evaluator.  The profile is the meromorphic function, so it is
-evaluated past the first pole, where the flow of tube_flow.evolve ends.
+closed-form evaluator, and pole locations from CurvatureBranch.poles;
+this module only merges and matches them.  The profile is the
+meromorphic function, so it is evaluated past the first pole, where the
+flow of tube_flow.evolve ends.
 """
 
 from __future__ import annotations
@@ -65,47 +67,6 @@ class Pole:
     weight: int
 
 
-#: Most poles one compact branch may place in a window.  default_window
-#: scans five periods of the slowest branch, so a branch places about
-#: 5 kappa / kappa_min poles there: 20 at a frequency ratio of 4, but 5e9
-#: for kappa 1e-9 beside kappa 1, whose walk would never end.
-_MAX_BRANCH_POLES = 10_000
-
-
-def _branch_poles_in(branch: CurvatureBranch, lo: float, hi: float):
-    """Pole locations of one branch inside (lo, hi).
-
-    Raises:
-        NormalizationError: if a compact branch has more than
-            _MAX_BRANCH_POLES poles in the window.
-    """
-    if branch.space_sign == 1:
-        count = (hi - lo) * branch.kappa / math.pi
-        if not count <= _MAX_BRANCH_POLES:
-            raise NormalizationError(
-                f"window ({lo!r}, {hi!r}) holds {count:.3g} poles of the branch "
-                f"with kappa={branch.kappa!r}, more than {_MAX_BRANCH_POLES}; "
-                "narrow the window or bring the frequencies closer"
-            )
-        r0 = branch.phase / branch.kappa
-        step = math.pi / branch.kappa
-        j = math.ceil((lo - r0) / step)
-        r = r0 + j * step
-        # bounded by the count, since r += step stalls once step < ulp(r)
-        for _ in range(math.ceil(count) + 2):
-            if r >= hi:
-                break
-            if r > lo:
-                yield r
-            r += step
-        return
-    # a non-compact branch has at most one pole, a finite end of its
-    # regularity interval
-    for r in branch.regularity_interval():
-        if lo < r < hi:
-            yield r
-
-
 def extract_poles(
     sys: PCSystem,
     window: tuple[float, float],
@@ -122,7 +83,7 @@ def extract_poles(
         raise NormalizationError(f"window must be a nonempty interval: {window!r}")
     raw = []
     for b in sys.branches:
-        for r in _branch_poles_in(b, lo, hi):
+        for r in b.poles(lo, hi):
             raw.append((r, b.multiplicity))
     raw.sort()
     merged: list[list] = []
@@ -146,7 +107,7 @@ def default_window(*systems: PCSystem) -> tuple[float, float]:
         r
         for s in systems
         for b in s.branches
-        for r in _branch_poles_in(b, -2 * span, 3 * span)
+        for r in b.poles(-2 * span, 3 * span)
     ]
     for k in range(997):
         lo = span * k / 997.0
@@ -177,17 +138,14 @@ def canonical_branch_multiset(
 ) -> tuple[tuple[int, float, float, int], ...]:
     """Branches as (space_sign, kappa, canonical phase, merged multiplicity).
 
-    Compact phases are reduced modulo the cot period; branches equal up
-    to tol in (kappa, phase) are merged.  This is the branch-level form
-    of profile equality (away from the frequency-doubling locus).
+    Compact phases already lie in (0, pi), one cot period, and match
+    across its ends; branches equal up to tol in (kappa, phase) are merged.
+    This is the branch-level form of profile equality (away from the
+    frequency-doubling locus).
     """
-    keys = []
-    for b in sys.branches:
-        phase = b.phase % math.pi if b.space_sign == 1 else b.phase
-        keys.append([b.space_sign, b.kappa, phase, b.multiplicity])
-    keys.sort()
     merged: list[list] = []
-    for s, k, p, m in keys:
+    for s, k, p, m in sorted([b.space_sign, b.kappa, b.phase, b.multiplicity]
+                             for b in sys.branches):
         if merged:
             s0, k0, p0, m0 = merged[-1]
             if s == s0 and abs(k - k0) <= tol and _same_phase(s, p, p0, tol):
@@ -467,18 +425,13 @@ def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def random_profile_system(
-    rng: np.random.Generator,
-    label: str = "p",
-    max_branches: int = 6,
-    kappas=(1.0, 2.0),
-) -> PCSystem:
-    """Seeded random compact system: frequencies from kappas, phases clear
-    of the pole lattice, multiplicities small."""
-    count = int(rng.integers(1, max_branches + 1))
+def random_profile_system(rng: np.random.Generator, label: str = "p") -> PCSystem:
+    """Seeded random compact system: one to six branches of frequency 1 or
+    2, phases clear of the pole lattice, multiplicities small."""
+    count = int(rng.integers(1, 7))
     branches = []
     for _ in range(count):
-        kappa = float(rng.choice(kappas))
+        kappa = float(rng.choice((1.0, 2.0)))
         theta = float(rng.uniform(0.08, math.pi - 0.08))
         mult = int(rng.integers(1, 5))
         branches.append(CurvatureBranch.compact(kappa, theta, mult))

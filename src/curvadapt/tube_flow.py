@@ -11,6 +11,10 @@ of the ambient space.  branch_value evaluates every closed-form family:
     tanh        lambda(t) = kappa tanh(theta0 - kappa t),  |lambda0| < kappa
     const       lambda(t) = +/- kappa,                     |lambda0| = kappa
 
+CurvatureBranch.poles is the one pole model of these families: the
+profile comparator, the regularity interval of the flow and the
+theorem-2 evolution check all read it.
+
 Orientation convention for tubes: the flow parameter t moves toward the
 core, so a branch built at tube radius r focalizes at t = r exactly when
 the branch direction is normal to the core.  Tangent directions of a
@@ -30,6 +34,13 @@ from .certificates import Certificate
 from .errors import ExcludedAngleError, FocalPointError, NormalizationError
 
 _CONST_REGIME_RTOL = 1e-12
+
+#: Most poles one compact branch may place in a window.
+#: isoparametric.default_window scans five periods of the slowest branch,
+#: so a branch places about 5 kappa / kappa_min poles there: 20 at a
+#: frequency ratio of 4, but 5e9 for kappa 1e-9 beside kappa 1, whose walk
+#: would never end.
+MAX_BRANCH_POLES = 10_000
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -108,21 +119,57 @@ class CurvatureBranch:
             return "const"
         return "coth" if lam0 > self.kappa else "tanh"
 
+    def poles(self, lo: float, hi: float) -> list[float]:
+        """The branch's poles in the open interval (lo, hi), increasing.
+
+        A compact branch has one at theta/kappa and every pi/kappa from
+        there; a flat branch one at 1/lambda(0) unless lambda(0) = 0; a coth
+        branch one at atanh(kappa/lambda(0))/kappa; tanh and const branches
+        none.
+
+        Raises:
+            NormalizationError: if a compact branch has more than
+                MAX_BRANCH_POLES poles in the window.
+        """
+        if self.space_sign != 1:
+            if self.regime == "flat" and self.phase:
+                r = 1.0 / self.phase
+            elif self.regime == "coth":
+                r = math.atanh(self.kappa / self.phase) / self.kappa
+            else:
+                return []
+            return [r] if lo < r < hi else []
+        count = (hi - lo) * self.kappa / math.pi
+        if not count <= MAX_BRANCH_POLES:
+            raise NormalizationError(
+                f"window ({lo!r}, {hi!r}) holds {count:.3g} poles of the branch "
+                f"with kappa={self.kappa!r}, more than {MAX_BRANCH_POLES}; "
+                "narrow the window or bring the frequencies closer"
+            )
+        r = self.phase / self.kappa
+        step = math.pi / self.kappa
+        if step == math.inf:  # the period overflows: no second pole is a float
+            return [r] if lo < r < hi else []
+        r += math.ceil((lo - r) / step) * step
+        out = []
+        # bounded by the count, since r += step stalls once step < ulp(r)
+        for _ in range(math.ceil(count) + 2):
+            if r >= hi:
+                break
+            if r > lo:
+                out.append(r)
+            r += step
+        return out
+
     def regularity_interval(self) -> tuple[float, float]:
-        """Open interval around 0 on which the branch stays finite."""
+        """Open interval around 0 on which the branch stays finite: up to
+        the nearest pole on each side.  A compact branch takes the closed
+        form of its two nearest poles, since evolve reads it on every call."""
         if self.space_sign == 1:
             return ((self.phase - math.pi) / self.kappa, self.phase / self.kappa)
-        if self.regime == "flat":
-            lam0 = self.phase
-            if lam0 == 0.0:
-                return (-math.inf, math.inf)
-            r = 1.0 / lam0
-            return (-math.inf, r) if r > 0 else (r, math.inf)
-        if self.regime == "coth":
-            theta0 = math.atanh(self.kappa / self.phase)
-            t_pole = theta0 / self.kappa
-            return (-math.inf, t_pole) if self.phase > 0 else (t_pole, math.inf)
-        return (-math.inf, math.inf)  # tanh, const
+        for r in self.poles(-math.inf, math.inf):  # a lone pole, on lambda(0)'s side
+            return (-math.inf, r) if self.phase > 0 else (r, math.inf)
+        return (-math.inf, math.inf)
 
 
 #: branch_value treats a closed-form denominator below this as a pole
@@ -200,11 +247,6 @@ class PCSystem:
     @property
     def total_multiplicity(self) -> int:
         return sum(b.multiplicity for b in self.branches)
-
-
-def mean_curvature(system: PCSystem, t: float = 0.0) -> float:
-    """Trace of the shape operator: sum of multiplicity-weighted branch values."""
-    return sum(evolve(b, t) * b.multiplicity for b in system.branches)
 
 
 # --------------------------------------------------------------------------
@@ -493,17 +535,17 @@ def admissible_focal_configurations() -> list[FocalConfiguration]:
 def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
     """Brute-force check of a configuration by evolving its realized system.
 
-    Evolves the tube system at the midpoint between the focal sets and
-    confirms: no branch focalizes strictly between the focal sets, the
-    branches focalizing at each end match the configuration's counts, and
-    the mean curvature stays finite on a grid inside the interval.  A
+    Realizes the tube system at the midpoint between the focal sets and
+    confirms, from each branch's poles: no branch focalizes strictly
+    between the focal sets, and the branches focalizing at each end match
+    the configuration's counts; then that the mean curvature, summed from
+    evolve, stays finite on a grid inside the interval.  A
     configuration that fails any of these says so in the returned dict;
     a branch that focalizes at the midpoint itself is an interior pole.
     """
-    spacing = cfg.spacing / 4 * math.pi
-    mid = spacing / 2.0
+    mid = cfg.spacing / 8 * math.pi
     # flow toward Q1 is +t, toward Q2 is -t from the midpoint
-    toward_q1 = toward_q2 = 0
+    focal = dict.fromkeys(FOCAL_SETS, 0)
     interior_poles = 0
     rows = cfg.branches_at("q1")
     branches = []
@@ -514,25 +556,23 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
             interior_poles += m
             continue
         branches.append(b)
-        lo, hi = b.regularity_interval()
-        if hi < mid - 1e-12 or lo > -(spacing - mid) + 1e-12:
-            interior_poles += b.multiplicity
-        if abs(hi - mid) <= 1e-12:
-            toward_q1 += b.multiplicity
-        if abs(lo + (spacing - mid)) <= 1e-12:
-            toward_q2 += b.multiplicity
-    counted = dict(zip(FOCAL_SETS, (toward_q1, toward_q2)))
+        poles = b.poles(-mid - 1e-12, mid + 1e-12)
+        interior_poles += m * any(abs(r) < mid - 1e-12 for r in poles)
+        for q, end in zip(FOCAL_SETS, (mid, -mid)):
+            focal[q] += m * any(abs(r - end) <= 1e-12 for r in poles)
     grid = linspace(-mid * 0.98, mid * 0.98, 41)
     finite = len(branches) == len(rows)  # the grid runs through the midpoint
     if finite:
-        system = PCSystem(tuple(branches))
         try:
-            finite = all(math.isfinite(mean_curvature(system, t)) for t in grid)
+            finite = all(
+                math.isfinite(sum(evolve(b, t) * b.multiplicity for b in branches))
+                for t in grid
+            )
         except FocalPointError:  # the grid crosses a pole
             finite = False
     return {
         "interior_poles": interior_poles,
-        **{f"{q}_focal_mult_ok": counted[q] == sum(cfg.normal_mults(q)) for q in FOCAL_SETS},
+        **{f"{q}_focal_mult_ok": focal[q] == sum(cfg.normal_mults(q)) for q in FOCAL_SETS},
         "mean_curvature_finite": finite,
     }
 

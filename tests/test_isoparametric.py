@@ -122,7 +122,7 @@ class TestDefaultWindow:
             sys = iso.random_profile_system(rng)
             lo, hi = iso.default_window(sys)
             for b in sys.branches:
-                for r in iso._branch_poles_in(b, lo - 1.0, hi + 1.0):
+                for r in b.poles(lo - 1.0, hi + 1.0):
                     assert abs(r - lo) > 1e-6
                     assert abs(r - hi) > 1e-6
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from curvadapt import isoparametric as iso
 from curvadapt import tube_flow as tf
 from curvadapt.errors import ExcludedAngleError, FocalPointError, NormalizationError
 from helpers import (
@@ -237,6 +238,52 @@ class TestBranchProperties:
         assert abs(tf.evolve(shifted, 0.0) - tf.evolve(branch, s)) <= 1e-10
 
 
+class TestBranchPoles:
+    """CurvatureBranch.poles is the one pole model: the kernel, the flow's
+    regularity interval and the profile comparator all agree with it."""
+
+    @staticmethod
+    def window(branch):
+        # a non-compact pole may lie anywhere; a compact walk needs a bound
+        return (-10.0, 10.0) if branch.space_sign == 1 else (-math.inf, math.inf)
+
+    def test_kernel_raises_at_every_pole(self):
+        rng = np.random.default_rng(53)
+        for branch in sample_branches(rng, 200):
+            for r in branch.poles(*self.window(branch)):
+                with pytest.raises(FocalPointError):
+                    tf.branch_value(branch, r)
+
+    def test_regularity_interval_ends_at_the_nearest_poles(self):
+        rng = np.random.default_rng(54)
+        for branch in sample_branches(rng, 200) + [tf.CurvatureBranch.flat(0.0)]:
+            poles = branch.poles(*self.window(branch))
+            assert poles == sorted(poles)
+            below = max((r for r in poles if r < 0.0), default=-math.inf)
+            above = min((r for r in poles if r > 0.0), default=math.inf)
+            lo, hi = branch.regularity_interval()
+            # the compact ends are closed forms, the walk's poles sums
+            assert math.isclose(lo, below, rel_tol=0.0, abs_tol=1e-12), branch
+            assert math.isclose(hi, above, rel_tol=0.0, abs_tol=1e-12), branch
+
+    def test_tanh_and_const_branches_have_no_pole(self):
+        rng = np.random.default_rng(55)
+        for branch in sample_branches(rng, 200):
+            if branch.regime in ("tanh", "const"):
+                assert branch.poles(-math.inf, math.inf) == []
+                assert branch.poles(-0.5, float(rng.uniform(0.0, 5.0))) == []
+
+    def test_period_past_the_float_range(self):
+        # pi / kappa overflows, so theta / kappa is the one pole a float holds
+        branch = tf.CurvatureBranch.compact(1e-310, 1e-3)
+        assert branch.poles(0.0, 1e308) == [1e-3 / 1e-310]
+        assert branch.poles(-1e308, 0.0) == []
+        assert branch.regularity_interval() == (-math.inf, 1e-3 / 1e-310)
+        # the count guard runs first: an unbounded window holds inf poles
+        with pytest.raises(NormalizationError, match="holds inf poles"):
+            branch.poles(0.0, math.inf)
+
+
 class TestTubeTables:
     def test_point_tube_closed_forms(self):
         r = math.pi / 8
@@ -332,20 +379,20 @@ class TestTubeTables:
 
     def test_mean_curvature_example(self):
         r = math.pi / 8
-        h = tf.mean_curvature(tf.tube_spectrum("op2", "line", r))
+        h = iso.profile(tf.tube_spectrum("op2", "line", r), 0.0)
         expected = 8.0 * (-math.tan(r)) + 14.0 / math.tan(2.0 * r)
         assert abs(h - expected) <= 1e-12
 
     def test_minimal_point_tube_radius(self):
         r = minimal_tube_radius("op2", "point")
         assert abs(r - 0.9714824303776113) <= 1e-9
-        h = tf.mean_curvature(tf.tube_spectrum("op2", "point", r))
+        h = iso.profile(tf.tube_spectrum("op2", "point", r), 0.0)
         assert abs(h) <= 1e-9
 
     @pytest.mark.parametrize("core", ["point", "line", "hp2"])
     def test_minimal_tube_radius_matches_numerical_root(self, core):
         def h(r):
-            return tf.mean_curvature(tf.tube_spectrum("op2", core, r))
+            return iso.profile(tf.tube_spectrum("op2", core, r), 0.0)
 
         limit = math.pi / 4 if core == "hp2" else math.pi / 2
         root = brentq(h, 1e-3, limit - 1e-3, xtol=1e-14)
