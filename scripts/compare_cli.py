@@ -44,6 +44,7 @@ ROWS = {
     "tanh": '{"kappa":1,"theta":0.5,"mult":1,"regime":"tanh"}',
 }
 COMPACT_ROW = '{"kappa":1,"theta":1,"mult":1}'
+CASCADE_SYSTEM = '[{"kappa":2,"theta":1.2,"mult":3}]'
 CHANNELS = ("exit code", "stdout", "stderr")
 EDGES = [
     ["theorem3", "--alpha-grid", grid, "--constraint", mode, *fmt]
@@ -103,8 +104,14 @@ EDGES = [
     ["profile-match", "--p", '[{"kappa":1e-310,"theta":1,"mult":1}]',
      "--q", '[{"kappa":1e-310,"theta":1,"mult":1}]', "--window=0,1"],
 ] + [
-    ["cascade", "--system", f"[{ROWS[name]},{COMPACT_ROW}]", "--t", t]
-    for name in ("coth", "coth-negative", "flat", "flat-zero") for t in ("0.1", "-0.4")
+    ["cascade", "--system", f"[{row},{COMPACT_ROW}]", "--t", t]
+    for row in ROWS.values() for t in ("0.1", "-0.4")
+] + [
+    # the complex step far out, next to the coth pole at -0.4024 and at an
+    # overflowing power
+    *(["cascade", "--system", CASCADE_SYSTEM, f"--t={t}"] for t in ("1e6", "-1e6", "1e12")),
+    ["cascade", "--system", f"[{ROWS['coth-negative']}]", "--t=-0.4"],
+    ["cascade", "--system", CASCADE_SYSTEM, "--t", "0.1", "--kmax", "4000"],
 ] + [[], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 

@@ -357,7 +357,7 @@ def newton_recover(power_sums, tol: float = 1e-8):
     return values
 
 
-def power_sums(sys: PCSystem, t: float, k_max: int) -> list[float]:
+def power_sums(sys: PCSystem, t: float | complex, k_max: int) -> list[float | complex]:
     """p_k(t) = sum_i m_i lambda_i(t)^k for k = 1..k_max.
 
     Raises:
@@ -372,12 +372,17 @@ def power_sums(sys: PCSystem, t: float, k_max: int) -> list[float]:
             f"power {k_max} of the branch value {top!r} at t={t!r} overflows "
             "a float; lower k_max"
         ) from None
-    return [sum(m * v**k for v, m in values) for k in range(1, k_max + 1)]
+    # running products: complex ** k is polar above k = 100, where the angle
+    # pi - h/|lambda| of a negative lambda + ih rounds to pi and drops the h
+    sums, terms = [], [m for _, m in values]
+    for _ in range(k_max):
+        terms = [w * v for w, (v, _) in zip(terms, values)]
+        sums.append(sum(terms))
+    return sums
 
 
-#: central-difference step of power_sum_cascade: high powers amplify
-#: truncation error steeply, so it is kept moderate
-_FD_STEP = 1e-4
+#: imaginary step of power_sum_cascade: nothing cancels, so h can be tiny
+_COMPLEX_STEP = 1e-30
 
 
 def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
@@ -385,28 +390,19 @@ def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
 
     The flow equation lambda' = lambda^2 + s kappa^2 turns each power-sum
     derivative into p_k' = k (p_{k+1} + sum_i m_i s_i kappa_i^2
-    lambda_i^{k-1}); each residual compares that closed form against a
-    Richardson-extrapolated central difference, divided by
+    lambda_i^{k-1}); each residual compares that closed form against the
+    complex-step derivative Im p_k(t + ih) / h of the branches' closed
+    forms (Lyness & Moler 1967), divided by
     max(1, k sum_i m_i (|lambda_i|^{k+1} + kappa_i^2 |lambda_i|^{k-1})),
     the size of the terms compared, so that it does not grow with the
-    multiplicities or the branch values.  One extrapolation level of the
-    _FD_STEP difference removes the h^2 term; the residuals are smallest
-    at points where every branch value is O(1), away from the poles.
-    At large |t| the phases kappa (t +/- _FD_STEP) round by about kappa |t|
-    2^-52, so the residuals grow like kappa |t| 2^-52 / _FD_STEP.
+    multiplicities or the branch values.  The derivative side never reads
+    the flow equation, so the two sides are independent derivations.
     """
     if k_max < 1:
         raise NormalizationError("k_max must be >= 1")
-
-    def derivative(offset: float):
-        ahead = power_sums(sys, t + offset, k_max)
-        behind = power_sums(sys, t - offset, k_max)
-        return [(a - b) / (2 * offset) for a, b in zip(ahead, behind)]
-
-    coarse = derivative(_FD_STEP)
-    fine = derivative(_FD_STEP / 2)
-    fd = [(4 * f - c) / 3 for f, c in zip(fine, coarse)]
     here = power_sums(sys, t, k_max + 1)
+    derivative = [p.imag / _COMPLEX_STEP
+                  for p in power_sums(sys, complex(t, _COMPLEX_STEP), k_max)]
     values = [(branch_value(b, t), b.multiplicity, b.space_sign * b.kappa**2)
               for b in sys.branches]
     residuals = []
@@ -416,7 +412,7 @@ def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
         closed = k * (here[k] + curvature_term)
         size = k * sum(m * (abs(v) ** (k + 1) + abs(s_kappa_sq) * abs(v) ** (k - 1))
                        for v, m, s_kappa_sq in values)
-        residuals.append(abs(fd[k - 1] - closed) / max(1.0, size))
+        residuals.append(abs(derivative[k - 1] - closed) / max(1.0, size))
     return residuals
 
 

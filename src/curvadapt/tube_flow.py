@@ -176,32 +176,35 @@ class CurvatureBranch:
 POLE_PROXIMITY = 1e-12
 
 
-def branch_value(branch: CurvatureBranch, t: float) -> float:
+def branch_value(branch: CurvatureBranch, t: float | complex) -> float | complex:
     """Closed form of the branch at t, continued past its poles.
 
     This is the one evaluator of the five solution families.  It is the
     meromorphic function, so only its isolated poles are off limits; the
     mean-curvature profile evaluates it everywhere, while evolve first
-    confines t to the flow's regularity interval.
+    confines t to the flow's regularity interval; cmath serves a complex t.
 
     Raises:
         FocalPointError: if the denominator of the closed form is within
             1e-12 of zero, that is at a pole.
     """
+    lib = math
+    if isinstance(t, complex):
+        import cmath as lib  # only power_sum_cascade's complex step needs it
     k = branch.kappa
     if branch.space_sign == 1:
         arg = branch.phase - k * t
-        num, den = k * math.cos(arg), math.sin(arg)
+        num, den = k * lib.cos(arg), lib.sin(arg)
     else:
         regime = branch.regime
         if regime == "flat":
             num, den = branch.phase, 1.0 - branch.phase * t
         elif regime == "coth":
-            num, den = k, math.tanh(math.atanh(k / branch.phase) - k * t)
+            num, den = k, lib.tanh(math.atanh(k / branch.phase) - k * t)
         elif regime == "const":
-            return branch.phase
+            return branch.phase if lib is math else complex(branch.phase)
         else:
-            return k * math.tanh(math.atanh(branch.phase / k) - k * t)
+            return k * lib.tanh(math.atanh(branch.phase / k) - k * t)
     if abs(den) < POLE_PROXIMITY:
         raise FocalPointError(
             f"evaluation at a pole of the {branch.regime} branch: t={t!r}",

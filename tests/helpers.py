@@ -19,7 +19,6 @@ from curvadapt.errors import (
     UnsupportedRegimeError,
 )
 from curvadapt.grassmannian import StructureBundle
-from curvadapt.isoparametric import default_window
 from curvadapt.octonion import multiply
 from curvadapt.operators import EigenCluster
 from curvadapt.tube_flow import (
@@ -42,6 +41,28 @@ def branch_from_value(kappa: float, value: float, multiplicity: int = 1) -> Curv
     return CurvatureBranch.compact(kappa, theta, multiplicity)
 
 
+def sample_branches(rng: np.random.Generator, n: int) -> list[CurvatureBranch]:
+    """Seeded branches covering every regime, kappa in the geometric range."""
+    out = []
+    for _ in range(n):
+        kappa = float(rng.choice([1.0, 2.0]))
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            theta = float(rng.uniform(0.15, math.pi - 0.15))
+            out.append(CurvatureBranch.compact(kappa, theta))
+        elif kind == 1:
+            out.append(CurvatureBranch.flat(float(rng.uniform(-3.0, 3.0))))
+        elif kind == 2:  # coth regime
+            lam0 = float(rng.uniform(1.1, 4.0) * kappa * rng.choice([-1.0, 1.0]))
+            out.append(CurvatureBranch.hyperbolic(kappa, lam0))
+        elif kind == 3:  # tanh regime
+            lam0 = float(rng.uniform(-0.9, 0.9) * kappa)
+            out.append(CurvatureBranch.hyperbolic(kappa, lam0))
+        else:  # const regime
+            out.append(CurvatureBranch.hyperbolic(kappa, kappa * rng.choice([-1.0, 1.0])))
+    return out
+
+
 def focal_radius(branch: CurvatureBranch) -> float:
     """First pole of the flow in t > 0, or +inf when the flow never blows up."""
     return branch.regularity_interval()[1]
@@ -62,31 +83,6 @@ def translated(branch: CurvatureBranch, s: float) -> CurvatureBranch:
 def values_at(system: PCSystem, t: float) -> list[tuple[float, int]]:
     """(evolved value, multiplicity) of each branch of the system at t."""
     return [(evolve(b, t), b.multiplicity) for b in system.branches]
-
-
-def well_conditioned_time(
-    sys: PCSystem, cap: float = 4.0, window: tuple[float, float] | None = None
-) -> float | None:
-    """A t in the window where every branch value stays within cap.
-
-    Finite-difference checks of high power sums lose accuracy near poles;
-    this picks the evaluation point with the smallest worst branch value,
-    returning None when even that exceeds cap.
-    """
-    if window is None:
-        window = default_window(sys)
-    lo, hi = window
-    best_t, best_worst = None, math.inf
-    for t in linspace(lo, hi, 259)[1:-1]:
-        try:
-            worst = max(abs(branch_value(b, t)) for b in sys.branches)
-        except FocalPointError:
-            continue
-        if worst < best_worst:
-            best_t, best_worst = t, worst
-    if best_t is None or best_worst > cap:
-        return None
-    return best_t
 
 
 def reduced_phase(branch: CurvatureBranch, t: float) -> float:

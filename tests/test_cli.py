@@ -154,6 +154,16 @@ class TestExitCodes:
             assert code == cli.EXIT_OK, mult
             assert payload["passed"] is True
 
+    @pytest.mark.parametrize("system, t", [
+        ('[{"kappa":2,"theta":1.2,"mult":3}]', "1e6"),
+        ('[{"kappa":2,"theta":1.2,"mult":3}]', "1e12"),
+        ('[{"kappa":2,"theta":-3,"mult":1,"regime":"coth"}]', "-0.4"),  # pole at -0.4024
+    ])
+    def test_cascade_passes_far_out_and_near_a_pole(self, capsys, system, t):
+        code, payload, _ = run_json(capsys, "cascade", "--system", system, f"--t={t}")
+        assert code == cli.EXIT_OK
+        assert payload["passed"] is True
+
     def test_overflowing_period_is_compared(self, capsys):
         code, out, _ = run_cli(capsys, *OVERFLOWING_PERIOD_ARGV)
         assert code == cli.EXIT_NEGATIVE
@@ -242,12 +252,32 @@ USAGE_ERRORS = [
         ("cascade-power-overflow",
          ["cascade", "--system", '[{"kappa":2,"theta":1.2,"mult":3}]', "--t", "0.1",
           "--kmax", "4000"],
-         "error: power 4000 of the branch value 1.2847502176018033 at "
-         "t=0.10010000000000001 overflows a float; lower k_max\n"),
+         "error: power 4001 of the branch value 1.2841852318686615 at "
+         "t=0.1 overflows a float; lower k_max\n"),
         ("json-long-integer",
          ["profile-match", "--p", '[{"kappa": 1%s, "theta": 0.9, "mult": 1}]' % ("0" * 5000),
           "--q", Q_SAME],
          "error: argument --p: invalid JSON: Exceeds the limit (4300 digits)"),
+        ("t-nan", ["cascade", "--system", P_SYSTEM, "--t", "nan"],
+         "error: argument --t: must be finite, got 'nan'\n"),
+        ("alpha-inf", ["jacobi-spectrum", "--space", "grassmannian", "--alpha", "inf"],
+         "error: argument --alpha: must be finite, got 'inf'\n"),
+        ("alpha-nan", ["grassmannian-check", "--alpha", "nan"],
+         "error: argument --alpha: must be finite, got 'nan'\n"),
+        ("system-kappa-inf",
+         ["cascade", "--system", '[{"kappa": Infinity, "theta": 1.2, "mult": 3}]', "--t", "0.1"],
+         "error: argument --system: branch 0 needs finite kappa and theta\n"),
+        ("p-kappa-nan",
+         ["profile-match", "--p", '[{"kappa": NaN, "theta": 0.9, "mult": 1}]', "--q", Q_SAME],
+         "error: argument --p: branch 0 needs finite kappa and theta\n"),
+        ("system-mult-inf",
+         ["cascade", "--system", '[{"kappa": 2, "theta": 1.2, "mult": Infinity}]', "--t", "0.1"],
+         "error: argument --system: branch 0 needs an integer mult in [1, 2**53], got inf\n"),
+    ] + [
+        (f"tol-{value}", ["jacobi-spectrum", "--tol", f"spectrum_residual={value}"],
+         "error: argument --tol: tolerance 'spectrum_residual' must be finite and positive, "
+         f"got '{value}'\n")
+        for value in ("0", "-1e-9", "inf")
     ]
 ]
 
@@ -270,27 +300,6 @@ class TestInputHardening:
         code, payload, _ = run_json(capsys, "cascade", "--system", _row(0, 1, "flat"),
                                     "--t", "0.1")
         assert code == cli.EXIT_OK and payload["passed"] is True
-
-    def test_nonpositive_tolerance_is_usage_error(self, capsys):
-        for value in ("0", "-1e-9", "inf"):
-            self.assert_usage_error(capsys, "jacobi-spectrum",
-                                    "--tol", f"spectrum_residual={value}")
-
-    def test_non_finite_t_is_usage_error(self, capsys):
-        self.assert_usage_error(capsys, "cascade", "--system", P_SYSTEM, "--t", "nan")
-
-    def test_non_finite_alpha_is_usage_error(self, capsys):
-        self.assert_usage_error(capsys, "jacobi-spectrum", "--space", "grassmannian",
-                                "--alpha", "inf")
-        self.assert_usage_error(capsys, "grassmannian-check", "--alpha", "nan")
-
-    def test_non_finite_branch_json_is_usage_error(self, capsys):
-        bad = '[{"kappa": Infinity, "theta": 1.2, "mult": 3}]'
-        self.assert_usage_error(capsys, "cascade", "--system", bad, "--t", "0.1")
-        bad = '[{"kappa": NaN, "theta": 0.9, "mult": 1}]'
-        self.assert_usage_error(capsys, "profile-match", "--p", bad, "--q", Q_SAME)
-        bad = '[{"kappa": 2, "theta": 1.2, "mult": Infinity}]'
-        self.assert_usage_error(capsys, "cascade", "--system", bad, "--t", "0.1")
 
     def test_non_finite_output_fails_loudly(self, capsys, monkeypatch):
         def handler(args):

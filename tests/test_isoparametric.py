@@ -15,7 +15,7 @@ from helpers import (
     branch_from_value,
     branch_sign_divergence,
     reduced_phase,
-    well_conditioned_time,
+    sample_branches,
 )
 
 
@@ -356,11 +356,40 @@ class TestPowerSumCascade:
         worst = 0.0
         for _ in range(30):
             sys = iso.random_profile_system(rng)
-            t = well_conditioned_time(sys)
-            if t is None:
+            t = float(rng.uniform(*iso.default_window(sys)))
+            try:
+                worst = max(worst, max(iso.power_sum_cascade(sys, 5, t)))
+            except FocalPointError:
                 continue
-            worst = max(worst, max(iso.power_sum_cascade(sys, 5, t)))
         assert worst <= 1e-6, f"worst cascade residual {worst:.3e}"
+
+    def test_cascade_sweep_over_every_regime(self):
+        # the complex step takes no difference, so the residuals stay at
+        # rounding level anywhere the branches are regular, next to a pole too
+        rng = np.random.default_rng(48)
+        worst, evaluated = 0.0, 0
+        for _ in range(300):
+            sys = system_of(*sample_branches(rng, int(rng.integers(1, 6))))
+            lo = max(b.regularity_interval()[0] for b in sys.branches)
+            hi = min(b.regularity_interval()[1] for b in sys.branches)
+            t = float(rng.uniform(max(lo, -3.0), min(hi, 3.0)))
+            try:
+                worst = max(worst, max(iso.power_sum_cascade(sys, 5, t)))
+            except FocalPointError:
+                continue
+            evaluated += 1
+        assert evaluated >= 290
+        assert worst <= 1e-14, f"worst cascade residual {worst:.3e}"
+
+    def test_cascade_far_out_and_at_high_powers(self):
+        # the phases kappa t carry no difference step at |t| = 1e12; above
+        # k = 100, complex ** k is polar and would lose the imaginary part
+        # of a negative branch value
+        far = system_of(CurvatureBranch.compact(2.0, 1.2, 3))
+        for t in (1e6, -1e6, 1e12):
+            assert max(iso.power_sum_cascade(far, 5, t)) <= 1e-14, t
+        negative = system_of(branch_from_value(1.0, -0.9, 2), branch_from_value(2.0, 0.5))
+        assert max(iso.power_sum_cascade(negative, 200, 0.0)) <= 1e-14
 
     def test_cascade_includes_curvature_term(self):
         # dropping the sign kappa^2 term must leave a visible residual:
@@ -391,23 +420,6 @@ class TestPowerSumCascade:
             scaled = residuals(mult)
             assert max(scaled) <= 1e-6, mult
             assert all(abs(r - r1) <= 1e-9 for r, r1 in zip(scaled, base)), mult
-
-
-class TestWellConditionedTime:
-    def test_returns_interior_point_with_small_values(self):
-        rng = np.random.default_rng(47)
-        sys = iso.random_profile_system(rng)
-        t = well_conditioned_time(sys)
-        assert t is not None
-        assert max(abs(branch_value(b, t)) for b in sys.branches) <= 4.0
-
-    def test_crowded_system_returns_none(self):
-        branches = tuple(
-            CurvatureBranch.compact(1.0, (i + 0.5) * math.pi / 13.0)
-            for i in range(13)
-        )
-        sys = PCSystem(branches)
-        assert well_conditioned_time(sys) is None
 
 
 class TestSignDivergence:

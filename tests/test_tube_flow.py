@@ -17,31 +17,10 @@ from helpers import (
     focal_radius,
     jacobi_tube_curvature,
     minimal_tube_radius,
+    sample_branches,
     translated,
     values_at,
 )
-
-
-def sample_branches(rng, n):
-    """Seeded branches covering every regime, kappa in the geometric range."""
-    out = []
-    for _ in range(n):
-        kappa = float(rng.choice([1.0, 2.0]))
-        kind = rng.integers(0, 5)
-        if kind == 0:
-            theta = float(rng.uniform(0.15, math.pi - 0.15))
-            out.append(tf.CurvatureBranch.compact(kappa, theta))
-        elif kind == 1:
-            out.append(tf.CurvatureBranch.flat(float(rng.uniform(-3.0, 3.0))))
-        elif kind == 2:  # coth regime
-            lam0 = float(rng.uniform(1.1, 4.0) * kappa * rng.choice([-1.0, 1.0]))
-            out.append(tf.CurvatureBranch.hyperbolic(kappa, lam0))
-        elif kind == 3:  # tanh regime
-            lam0 = float(rng.uniform(-0.9, 0.9) * kappa)
-            out.append(tf.CurvatureBranch.hyperbolic(kappa, lam0))
-        else:  # const regime
-            out.append(tf.CurvatureBranch.hyperbolic(kappa, kappa * rng.choice([-1.0, 1.0])))
-    return out
 
 
 def interior_time(rng, branch, margin=0.1, box=2.0):
@@ -65,7 +44,7 @@ class TestLinspace:
 
     @pytest.mark.parametrize("start, stop, num", [
         (0.0, math.pi, 258),                     # profile grid, GRID_POINTS + 2
-        (0.31, 0.31 + math.pi, 259),             # well_conditioned_time
+        (0.31, 0.31 + math.pi, 259),             # an offset start, an odd count
         (-math.pi / 4 * 0.98, math.pi / 4 * 0.98, 41),  # evolution check
         (0.0, 20.0, 4097),                       # branch_sign_divergence, samples + 1
         (0.25, 1.30, 24),                        # theorem3 --alpha-grid
@@ -169,6 +148,35 @@ class TestClosedForms:
         with pytest.raises(FocalPointError):
             tf.evolve(b, 10.0)
 
+    @staticmethod
+    def real_closed_form(branch, t):
+        """The kernel's float arithmetic for each regime, written out."""
+        k, phase = branch.kappa, branch.phase
+        regime = branch.regime
+        if regime == "compact":
+            return k * math.cos(phase - k * t) / math.sin(phase - k * t)
+        if regime == "flat":
+            return phase / (1.0 - phase * t)
+        if regime == "coth":
+            return k / math.tanh(math.atanh(k / phase) - k * t)
+        if regime == "const":
+            return phase
+        return k * math.tanh(math.atanh(phase / k) - k * t)
+
+    def test_float_t_keeps_the_float_arithmetic(self):
+        # the complex path must not move a bit of any real evaluation
+        rng = np.random.default_rng(303)
+        checked = 0
+        for branch in sample_branches(rng, 300) + [tf.CurvatureBranch.flat(0.0)]:
+            t = float(rng.uniform(-3.0, 3.0))
+            try:
+                value = tf.branch_value(branch, t)
+            except FocalPointError:
+                continue
+            assert isinstance(value, float)
+            assert value.hex() == self.real_closed_form(branch, t).hex(), (branch, t)
+            checked += 1
+        assert checked >= 250
 
 class TestRiccatiConsistency:
     def test_finite_difference_defect(self):
@@ -189,6 +197,30 @@ class TestRiccatiConsistency:
             worst = max(worst, abs(fd - rhs))
             checked += 1
         assert worst <= 1e-6, f"worst Riccati FD defect {worst:.3e}"
+
+    def test_complex_step_defect(self):
+        # Im lambda(t + ih) / h is lambda'(t) with no difference taken, so it
+        # meets the flow equation to rounding, near a pole too
+        rng = np.random.default_rng(305)
+        h = 1e-30
+        regimes = set()
+        worst = 0.0
+        for branch in sample_branches(rng, 1000) + [tf.CurvatureBranch.flat(0.0)]:
+            lo, hi = branch.regularity_interval()
+            t = float(rng.uniform(max(lo, -3.0), min(hi, 3.0)))
+            try:
+                lam = tf.branch_value(branch, t)
+            except FocalPointError:
+                continue
+            value = tf.branch_value(branch, complex(t, h))
+            assert type(value) is complex, branch.regime
+            assert abs(value.real - lam) <= 1e-15 * max(1.0, abs(lam))
+            kappa_sq = branch.kappa**2
+            rhs = lam**2 + branch.space_sign * kappa_sq
+            worst = max(worst, abs(value.imag / h - rhs) / (1.0 + lam**2 + kappa_sq))
+            regimes.add(branch.regime)
+        assert regimes == {"compact", "flat", "coth", "tanh", "const"}
+        assert worst <= 1e-14, f"worst Riccati complex-step defect {worst:.3e}"
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(302)
