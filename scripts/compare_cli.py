@@ -10,11 +10,11 @@ stdout and stderr of every argv.  An uncaught exception is recorded as
 that argv's result too: exit value "exception", with its type and message
 appended to stderr.  The corpus is the argv of the three perfbench
 workloads at seeds 1, 11, 12 and 777, plus theorem-3, grassmannian-check,
-tube-table, profile-match and cascade edge cases, malformed option values,
-the bare command and the help of the command and of each subcommand.
-Prints each argv whose results differ with the channels that differ,
-then how many argv are identical in each channel, and exits 1 if an
-argv differs, else exits 0.
+tube-table, profile-match, cascade and sectional-range edge cases,
+malformed option values, the bare command and the help of the command
+and of each subcommand.  Prints each argv whose results differ with the
+channels that differ, then how many argv are identical in each channel,
+and exits 1 if an argv differs, else exits 0.
 """
 
 from __future__ import annotations
@@ -112,6 +112,11 @@ EDGES = [
     *(["cascade", "--system", CASCADE_SYSTEM, f"--t={t}"] for t in ("1e6", "-1e6", "1e12")),
     ["cascade", "--system", f"[{ROWS['coth-negative']}]", "--t=-0.4"],
     ["cascade", "--system", CASCADE_SYSTEM, "--t", "0.1", "--kmax", "4000"],
+] + [
+    # no sampled plane (a null range), one plane, and the hyperbolic dual
+    ["sectional-range", "--samples", "0"],
+    ["sectional-range", "--samples", "1"],
+    ["sectional-range", "--samples", "2000", "--sign", "-1"],
 ] + [[], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 

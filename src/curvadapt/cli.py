@@ -280,14 +280,13 @@ def _cmd_sectional_range(args):
     e = np.eye(cayley_plane.DIM)
     line_plane = cayley_plane.sectional_curvature(e[0], e[1], sign=args.sign)
     cross_plane = cayley_plane.sectional_curvature(e[0], e[8], sign=args.sign)
-    for k in (line_plane, cross_plane):
-        lo, hi = min(lo, k), max(hi, k)
+    sampled = lo <= hi  # False when no plane was kept
     payload = {
         "sign": args.sign,
         "samples": args.samples,
         "seed": args.seed,
-        "min": lo,
-        "max": hi,
+        "min": lo if sampled else None,
+        "max": hi if sampled else None,
         "structured_planes": {"line": line_plane, "transverse": cross_plane},
     }
     return payload, None, EXIT_OK
@@ -386,7 +385,6 @@ def _cmd_grassmannian_check(args):
         v_rhs = np.vecdot(grassmannian.curvature_g2(z, w, x, bundle, verbatim=True), y)
         verbatim = np.abs(v_lhs - v_rhs) / np.maximum(1.0, np.abs(v_lhs))
         verbatim_defect = max(verbatim_defect, float(verbatim.max()))
-    constant = grassmannian.eigenvalue_constant(bundle)
     passed = (
         health <= args.tolerances["health"]
         and verbatim_defect > args.tolerances["health"]
@@ -404,7 +402,6 @@ def _cmd_grassmannian_check(args):
         "hopf_residual": hopf.residual,
         "hopf_eigenvalues": [hopf.lambda1, hopf.lambda2],
         "ratio_defect": hopf.ratio_defect,
-        "eigenvalue_constant": constant,
         "passed": passed,
     }
     return payload, None, EXIT_OK if passed else EXIT_NEGATIVE

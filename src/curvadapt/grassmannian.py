@@ -19,9 +19,8 @@ For a unit tangent xi, the angle alpha in [0, pi/2] measures how far J xi
 leans out of the quaternionic span of xi:  J xi = cos(alpha) J1 xi +
 sin(alpha) J1 Z with Z a unit vector orthogonal to the quaternionic span.
 The distinguished normal-Jacobi eigenvectors X1, X2 built from (J1, Z)
-carry eigenvalues c (1 + cos alpha) and c (1 - cos alpha); the shared
-constant c is measured from the model (it comes out as 4 in this
-normalization), not asserted.
+carry eigenvalues 4 (1 + cos alpha) and 4 (1 - cos alpha) in this
+normalization; ``hopf_eigenvectors`` measures them and their ratio law.
 
 ``curvature_g2`` broadcasts over leading batch axes (an (N, 4m) array is
 N tangent vectors; structures act on the last axis, as ``X @ J.T``), so
@@ -230,22 +229,6 @@ def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
     defect = np.abs(lam[0] * (1.0 - cos_a) - lam[1] * (1.0 + cos_a))
     rows = zip(*lam.tolist(), residual.tolist(), measured.tolist(), defect.tolist())
     return [HopfPair(*row) for row in rows]
-
-
-def eigenvalue_constant(bundle: StructureBundle) -> float:
-    """The shared constant c with eigenvalues c (1 +/- cos alpha), measured.
-
-    Computed from the model at the generic angle 0.7 and cross-checked at
-    a second angle; the two estimates must agree to 1e-9.
-    """
-    estimates = []
-    for pair in hopf_eigenvectors((0.7, 0.7 / 2.0 + 0.3), bundle):
-        estimates.append(pair.lambda1 / (1.0 + np.cos(pair.alpha)))
-        estimates.append(pair.lambda2 / (1.0 - np.cos(pair.alpha)))
-    c = float(np.mean(estimates))
-    if max(abs(e - c) for e in estimates) > 1e-9:
-        raise NormalizationError(f"eigenvalue constant is not constant: {estimates!r}")
-    return c
 
 
 def shape_consistency(

@@ -634,21 +634,6 @@ EXCLUDED_COSINES = (0.0, 3.0 / 5.0, 4.0 / 5.0, 1.0)
 CONSTRAINT_MODES = ("a_jj_const", "a_zz_const", "ratio_const")
 
 
-def _flipped_sign_floor(mu1: float, mu2: float) -> dict:
-    """Residual floor when both Riccati equations carry flipped frequency
-    signs (lambda' = lambda^2 - mu).  The constant solution
-    lambda2 = sqrt(mu2) with c = sqrt(mu1/mu2) then satisfies both, so the
-    floor collapses to the rounding error of that closed form; reported
-    for comparison, never asserted."""
-    exact_c = math.sqrt(mu1 / mu2)
-    exact = abs(exact_c * (1 - exact_c) * mu2 - exact_c * mu2 + mu1)
-    return {
-        "floor": exact,
-        "constant_solution_c": exact_c,
-        "constant_solution_lambda2_0": math.sqrt(mu2),
-    }
-
-
 def _excluded_error(alpha: float) -> ExcludedAngleError | None:
     """The error for an angle whose cosine is excluded, else None."""
     cos_a = math.cos(alpha)
@@ -674,11 +659,11 @@ def theorem3_sweep(
     i.e. cos(alpha) = 0.  On the maximal forward window lambda2 runs to its
     pole, so the sup of the defect is finite only for c in {0, 1}, where it
     is mu1 or mu1 - mu2.  Each row's floor is therefore exactly mu1 - mu2,
-    with witness c = 1 at every lambda2(0); the certificate reports the
-    smallest row, and a positive floor is a "contradiction" verdict.  The
-    a_jj and a_zz shape constraints only add conditions, so mu1 - mu2
-    bounds every mode from below and ``constraint`` only labels the
-    payload.
+    with witness c = 1 at every lambda2(0).  A row holds alpha, mu1, mu2,
+    ratio_defect and min_residual; the certificate reports the smallest
+    row, and a positive floor is a "contradiction" verdict.  The a_jj and
+    a_zz shape constraints only add conditions, so mu1 - mu2 bounds every
+    mode from below and ``constraint`` only labels the payload.
 
     Every grid angle is measured in one batched model evaluation.
 
@@ -722,8 +707,6 @@ def theorem3_sweep(
                 "mu2": mu2,
                 "ratio_defect": pair.ratio_defect,
                 "min_residual": residual,
-                "c": 1.0,
-                "flipped_sign_variant": _flipped_sign_floor(mu1, mu2),
             }
         )
         if residual < floor:

@@ -114,7 +114,10 @@ class TestAlphaDecomposition:
 
 
 class TestHopfEigenvectors:
-    def test_eigenvalue_law(self, bundle):
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_eigenvalue_law(self, m):
+        # the constant 4 in 4 (1 +/- cos alpha) does not depend on the model size
+        bundle = g.StructureBundle.standard(m)
         alphas = np.linspace(0.1, np.pi / 2 - 0.1, 12)
         for alpha, pair in zip(alphas, g.hopf_eigenvectors(alphas, bundle)):
             assert abs(pair.lambda1 - 4.0 * (1.0 + np.cos(alpha))) <= 1e-9
@@ -143,9 +146,6 @@ class TestHopfEigenvectors:
             g.hopf_eigenvectors([0.0], bundle)
         with pytest.raises(BoundaryAngleError):
             g.hopf_eigenvectors([np.pi / 2], bundle)
-
-    def test_measured_constant_is_four(self, bundle):
-        assert abs(g.eigenvalue_constant(bundle) - 4.0) <= 1e-9
 
 
 class TestJacobiSpectrum:
