@@ -12,7 +12,9 @@ appended to stderr.  The corpus is the argv of the three perfbench
 workloads at seeds 1, 11, 12 and 777, plus theorem-3, grassmannian-check,
 tube-table, profile-match, cascade and sectional-range edge cases,
 malformed option values, the bare command and the help of the command
-and of each subcommand.  Prints each argv whose results differ with the
+and of each subcommand.  All argv of a tree run in one process, so an
+identical count also shows that the parser, built once per subcommand,
+carries nothing from one call to the next.  Prints each argv whose results differ with the
 channels that differ, then how many argv are identical in each channel,
 and exits 1 if an argv differs, else exits 0.
 """
@@ -44,6 +46,12 @@ ROWS = {
     "tanh": '{"kappa":1,"theta":0.5,"mult":1,"regime":"tanh"}',
 }
 COMPACT_ROW = '{"kappa":1,"theta":1,"mult":1}'
+#: six kappa = 1 branches, 59,206 profile poles in --window=0,31000
+SIX_BRANCHES = "[" + ",".join(f'{{"kappa":1,"theta":{theta},"mult":1}}'
+                              for theta in (0.3, 0.8, 1.3, 1.9, 2.4, 2.9)) + "]"
+#: a pole at t = 1.5, and a second pole at t = 1 that pole_merge=1 merges into it
+POLE_AT_1_5 = '[{"kappa":1,"theta":1.5,"mult":1}]'
+MERGED_PAIR = '[{"kappa":1,"theta":1,"mult":1},{"kappa":1,"theta":1.5,"mult":1}]'
 CASCADE_SYSTEM = '[{"kappa":2,"theta":1.2,"mult":3}]'
 CHANNELS = ("exit code", "stdout", "stderr")
 EDGES = [
@@ -103,6 +111,17 @@ EDGES = [
 ] + [
     ["profile-match", "--p", '[{"kappa":1e-310,"theta":1,"mult":1}]',
      "--q", '[{"kappa":1e-310,"theta":1,"mult":1}]', "--window=0,1"],
+] + [
+    # the smooth-part grid: a crowded window that masks every point, one
+    # system over coth, flat and const rows, a narrow window ending at a
+    # pole, and a grid point on a pole that the mask leaves open
+    ["profile-match", "--p", SIX_BRANCHES, "--q", SIX_BRANCHES, "--window=0,31000"],
+    *(["profile-match", "--p", f"[{ROWS['coth']},{ROWS['flat']},{ROWS['const']},{COMPACT_ROW}]",
+       "--q", f"[{ROWS['const']},{COMPACT_ROW},{ROWS['flat']},{ROWS['coth']}]", *window]
+      for window in ([], ["--window=-1,3"])),
+    ["profile-match", "--p", POLE_AT_1_5, "--q", POLE_AT_1_5, "--window=1.4,1.5"],
+    ["profile-match", "--p", MERGED_PAIR, "--q", MERGED_PAIR, "--window=0,2.57",
+     "--tol", "pole_merge=1"],
 ] + [
     ["cascade", "--system", f"[{row},{COMPACT_ROW}]", "--t", t]
     for row in ROWS.values() for t in ("0.1", "-0.4")

@@ -15,7 +15,7 @@ import math
 import os
 import reprlib
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import isoparametric, octonion_table, tube_flow
 from .errors import CurvAdaptError, FocalPointError
@@ -27,6 +27,7 @@ EXIT_NEGATIVE = 2
 
 DEFAULT_SEED = 0
 FORMAT_ENV = "CURVADAPT_FORMAT"
+FORMATS = ("json", "csv", "md")
 
 #: tolerance names accepted by --tol overrides
 DEFAULT_TOLERANCES = {
@@ -535,23 +536,20 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser for argv: only the subcommand that argv[0] names, so a
-    call pays for one subparser; all ten when argv names none, so that
-    help and usage errors list every subcommand."""
+@cache
+def _build_parser(subcommand: str | None) -> _Parser:
+    """The parser for a call whose argv starts with subcommand: only that
+    subparser, so a call pays for one; all ten for None, so that
+    help and usage errors list every subcommand.  A parser is built once
+    per subcommand per process and holds nothing from one call to the
+    next: the --format default and the handler are read in main."""
     parser = _Parser(prog="curvadapt", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    env_format = os.environ.get(FORMAT_ENV, "json")
-    if env_format not in ("json", "csv", "md"):
-        env_format = "json"
-
-    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
-    for name in names:
+    for name in _SUBCOMMANDS if subcommand is None else (subcommand,):
         help_text, options = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=_count(0), default=DEFAULT_SEED)
-        p.add_argument("--format", choices=("json", "csv", "md"), default=env_format)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.add_argument(
             "--tol",
             type=_tolerance,
@@ -561,8 +559,6 @@ def _build_parser(argv: list[str]) -> _Parser:
         )
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
-        # looked up now, not at import, so a replaced handler is the one called
-        p.set_defaults(handler=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -590,16 +586,20 @@ def _cell(value) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         args.tolerances = DEFAULT_TOLERANCES | dict(args.tol or ())
-        payload, table, code = args.handler(args)
+        # looked up per call, not when the parser is built once per
+        # subcommand per process, so a replaced handler is the one called
+        handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
+        payload, table, code = handler(args)
     except (_UsageError, CurvAdaptError) as exc:
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    fmt = args.format or os.environ.get(FORMAT_ENV, "json")
     try:
-        _emit(payload, table, args.format, sys.stdout)
+        _emit(payload, table, fmt if fmt in FORMATS else "json", sys.stdout)
     except ValueError as exc:  # a non-finite number reached the JSON output
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

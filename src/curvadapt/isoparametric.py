@@ -17,15 +17,18 @@ multiset equality on that measure-zero locus; the analytic comparator is
 authoritative and the multiset comparator is reported alongside it.
 
 Systems are tube_flow.PCSystem values; their labels name them in the
-witnesses.  Branch values come from tube_flow.branch_value, the one
+witnesses.  Branch values come from tube_flow.branch_values, the one
 closed-form evaluator, and pole locations from CurvatureBranch.poles;
-this module only merges and matches them.  The profile is the
+this module only merges and matches them.  The smooth-part grid reads
+branch_values a column per branch and sums the columns in branch order,
+the additions profile makes at each point.  The profile is the
 meromorphic function, so it is evaluated past the first pole, where the
 flow of tube_flow.evolve ends.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,7 +40,7 @@ from .errors import (
     NormalizationError,
     UnsupportedRegimeError,
 )
-from .tube_flow import CurvatureBranch, PCSystem, branch_value, linspace
+from .tube_flow import CurvatureBranch, PCSystem, branch_value, branch_values, linspace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -170,22 +173,46 @@ def multisets_match(
     return True
 
 
+def _near_pole(t: float, locations: list[float], radius: float) -> bool:
+    """Whether t lies within radius of a location, the locations increasing:
+    only the two neighbours of t's insertion point can be nearest."""
+    i = bisect.bisect_left(locations, t)
+    return (i > 0 and t - locations[i - 1] < radius) or (
+        i < len(locations) and locations[i] - t < radius)
+
+
+def _profile_column(sys: PCSystem, ts: list[float]) -> list[float]:
+    """profile(sys, t) at each t of ts, bit for bit: the branch columns
+    summed in branch order, starting from 0.0."""
+    total = [0.0] * len(ts)
+    for b in sys.branches:
+        m = b.multiplicity
+        total = [s + m * v for s, v in zip(total, branch_values(b, ts))]
+    return total
+
+
 def _masked_grid_residual(
     p: PCSystem,
     q: PCSystem,
     window: tuple[float, float],
-    pole_locations,
+    pole_locations: list[float],
 ) -> tuple[float, float]:
-    """(max |profile_p - profile_q|, argmax t) over grid points clear of poles."""
+    """(max |profile_p - profile_q|, argmax t) over grid points clear of
+    the poles, whose locations come increasing."""
     lo, hi = window
     grid = linspace(lo, hi, GRID_POINTS + 2)[1:-1]
     mask_radius = max(1e-2, 2.0 * (hi - lo) / GRID_POINTS)
+    kept = [t for t in grid if not _near_pole(t, pole_locations, mask_radius)]
+    try:
+        diffs = [abs(a - b) for a, b in zip(_profile_column(p, kept), _profile_column(q, kept))]
+    except FocalPointError:
+        for t in kept:  # the point walk raises at the first pole it meets, p before q
+            profile(p, t)
+            profile(q, t)
+        raise
     worst = -1.0
     worst_t = lo
-    for t in grid:
-        if any(abs(t - r) < mask_radius for r in pole_locations):
-            continue
-        d = abs(profile(p, t) - profile(q, t))
+    for t, d in zip(kept, diffs):
         if d > worst:
             worst, worst_t = d, t
     if worst < 0.0:
@@ -215,14 +242,16 @@ def profiles_equivalent(
     _refuse_tanh(p, q)
     if window is None:
         window = default_window(p, q)
-    poles_p = list(extract_poles(p, window, merge_tol))
-    poles_q = list(extract_poles(q, window, merge_tol))
+    poles_p = extract_poles(p, window, merge_tol)
+    poles_q = extract_poles(q, window, merge_tol)
     matched_locations = []
     witness = None
     residual = 0.0
-    # innermost-first stripping: peel the nearest remaining pole each round
-    while poles_p and poles_q:
-        a, b = poles_p[0], poles_q[0]
+    # innermost-first stripping: peel the nearest remaining pole each round;
+    # the poles before index i are matched on both sides
+    i = 0
+    while i < len(poles_p) and i < len(poles_q):
+        a, b = poles_p[i], poles_q[i]
         if abs(a.location - b.location) > merge_tol:
             inner = a if a.location < b.location else b
             witness = {
@@ -241,14 +270,13 @@ def profiles_equivalent(
             residual = float(abs(a.weight - b.weight))
             break
         matched_locations.append(a.location)
-        poles_p.pop(0)
-        poles_q.pop(0)
-    if witness is None and (poles_p or poles_q):
-        leftover = (poles_p or poles_q)[0]
+        i += 1
+    if witness is None and (i < len(poles_p) or i < len(poles_q)):
+        side, leftover = (p, poles_p) if i < len(poles_p) else (q, poles_q)
         witness = {
             "kind": "pole_unmatched",
-            "location": leftover.location,
-            "side": p.label if poles_p else q.label,
+            "location": leftover[i].location,
+            "side": side.label,
         }
         residual = 1.0
     details = {

@@ -3,7 +3,7 @@
 Each principal curvature of a tube satisfies a scalar Riccati equation
 lambda' = lambda^2 + s * kappa^2, where kappa^2 is the eigenvalue of the
 normal Jacobi operator on the branch and s = +1, 0, -1 the curvature sign
-of the ambient space.  branch_value evaluates every closed-form family:
+of the ambient space.  branch_values evaluates every closed-form family:
 
     compact     lambda(t) = kappa cot(theta - kappa t)
     flat        lambda(t) = 1 / (r - t)   (or identically 0)
@@ -172,45 +172,58 @@ class CurvatureBranch:
         return (-math.inf, math.inf)
 
 
-#: branch_value treats a closed-form denominator below this as a pole
+#: branch_values treats a closed-form denominator below this as a pole
 POLE_PROXIMITY = 1e-12
 
 
-def branch_value(branch: CurvatureBranch, t: float | complex) -> float | complex:
-    """Closed form of the branch at t, continued past its poles.
+def branch_values(branch: CurvatureBranch, ts: list) -> list:
+    """Closed form of the branch at each t of ts, continued past its poles.
 
-    This is the one evaluator of the five solution families.  It is the
+    This is the one evaluator of the five solution families, read a
+    column at a time: each point takes the float operations of a lone
+    call, so a column equals its points bit for bit.  It is the
     meromorphic function, so only its isolated poles are off limits; the
     mean-curvature profile evaluates it everywhere, while evolve first
-    confines t to the flow's regularity interval; cmath serves a complex t.
+    confines t to the flow's regularity interval.  A column of complex t
+    takes cos, sin and tanh from cmath.
 
     Raises:
-        FocalPointError: if the denominator of the closed form is within
-            1e-12 of zero, that is at a pole.
+        FocalPointError: at the first t whose closed-form denominator is
+            within POLE_PROXIMITY of zero, that is at a pole.
     """
     lib = math
-    if isinstance(t, complex):
+    if ts and isinstance(ts[0], complex):
         import cmath as lib  # only power_sum_cascade's complex step needs it
     k = branch.kappa
-    if branch.space_sign == 1:
-        arg = branch.phase - k * t
-        num, den = k * lib.cos(arg), lib.sin(arg)
-    else:
-        regime = branch.regime
-        if regime == "flat":
+    regime = branch.regime
+    if regime == "const":
+        return [branch.phase if lib is math else complex(branch.phase)] * len(ts)
+    if regime == "tanh":
+        shift = math.atanh(branch.phase / k)
+        return [k * lib.tanh(shift - k * t) for t in ts]
+    if regime == "coth":
+        shift = math.atanh(k / branch.phase)
+    values = []
+    for t in ts:
+        if regime == "compact":
+            arg = branch.phase - k * t
+            num, den = k * lib.cos(arg), lib.sin(arg)
+        elif regime == "flat":
             num, den = branch.phase, 1.0 - branch.phase * t
-        elif regime == "coth":
-            num, den = k, lib.tanh(math.atanh(k / branch.phase) - k * t)
-        elif regime == "const":
-            return branch.phase if lib is math else complex(branch.phase)
         else:
-            return k * lib.tanh(math.atanh(branch.phase / k) - k * t)
-    if abs(den) < POLE_PROXIMITY:
-        raise FocalPointError(
-            f"evaluation at a pole of the {branch.regime} branch: t={t!r}",
-            focal_radius=t,
-        )
-    return num / den
+            num, den = k, lib.tanh(shift - k * t)
+        if abs(den) < POLE_PROXIMITY:
+            raise FocalPointError(
+                f"evaluation at a pole of the {regime} branch: t={t!r}",
+                focal_radius=t,
+            )
+        values.append(num / den)
+    return values
+
+
+def branch_value(branch: CurvatureBranch, t: float | complex) -> float | complex:
+    """Closed form of the branch at one t: branch_values at a single point."""
+    return branch_values(branch, [t])[0]
 
 
 def evolve(branch: CurvatureBranch, t: float) -> float:

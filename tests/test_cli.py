@@ -948,6 +948,10 @@ class TestParser:
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
+    def run_json(self, capsys, *argv):
+        code, out, err = self.run(capsys, *argv)
+        return code, json.loads(out), err
+
     @pytest.mark.parametrize("argv, expected", [
         ([], (1, "", "curvadapt: error: the following arguments are required: subcommand\n")),
         (["--help"], (0, TOP_HELP, "")),
@@ -966,8 +970,48 @@ class TestParser:
         assert listed == list(SUBCOMMANDS)
 
     def test_a_call_builds_only_its_subcommand(self):
-        assert "{cascade}" in cli._build_parser(["cascade"]).format_usage()
-        assert "{octonion-table,jacobi-spectrum," in cli._build_parser([]).format_usage()
+        assert "{cascade}" in cli._build_parser("cascade").format_usage()
+        assert "{octonion-table,jacobi-spectrum," in cli._build_parser(None).format_usage()
+
+    def test_parser_is_built_once_per_subcommand(self):
+        assert cli._build_parser("cascade") is cli._build_parser("cascade")
+        assert cli._build_parser(None) is cli._build_parser(None)
+
+    # The parser is built once per subcommand per process.  Each case below
+    # fills that cache with one call first, so a parser that kept a value
+    # from its build or from the call before would fail it.
+
+    def test_cached_parser_reads_the_format_env_var_per_call(self, capsys, monkeypatch):
+        argv = ("tube-table", "--ambient", "oh2", "--core", "horosphere")
+        code, out, _ = self.run(capsys, *argv)
+        assert code == cli.EXIT_OK
+        json.loads(out)
+        monkeypatch.setenv(cli.FORMAT_ENV, "csv")
+        code, out, _ = self.run(capsys, *argv)
+        assert code == cli.EXIT_OK
+        assert out.splitlines()[0] == "value,multiplicity,kappa,regime"
+        monkeypatch.setenv(cli.FORMAT_ENV, "xml")
+        code, out, _ = self.run(capsys, *argv)
+        assert code == cli.EXIT_OK
+        json.loads(out)
+
+    def test_cached_parser_calls_a_replaced_handler(self, capsys, monkeypatch):
+        assert self.run(capsys, "octonion-table")[0] == cli.EXIT_OK
+
+        def handler(args):
+            return {"value": math.nan}, None, cli.EXIT_OK
+
+        monkeypatch.setattr(cli, "_cmd_octonion_table", handler)
+        code, out, err = self.run(capsys, "octonion-table")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "not JSON compliant" in err
+
+    def test_cached_parser_forgets_a_tolerance_override(self, capsys):
+        argv = ("cascade", "--system", P_SYSTEM, "--t", "0.1")
+        code, payload, _ = self.run_json(capsys, *argv, "--tol", "cascade=1e-30")
+        assert (code, payload["passed"]) == (cli.EXIT_NEGATIVE, False)
+        code, payload, _ = self.run_json(capsys, *argv)
+        assert (code, payload["passed"]) == (cli.EXIT_OK, True)
 
 
 class TestConsoleScript:

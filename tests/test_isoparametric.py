@@ -10,7 +10,14 @@ from curvadapt.errors import (
     NormalizationError,
     UnsupportedRegimeError,
 )
-from curvadapt.tube_flow import CurvatureBranch, PCSystem, branch_value, evolve
+from curvadapt.tube_flow import (
+    CurvatureBranch,
+    PCSystem,
+    branch_value,
+    branch_values,
+    evolve,
+    linspace,
+)
 from helpers import (
     branch_from_value,
     branch_sign_divergence,
@@ -178,6 +185,15 @@ class TestProfileEquivalence:
         assert cert.verdict == "distinct"
         assert cert.witness["kind"] in ("pole_location", "pole_unmatched")
 
+    def test_unmatched_pole_after_matched_ones(self):
+        # q's flat branch adds a pole at 3.0 past the pole at 0.9 that both share
+        p = system_of(CurvatureBranch.compact(1.0, 0.9, 2))
+        q = system_of(CurvatureBranch.compact(1.0, 0.9, 2), CurvatureBranch.flat(1 / 3.0),
+                      label="q")
+        cert = iso.profiles_equivalent(p, q, window=(0.1, 3.1))
+        assert cert.details["matched_poles"] == [pytest.approx(0.9)]
+        assert cert.witness == {"kind": "pole_unmatched", "location": 3.0, "side": "q"}
+
     def test_smooth_part_witness(self):
         # same pole data, profiles offset by a constant: only the masked
         # grid can see the difference
@@ -234,6 +250,118 @@ class TestProfileEquivalence:
         assert iso.profiles_equivalent(base, copy1).verdict == "equivalent"
         assert iso.profiles_equivalent(copy1, copy2).verdict == "equivalent"
         assert iso.profiles_equivalent(base, copy2).verdict == "equivalent"
+
+
+def point_walk_residual(p, q, window, pole_locations):
+    """The smooth-part grid walked a point at a time with profile, each
+    point masked by a scan of every pole: the oracle of the column kernel."""
+    lo, hi = window
+    grid = linspace(lo, hi, iso.GRID_POINTS + 2)[1:-1]
+    mask_radius = max(1e-2, 2.0 * (hi - lo) / iso.GRID_POINTS)
+    worst, worst_t = -1.0, lo
+    for t in grid:
+        if any(abs(t - r) < mask_radius for r in pole_locations):
+            continue
+        d = abs(iso.profile(p, t) - iso.profile(q, t))
+        if d > worst:
+            worst, worst_t = d, t
+    if worst < 0.0:
+        raise NormalizationError("grid entirely masked; window too crowded")
+    return worst, worst_t
+
+
+def hexes(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestGridKernel:
+    """branch_values reads a branch a column at a time, and the comparator
+    sums those columns over a bisected pole mask; each agrees bit for bit
+    with its point-at-a-time oracle."""
+
+    def test_column_equals_its_points_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        branches = [CurvatureBranch.flat(0.5), CurvatureBranch.flat(0.0),
+                    *sample_branches(rng, 200)]
+        ts = linspace(-2.93, 3.07, 301)
+        steps = [complex(t, 1e-30) for t in ts]
+        for b in branches:
+            assert hexes(branch_values(b, ts)) == hexes(branch_value(b, t) for t in ts)
+            assert hexes(branch_values(b, steps)) == hexes(branch_value(b, t) for t in steps)
+        assert {b.regime for b in branches} == {"compact", "flat", "coth", "tanh", "const"}
+        assert branch_values(branches[0], []) == []
+
+    def test_column_raises_at_its_first_pole(self):
+        b = CurvatureBranch.compact(1.0, 1.5)
+        with pytest.raises(FocalPointError, match=r"t=1\.5$") as exc:
+            branch_values(b, [0.5, 1.5, 1.5 + math.pi])
+        assert exc.value.focal_radius == 1.5
+
+    def test_column_profile_equals_profile_at_unmasked_points(self):
+        rng = np.random.default_rng(77)
+        for _ in range(60):
+            p, q, _ = iso.random_profile_pair(rng)
+            window = iso.default_window(p, q)
+            locations = [pole.location for pole in iso.extract_poles(p, window)]
+            lo, hi = window
+            radius = max(1e-2, 2.0 * (hi - lo) / iso.GRID_POINTS)
+            kept = [t for t in linspace(lo, hi, iso.GRID_POINTS + 2)[1:-1]
+                    if not any(abs(t - r) < radius for r in locations)]
+            for system in (p, q):
+                assert hexes(iso._profile_column(system, kept)) == hexes(
+                    iso.profile(system, t) for t in kept)
+
+    def test_bisected_mask_keeps_what_a_scan_keeps(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            locations = sorted(rng.uniform(-5.0, 5.0, int(rng.integers(0, 8))).tolist())
+            radius = float(rng.choice([1e-2, 0.3, 2.0]))
+            probes = rng.uniform(-7.0, 7.0, 40).tolist()
+            for r in locations:  # on a pole and on the edges of its mask
+                probes += [r, r - radius, r + radius, math.nextafter(r + radius, -math.inf)]
+            for t in probes:
+                assert iso._near_pole(t, locations, radius) == any(
+                    abs(t - r) < radius for r in locations), (t, locations, radius)
+
+    def test_grid_residual_equals_the_point_walk(self):
+        rng = np.random.default_rng(2026)
+        reached = 0
+        for _ in range(80):
+            p, q, _ = iso.random_profile_pair(rng)
+            window = iso.default_window(p, q)
+            locations = [pole.location for pole in iso.extract_poles(p, window)]
+            try:
+                expected = point_walk_residual(p, q, window, locations)
+            except NormalizationError:
+                with pytest.raises(NormalizationError, match="entirely masked"):
+                    iso._masked_grid_residual(p, q, window, locations)
+                continue
+            reached += 1
+            assert hexes(iso._masked_grid_residual(p, q, window, locations)) == hexes(expected)
+        assert reached > 40
+
+    @pytest.mark.parametrize("p_thetas, q_thetas, side, t", [
+        ((1.5,), (1.5,), "p", "1.5"),
+        ((1.5,), (1.0,), "q", "1.0"),
+        ((2.4, 2.0), (2.4,), "p", "2.0"),
+        ((2.0, 0.5), (0.7,), "p", "0.5"),
+    ], ids=["both", "q-first", "p-second-branch", "p-first"])
+    def test_pole_on_the_grid_raises_the_point_walk_error(self, p_thetas, q_thetas, side, t):
+        # grid point i of the window (0, 2.57) is (i + 1) / 100, and no pole is masked
+        p = system_of(*(CurvatureBranch.compact(1.0, th) for th in p_thetas), label="p")
+        q = system_of(*(CurvatureBranch.compact(1.0, th) for th in q_thetas), label="q")
+        with pytest.raises(FocalPointError) as walk:
+            point_walk_residual(p, q, (0.0, 2.57), [])
+        with pytest.raises(FocalPointError) as column:
+            iso._masked_grid_residual(p, q, (0.0, 2.57), [])
+        assert str(column.value) == str(walk.value) == f"profile of {side!r} hits a pole at t={t}"
+        assert column.value.focal_radius == walk.value.focal_radius
+
+    def test_merged_pole_left_on_the_grid_raises_through_the_comparator(self):
+        # pole_merge 1 merges the poles at 1 and 1.5, and the mask covers only 1
+        p = system_of(CurvatureBranch.compact(1.0, 1.0), CurvatureBranch.compact(1.0, 1.5))
+        with pytest.raises(FocalPointError, match=r"^profile of 'p' hits a pole at t=1\.5$"):
+            iso.profiles_equivalent(p, p, window=(0.0, 2.57), merge_tol=1.0)
 
 
 class TestComparatorCrossCheck:
