@@ -49,9 +49,14 @@ COMPACT_ROW = '{"kappa":1,"theta":1,"mult":1}'
 #: six kappa = 1 branches, 59,206 profile poles in --window=0,31000
 SIX_BRANCHES = "[" + ",".join(f'{{"kappa":1,"theta":{theta},"mult":1}}'
                               for theta in (0.3, 0.8, 1.3, 1.9, 2.4, 2.9)) + "]"
-#: a pole at t = 1.5, and a second pole at t = 1 that pole_merge=1 merges into it
+#: a pole at t = 1.5, and poles at 1 and 1.5 that pole_merge=1 merges into one at 1
 POLE_AT_1_5 = '[{"kappa":1,"theta":1.5,"mult":1}]'
 MERGED_PAIR = '[{"kappa":1,"theta":1,"mult":1},{"kappa":1,"theta":1.5,"mult":1}]'
+MERGED_PAIR_PERMUTED = '[{"kappa":1,"theta":1.5,"mult":1},{"kappa":1,"theta":1,"mult":1}]'
+#: poles at 0.5, 1.4 and 2.3, all on the grid of --window=0,2.57: pole_merge=1
+#: merges 1.4 into the cluster at 0.5, and 2.3 starts one of its own
+POLE_CHAIN = "[" + ",".join(f'{{"kappa":1,"theta":{theta},"mult":1}}'
+                            for theta in (0.5, 1.4, 2.3)) + "]"
 CASCADE_SYSTEM = '[{"kappa":2,"theta":1.2,"mult":3}]'
 CHANNELS = ("exit code", "stdout", "stderr")
 EDGES = [
@@ -114,14 +119,15 @@ EDGES = [
 ] + [
     # the smooth-part grid: a crowded window that masks every point, one
     # system over coth, flat and const rows, a narrow window ending at a
-    # pole, and a grid point on a pole that the mask leaves open
+    # pole, and grid points on branch poles that pole_merge=1 merges away
     ["profile-match", "--p", SIX_BRANCHES, "--q", SIX_BRANCHES, "--window=0,31000"],
     *(["profile-match", "--p", f"[{ROWS['coth']},{ROWS['flat']},{ROWS['const']},{COMPACT_ROW}]",
        "--q", f"[{ROWS['const']},{COMPACT_ROW},{ROWS['flat']},{ROWS['coth']}]", *window]
       for window in ([], ["--window=-1,3"])),
     ["profile-match", "--p", POLE_AT_1_5, "--q", POLE_AT_1_5, "--window=1.4,1.5"],
-    ["profile-match", "--p", MERGED_PAIR, "--q", MERGED_PAIR, "--window=0,2.57",
-     "--tol", "pole_merge=1"],
+    *(["profile-match", "--p", p, "--q", q, "--window=0,2.57", "--tol", "pole_merge=1"]
+      for p, q in ((MERGED_PAIR, MERGED_PAIR), (MERGED_PAIR, MERGED_PAIR_PERMUTED),
+                   (POLE_CHAIN, POLE_CHAIN))),
 ] + [
     ["cascade", "--system", f"[{row},{COMPACT_ROW}]", "--t", t]
     for row in ROWS.values() for t in ("0.1", "-0.4")

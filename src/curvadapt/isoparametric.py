@@ -19,18 +19,19 @@ authoritative and the multiset comparator is reported alongside it.
 Systems are tube_flow.PCSystem values; their labels name them in the
 witnesses.  Branch values come from tube_flow.branch_values, the one
 closed-form evaluator, and pole locations from CurvatureBranch.poles;
-this module only merges and matches them.  The smooth-part grid reads
-branch_values a column per branch and sums the columns in branch order,
-the additions profile makes at each point.  The profile is the
-meromorphic function, so it is evaluated past the first pole, where the
-flow of tube_flow.evolve ends.
+this module only merges and matches them.  A profile's poles are two
+parallel lists, (locations, weights).  The smooth-part grid masks every
+branch pole of both systems, whatever the merge tolerance, and reads
+branch_values a column per branch, summed in branch order by
+_profile_column, of which profile is the one-point case.  The profile is
+the meromorphic function, so it is evaluated past the first pole, where
+the flow of tube_flow.evolve ends.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .certificates import Certificate
@@ -50,52 +51,59 @@ DEFAULT_GRID_TOL = 1e-9
 GRID_POINTS = 256
 
 
-def profile(sys: PCSystem, t: float) -> float:
-    """Multiplicity-weighted sum of all branch values at parameter t."""
-    total = 0.0
+def _profile_column(sys: PCSystem, ts: list[float]) -> list[float]:
+    """The profile at each t of ts: the branch columns summed in branch
+    order, starting from 0.0.
+
+    Raises:
+        FocalPointError: at the first pole of the first branch, in branch
+            order, that meets a t of ts.
+    """
+    total = [0.0] * len(ts)
     for b in sys.branches:
         try:
-            total += b.multiplicity * branch_value(b, t)
+            column = branch_values(b, ts)
         except FocalPointError as exc:
             raise FocalPointError(
-                f"profile of {sys.label!r} hits a pole at t={t!r}",
+                f"profile of {sys.label!r} hits a pole at t={exc.focal_radius!r}",
                 focal_radius=exc.focal_radius,
             ) from exc
+        m = b.multiplicity
+        total = [s + m * v for s, v in zip(total, column)]
     return total
 
 
-@dataclass(frozen=True)
-class Pole:
-    location: float
-    weight: int
+def profile(sys: PCSystem, t: float) -> float:
+    """Multiplicity-weighted sum of all branch values at parameter t:
+    _profile_column at a single point."""
+    return _profile_column(sys, [t])[0]
 
 
 def extract_poles(
     sys: PCSystem,
     window: tuple[float, float],
     merge_tol: float = DEFAULT_MERGE_TOL,
-) -> tuple[Pole, ...]:
-    """All profile poles inside the window, weights merged when coincident.
+) -> tuple[list[float], list[int]]:
+    """All profile poles inside the window, as (locations, weights).
 
-    The poles come in increasing location, more than merge_tol apart.
-    Weight of a pole is the sum of multiplicities of the branches whose
-    flow blows up there.
+    Branch poles are taken in increasing location, and each joins the
+    last cluster when it lies within merge_tol of that cluster's first
+    pole, else starts a cluster there.  A location is a cluster's first
+    pole, and its weight is the sum of the multiplicities of the branches
+    whose flow blows up in the cluster.
     """
     lo, hi = window
     if not lo < hi:
         raise NormalizationError(f"window must be a nonempty interval: {window!r}")
-    raw = []
-    for b in sys.branches:
-        for r in b.poles(lo, hi):
-            raw.append((r, b.multiplicity))
-    raw.sort()
-    merged: list[list] = []
-    for r, m in raw:
-        if merged and r - merged[-1][0] <= merge_tol:
-            merged[-1][1] += m
+    locations: list[float] = []
+    weights: list[int] = []
+    for r, m in sorted((r, b.multiplicity) for b in sys.branches for r in b.poles(lo, hi)):
+        if locations and r - locations[-1] <= merge_tol:
+            weights[-1] += m
         else:
-            merged.append([r, m])
-    return tuple(Pole(r, m) for r, m in merged)
+            locations.append(r)
+            weights.append(m)
+    return locations, weights
 
 
 def _kappa_min(*systems: PCSystem) -> float:
@@ -181,16 +189,6 @@ def _near_pole(t: float, locations: list[float], radius: float) -> bool:
         i < len(locations) and locations[i] - t < radius)
 
 
-def _profile_column(sys: PCSystem, ts: list[float]) -> list[float]:
-    """profile(sys, t) at each t of ts, bit for bit: the branch columns
-    summed in branch order, starting from 0.0."""
-    total = [0.0] * len(ts)
-    for b in sys.branches:
-        m = b.multiplicity
-        total = [s + m * v for s, v in zip(total, branch_values(b, ts))]
-    return total
-
-
 def _masked_grid_residual(
     p: PCSystem,
     q: PCSystem,
@@ -242,50 +240,36 @@ def profiles_equivalent(
     _refuse_tanh(p, q)
     if window is None:
         window = default_window(p, q)
-    poles_p = extract_poles(p, window, merge_tol)
-    poles_q = extract_poles(q, window, merge_tol)
-    matched_locations = []
+    locs_p, weights_p = extract_poles(p, window, merge_tol)
+    locs_q, weights_q = extract_poles(q, window, merge_tol)
+    # innermost-first stripping: the poles before the first mismatch i are
+    # matched on both sides, and the witness is read at i
+    n = min(len(locs_p), len(locs_q))
+    i = next((j for j in range(n)
+              if abs(locs_p[j] - locs_q[j]) > merge_tol or weights_p[j] != weights_q[j]), n)
     witness = None
-    residual = 0.0
-    # innermost-first stripping: peel the nearest remaining pole each round;
-    # the poles before index i are matched on both sides
-    i = 0
-    while i < len(poles_p) and i < len(poles_q):
-        a, b = poles_p[i], poles_q[i]
-        if abs(a.location - b.location) > merge_tol:
-            inner = a if a.location < b.location else b
-            witness = {
-                "kind": "pole_location",
-                "location": inner.location,
-                "side": p.label if inner is a else q.label,
-            }
-            residual = abs(a.location - b.location)
-            break
-        if a.weight != b.weight:
-            witness = {
-                "kind": "pole_weight",
-                "location": a.location,
-                "weights": [a.weight, b.weight],
-            }
-            residual = float(abs(a.weight - b.weight))
-            break
-        matched_locations.append(a.location)
-        i += 1
-    if witness is None and (i < len(poles_p) or i < len(poles_q)):
-        side, leftover = (p, poles_p) if i < len(poles_p) else (q, poles_q)
-        witness = {
-            "kind": "pole_unmatched",
-            "location": leftover[i].location,
-            "side": side.label,
-        }
+    if i < n and abs(locs_p[i] - locs_q[i]) > merge_tol:
+        side = p if locs_p[i] < locs_q[i] else q
+        witness = {"kind": "pole_location", "location": min(locs_p[i], locs_q[i]),
+                   "side": side.label}
+        residual = abs(locs_p[i] - locs_q[i])
+    elif i < n:
+        witness = {"kind": "pole_weight", "location": locs_p[i],
+                   "weights": [weights_p[i], weights_q[i]]}
+        residual = float(abs(weights_p[i] - weights_q[i]))
+    elif i < len(locs_p) or i < len(locs_q):
+        side, leftover = (p, locs_p) if i < len(locs_p) else (q, locs_q)
+        witness = {"kind": "pole_unmatched", "location": leftover[i], "side": side.label}
         residual = 1.0
     details = {
         "window": list(window),
-        "matched_poles": matched_locations,
+        "matched_poles": locs_p[:i],
         "multiset_match": multisets_match(p, q, merge_tol),
     }
     if witness is None:
-        residual, worst_t = _masked_grid_residual(p, q, window, matched_locations)
+        # every branch pole, so no pole that merge_tol merged away sits on the grid
+        mask = sorted(r for s in (p, q) for b in s.branches for r in b.poles(*window))
+        residual, worst_t = _masked_grid_residual(p, q, window, mask)
         if residual <= grid_tol:
             details["comparators_agree"] = details["multiset_match"]
             return Certificate(verdict="equivalent", residual=residual, details=details)

@@ -286,6 +286,18 @@ USAGE_ERRORS = [
         # no triples leave the negative control at 0, which cannot pass
         ("triples-0", ["grassmannian-check", "--triples", "0"],
          "error: argument --triples: must be >= 1, got 0\n"),
+        ("json-deeply-nested", ["cascade", "--system", "[" * 100_000, "--t", "0.1"],
+         "error: argument --system: invalid JSON: maximum recursion depth exceeded "
+         "while decoding a JSON array from a unicode string\n"),
+        ("certificate-non-finite", NON_FINITE_CERTIFICATE_ARGV,
+         "error: Out of range float values are not JSON compliant: inf\n"),
+        # the cost and the output of a cascade grow linearly in --kmax
+        ("kmax-above-cap",
+         ["cascade", "--system", '[{"kappa":0.5,"theta":1.5,"mult":1}]', "--t", "0.1",
+          "--kmax", str(cli.MAX_KMAX + 1)],
+         f"error: argument --kmax: must be <= {cli.MAX_KMAX}, got {cli.MAX_KMAX + 1}\n"),
+        ("kmax-0", ["cascade", "--system", P_SYSTEM, "--t", "0.1", "--kmax", "0"],
+         "error: argument --kmax: must be >= 1, got 0\n"),
     ] + [
         (f"{command}-mult-{name}", argv,
          f"error: argument {flag}: branch 0 needs an integer mult in [1, 2**53], got {got}\n")
@@ -300,6 +312,15 @@ USAGE_ERRORS = [
             ("profile-match", "--p", ["profile-match", "--p", _mult_row(mult), "--q", Q_SAME]),
             ("cascade", "--system", ["cascade", "--system", _mult_row(mult), "--t", "0.1"]),
         ]
+    ] + [
+        # the branch kernel cannot evaluate a tube this close to its focal set
+        (f"{ambient}-{core}-radius-{radius}-pole-proximity",
+         ["tube-table", "--ambient", ambient, "--core", core, "--radius", radius],
+         f"error: the tube of radius {radius} lies within 1e-12 of a focal set of core "
+         f"{core!r}, so no finite table can be evaluated\n")
+        for ambient, core, radius in (("oh2", "point", "1e-13"), ("op2", "point", "1e-13"),
+                                      ("op2", "line", "1.5707963267948"),
+                                      ("op2", "hp2", "0.7853981633974"))
     ] + [
         (f"tol-{value}", ["jacobi-spectrum", "--tol", f"spectrum_residual={value}"],
          "error: argument --tol: tolerance 'spectrum_residual' must be finite and positive, "
@@ -335,28 +356,6 @@ class TestInputHardening:
         monkeypatch.setattr(cli, "_cmd_octonion_table", handler)
         self.assert_usage_error(capsys, "octonion-table")
 
-    def test_non_finite_certificate_number_is_usage_error(self, capsys):
-        err = self.assert_usage_error(capsys, *NON_FINITE_CERTIFICATE_ARGV)
-        assert "not JSON compliant" in err
-
-    def test_radius_within_pole_proximity_of_focal_set_is_usage_error(self, capsys):
-        # the branch kernel cannot evaluate a tube this close to its focal set
-        for ambient, core, radius in (("oh2", "point", "1e-13"), ("op2", "point", "1e-13"),
-                                      ("op2", "line", "1.5707963267948"),
-                                      ("op2", "hp2", "0.7853981633974")):
-            err = self.assert_usage_error(capsys, "tube-table", "--ambient", ambient,
-                                          "--core", core, "--radius", radius)
-            assert f"radius {radius} lies within 1e-12 of a focal set" in err
-
-    def test_kmax_above_cap_is_usage_error(self, capsys):
-        # the cost and the output of a cascade grow linearly in --kmax
-        err = self.assert_usage_error(
-            capsys, "cascade", "--system", '[{"kappa":0.5,"theta":1.5,"mult":1}]',
-            "--t", "0.1", "--kmax", str(cli.MAX_KMAX + 1))
-        assert str(cli.MAX_KMAX) in err
-        self.assert_usage_error(capsys, "cascade", "--system", P_SYSTEM, "--t", "0.1",
-                                "--kmax", "0")
-
     def test_slot_count_above_cap_is_usage_error(self, capsys):
         too_many = str(cli.MAX_SLOTS + 1)
         err = self.assert_usage_error(capsys, "grassmannian-check", "--m", too_many,
@@ -371,9 +370,6 @@ class TestInputHardening:
         row = _mult_row(2**53)
         code, _, _ = run_cli(capsys, "profile-match", "--p", row, "--q", row)
         assert code == cli.EXIT_OK
-
-    def test_deeply_nested_json_is_usage_error(self, capsys):
-        self.assert_usage_error(capsys, "cascade", "--system", "[" * 100_000, "--t", "0.1")
 
     def test_samples_above_cap_is_usage_error(self, capsys):
         err = self.assert_usage_error(capsys, "sectional-range", "--samples",

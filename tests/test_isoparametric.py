@@ -72,22 +72,19 @@ class TestProfileEvaluation:
 class TestPoleExtraction:
     def test_single_branch_pole_lattice(self):
         sys = system_of(CurvatureBranch.compact(2.0, math.pi / 2, 7))
-        poles = iso.extract_poles(sys, (0.0, math.pi))
-        assert np.allclose([p.location for p in poles], [math.pi / 4, 3 * math.pi / 4],
-                           atol=1e-12)
-        assert [p.weight for p in poles] == [7, 7]
+        locations, weights = iso.extract_poles(sys, (0.0, math.pi))
+        assert np.allclose(locations, [math.pi / 4, 3 * math.pi / 4], atol=1e-12)
+        assert weights == [7, 7]
 
     def test_union_of_two_branches(self):
         sys = system_of(
             CurvatureBranch.compact(1.0, math.pi / 2, 8),
             CurvatureBranch.compact(2.0, math.pi / 2, 7),
         )
-        poles = iso.extract_poles(sys, (0.0, math.pi))
-        assert np.allclose(
-            [p.location for p in poles], [math.pi / 4, math.pi / 2, 3 * math.pi / 4],
-            atol=1e-12,
-        )
-        assert [p.weight for p in poles] == [7, 8, 7]
+        locations, weights = iso.extract_poles(sys, (0.0, math.pi))
+        assert np.allclose(locations, [math.pi / 4, math.pi / 2, 3 * math.pi / 4],
+                           atol=1e-12)
+        assert weights == [7, 8, 7]
 
     def test_coincident_poles_merge_weights(self):
         # kappa=1 at theta=0.6 and kappa=2 at theta=1.2 blow up together
@@ -95,18 +92,24 @@ class TestPoleExtraction:
             CurvatureBranch.compact(1.0, 0.6, 2),
             CurvatureBranch.compact(2.0, 1.2, 5),
         )
-        poles = iso.extract_poles(sys, (0.0, 1.0))
-        assert len(poles) == 1
-        assert abs(poles[0].location - 0.6) <= 1e-12
-        assert poles[0].weight == 7
+        locations, weights = iso.extract_poles(sys, (0.0, 1.0))
+        assert len(locations) == 1
+        assert abs(locations[0] - 0.6) <= 1e-12
+        assert weights == [7]
+
+    def test_poles_merge_into_the_first_pole_of_a_cluster(self):
+        # a chain 0.9 apart: the second pole lies within merge_tol of the
+        # first and joins it, the third lies 1.8 from the first and does not
+        sys = system_of(*(CurvatureBranch.compact(1.0, theta) for theta in (0.5, 1.4, 2.3)))
+        assert iso.extract_poles(sys, (0.0, 2.57), merge_tol=1.0) == ([0.5, 2.3], [2, 1])
 
     def test_hyperbolic_poles(self):
         coth = system_of(CurvatureBranch.hyperbolic(1.0, 2.0, 4))
-        poles = iso.extract_poles(coth, (0.0, 2.0))
-        assert len(poles) == 1
-        assert abs(poles[0].location - math.atanh(0.5)) <= 1e-12
+        locations, weights = iso.extract_poles(coth, (0.0, 2.0))
+        assert len(locations) == 1
+        assert abs(locations[0] - math.atanh(0.5)) <= 1e-12
         const = system_of(CurvatureBranch.hyperbolic(1.0, 1.0, 4))
-        assert iso.extract_poles(const, (0.0, 50.0)) == ()
+        assert iso.extract_poles(const, (0.0, 50.0)) == ([], [])
 
     def test_empty_window_rejected(self):
         sys = system_of(CurvatureBranch.compact(1.0, 1.0))
@@ -302,7 +305,7 @@ class TestGridKernel:
         for _ in range(60):
             p, q, _ = iso.random_profile_pair(rng)
             window = iso.default_window(p, q)
-            locations = [pole.location for pole in iso.extract_poles(p, window)]
+            locations, _ = iso.extract_poles(p, window)
             lo, hi = window
             radius = max(1e-2, 2.0 * (hi - lo) / iso.GRID_POINTS)
             kept = [t for t in linspace(lo, hi, iso.GRID_POINTS + 2)[1:-1]
@@ -329,7 +332,7 @@ class TestGridKernel:
         for _ in range(80):
             p, q, _ = iso.random_profile_pair(rng)
             window = iso.default_window(p, q)
-            locations = [pole.location for pole in iso.extract_poles(p, window)]
+            locations, _ = iso.extract_poles(p, window)
             try:
                 expected = point_walk_residual(p, q, window, locations)
             except NormalizationError:
@@ -357,11 +360,34 @@ class TestGridKernel:
         assert str(column.value) == str(walk.value) == f"profile of {side!r} hits a pole at t={t}"
         assert column.value.focal_radius == walk.value.focal_radius
 
-    def test_merged_pole_left_on_the_grid_raises_through_the_comparator(self):
-        # pole_merge 1 merges the poles at 1 and 1.5, and the mask covers only 1
+    def test_merged_away_pole_is_masked_through_the_comparator(self):
+        # pole_merge 1 merges the pole at 1.5 into the one at 1, and the mask
+        # still covers both, so grid point 1.5 is left out
         p = system_of(CurvatureBranch.compact(1.0, 1.0), CurvatureBranch.compact(1.0, 1.5))
-        with pytest.raises(FocalPointError, match=r"^profile of 'p' hits a pole at t=1\.5$"):
-            iso.profiles_equivalent(p, p, window=(0.0, 2.57), merge_tol=1.0)
+        cert = iso.profiles_equivalent(p, p, window=(0.0, 2.57), merge_tol=1.0)
+        assert cert.verdict == "equivalent"
+        assert cert.details["matched_poles"] == [1.0]
+
+    @pytest.mark.parametrize("merge_tol", [1e-9, 0.3, 1.0])
+    def test_self_comparison_never_hits_a_pole(self, merge_tol):
+        # each window puts grid point 100 on a pole of the last branch, which
+        # the wider merge_tol merges into an earlier pole's cluster
+        rng = np.random.default_rng(46)
+        equivalent = 0
+        for _ in range(60):
+            s = iso.random_profile_system(rng)
+            lo, hi = iso.default_window(s)
+            step = (hi - lo) / (iso.GRID_POINTS + 1)
+            start = s.branches[-1].poles(lo, hi)[0] - 100 * step
+            try:
+                cert = iso.profiles_equivalent(s, s, window=(start, start + (hi - lo)),
+                                               merge_tol=merge_tol)
+            except NormalizationError as exc:
+                assert "grid entirely masked" in str(exc)
+                continue
+            assert cert.verdict == "equivalent"
+            equivalent += 1
+        assert equivalent > 50
 
 
 class TestComparatorCrossCheck:
