@@ -11,8 +11,9 @@ that argv's result too: exit value "exception", with its type and message
 appended to stderr.  The corpus is the argv of the three perfbench
 workloads at seeds 1, 11, 12 and 777, plus theorem-3, grassmannian-check,
 tube-table, profile-match, cascade and sectional-range edge cases,
-malformed option values, the bare command and the help of the command
-and of each subcommand.  All argv of a tree run in one process, so an
+malformed option values, the README examples outside the workloads, each
+subcommand with each of --seed, --format and every --tol name, the bare
+command and the help of the command and of each subcommand.  All argv of a tree run in one process, so an
 identical count also shows that the parser, built once per subcommand,
 carries nothing from one call to the next.  Prints each argv whose results differ with the
 channels that differ, then how many argv are identical in each channel,
@@ -58,6 +59,24 @@ MERGED_PAIR_PERMUTED = '[{"kappa":1,"theta":1.5,"mult":1},{"kappa":1,"theta":1,"
 POLE_CHAIN = "[" + ",".join(f'{{"kappa":1,"theta":{theta},"mult":1}}'
                             for theta in (0.5, 1.4, 2.3)) + "]"
 CASCADE_SYSTEM = '[{"kappa":2,"theta":1.2,"mult":3}]'
+#: a coth pole matched by both, and a const branch that changes the smooth part
+WIDE_P = '[{"kappa":1,"theta":2,"mult":1,"regime":"coth"}]'
+WIDE_Q = ('[{"kappa":2,"theta":2.5,"mult":1,"regime":"coth"},'
+          '{"kappa":1,"theta":1,"mult":1,"regime":"const"}]')
+#: a valid argv of each subcommand, to which each shared option is added
+BASE_ARGV = {
+    "octonion-table": [],
+    "jacobi-spectrum": [],
+    "sectional-range": ["--samples", "50"],
+    "tube-table": ["--ambient", "op2", "--core", "line", "--radius", "0.3"],
+    "theorem2": [],
+    "theorem3": ["--alpha-grid", "0.5:1.1:3"],
+    "profile-match": ["--p", SYSTEM, "--q", SYSTEM],
+    "cascade": ["--system", SYSTEM, "--t", "0.1"],
+    "grassmannian-check": ["--triples", "3"],
+    "selftest": [],
+}
+TOLERANCES = ("spectrum_residual", "health", "profile_grid", "pole_merge", "cascade", "ratio")
 CHANNELS = ("exit code", "stdout", "stderr")
 EDGES = [
     ["theorem3", "--alpha-grid", grid, "--constraint", mode, *fmt]
@@ -142,6 +161,19 @@ EDGES = [
     ["sectional-range", "--samples", "0"],
     ["sectional-range", "--samples", "1"],
     ["sectional-range", "--samples", "2000", "--sign", "-1"],
+] + [
+    # README examples that no workload runs
+    ["profile-match", "--p", SYSTEM, "--q", SYSTEM, "--window=-1,2"],
+    ["jacobi-spectrum", "--tol", "spectrum_residual=1e-12"],
+] + [
+    # a window whose width overflows a float, and wide finite windows
+    ["profile-match", "--p", WIDE_P, "--q", WIDE_Q, f"--window={window}"]
+    for window in ("-1e308,1e308", "0,1000", "0,1e6")
+] + [
+    [name, *BASE_ARGV[name], *option]
+    for name in SUBCOMMANDS
+    for option in (["--seed", "1"], ["--format", "csv"],
+                   *(["--tol", f"{tol}=1"] for tol in TOLERANCES))
 ] + [[], ["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 

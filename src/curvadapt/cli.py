@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import reprlib
 import sys
 from functools import cache, partial
@@ -25,18 +24,14 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 
-DEFAULT_SEED = 0
-FORMAT_ENV = "CURVADAPT_FORMAT"
-FORMATS = ("json", "csv", "md")
-
-#: tolerance names accepted by --tol overrides
+#: every named tolerance's default; a subcommand's --tol takes the names it reads
 DEFAULT_TOLERANCES = {
     "spectrum_residual": 1e-9,
     "health": 1e-10,
-    "profile_grid": 1e-9,
-    "pole_merge": 1e-9,
+    "profile_grid": isoparametric.DEFAULT_GRID_TOL,
+    "pole_merge": isoparametric.DEFAULT_MERGE_TOL,
     "cascade": 1e-6,
-    "ratio": 1e-8,
+    "ratio": tube_flow.DEFAULT_RATIO_TOL,
 }
 
 _CONSTRAINT_ALIASES = {
@@ -114,12 +109,12 @@ BLOCK_ROWS = 256
 MAX_MULT = 2**53
 
 
-def _tolerance(text: str) -> tuple[str, float]:
-    """argparse type for --tol NAME=VALUE: a known tolerance name and a
-    finite positive value."""
+def _tolerance(names: tuple[str, ...], text: str) -> tuple[str, float]:
+    """argparse type, with names bound, for --tol NAME=VALUE: a name among
+    names and a finite positive value."""
     name, sep, value = text.partition("=")
-    if not sep or name not in DEFAULT_TOLERANCES:
-        known = ", ".join(sorted(DEFAULT_TOLERANCES))
+    if not sep or name not in names:
+        known = ", ".join(sorted(names))
         raise argparse.ArgumentTypeError(
             f"unknown tolerance override {text!r}; use name=value with "
             f"name among: {known}"
@@ -157,6 +152,8 @@ def _window(text: str) -> tuple[float, float]:
     a, b, _ = _endpoints(text, "a,b")
     if not a < b:
         raise argparse.ArgumentTypeError(f"needs a < b, got {text!r}")
+    if not math.isfinite(b - a):  # the grid over it would lie at infinity
+        raise argparse.ArgumentTypeError(f"width of {text!r} overflows a float")
     return (a, b)
 
 
@@ -213,8 +210,8 @@ def _system(label: str, text: str) -> PCSystem:
 
 # --------------------------------------------------------------------------
 # Subcommand handlers: each takes the parsed args, with args.tolerances
-# holding every named tolerance, and returns (payload, table_spec_or_None,
-# exit_code).
+# holding the named tolerances its --tol takes, and returns (payload,
+# table_spec_or_None, exit_code).
 # numpy and the modules built on it are imported inside the handlers that
 # do linear algebra, so the other subcommands never load them.
 # --------------------------------------------------------------------------
@@ -247,9 +244,8 @@ def _cmd_jacobi_spectrum(args):
     clusters = [
         {"value": c.value, "multiplicity": c.multiplicity} for c in spec
     ]
-    payload = dict(context, clusters=clusters, max_residual=residual)
     ok = residual <= args.tolerances["spectrum_residual"]
-    payload["residual_ok"] = ok
+    payload = dict(context, clusters=clusters, max_residual=residual, residual_ok=ok)
     table = (clusters, ["value", "multiplicity"])
     return payload, table, EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -492,47 +488,64 @@ def _cmd_selftest(args):
 # --------------------------------------------------------------------------
 
 
-#: subcommand -> (help, options after the common --seed, --format and
-#: --tol); the handler of each is _cmd_<name, "-" read as "_">
+def _tol(*names: str) -> dict:
+    """--tol over names: their (name, default) pairs, then each NAME=VALUE."""
+    return {"--tol": dict(type=partial(_tolerance, names), action="append", metavar="NAME=VALUE",
+                          default=[(name, DEFAULT_TOLERANCES[name]) for name in names],
+                          help="override one of " + ", ".join(sorted(names)))}
+
+
+_SEED = {"--seed": dict(type=_count(0), default=0)}
+_FORMAT = {"--format": dict(choices=("json", "csv", "md"), default="json")}  # a table payload
+
+#: subcommand -> (help, options), each with only the options its handler
+#: reads; the handler of each is _cmd_<name, "-" read as "_">
 _SUBCOMMANDS = {
-    "octonion-table": ("all 64 basis products", {}),
+    "octonion-table": ("all 64 basis products", _FORMAT),
     "jacobi-spectrum": ("normal Jacobi operator spectrum", {
+        **_SEED, **_FORMAT, **_tol("spectrum_residual"),
         "--space": dict(choices=("cayley", "grassmannian"), default="cayley"),
         "--sign": dict(type=int, choices=(1, -1), default=1),
         "--alpha": dict(type=_finite_float, default=0.7),
         "--m": dict(type=_slots, default=2),
     }),
     "sectional-range": ("sampled sectional curvature range", {
+        **_SEED,
         "--samples": dict(type=_count(0, MAX_SAMPLES), default=2000),
         "--sign": dict(type=int, choices=(1, -1), default=1),
     }),
     "tube-table": ("principal curvatures of a tube", {
+        **_FORMAT,
         "--ambient": dict(choices=tube_flow.AMBIENTS, required=True),
         "--core": dict(choices=tube_flow.CORES, required=True),
         "--radius": dict(type=_finite_float, default=None),
     }),
     "theorem2": ("finite search over focal configurations", {}),
     "theorem3": ("proportional-eigenvalue non-existence sweep", {
+        **_tol("ratio"),
         "--alpha-grid": dict(type=_alpha_grid, required=True, metavar="A:B:N"),
         "--constraint": dict(choices=sorted(_CONSTRAINT_ALIASES), default="ajj"),
     }),
     "profile-match": ("compare two mean-curvature profiles", {
+        **_tol("profile_grid", "pole_merge"),
         "--p": dict(type=partial(_system, "p"), required=True, metavar="JSON"),
         "--q": dict(type=partial(_system, "q"), required=True, metavar="JSON"),
         "--window": dict(type=_window, default=None, metavar="A,B",
                          help="comparison window; write --window=A,B when A is negative"),
     }),
     "cascade": ("power-sum derivative identities", {
+        **_tol("cascade"),
         "--system": dict(type=partial(_system, "p"), required=True, metavar="JSON"),
         "--kmax": dict(type=_count(1, MAX_KMAX), default=5),
         "--t": dict(type=_finite_float, required=True),
     }),
     "grassmannian-check": ("structure bundle and tensor health", {
+        **_SEED, **_tol("health", "spectrum_residual", "ratio"),
         "--m": dict(type=_slots, default=2),
         "--alpha": dict(type=_finite_float, default=0.7),
         "--triples": dict(type=_count(1, MAX_TRIPLES), default=50),
     }),
-    "selftest": ("run the invariant suite", {}),
+    "selftest": ("run the invariant suite", _SEED),
 }
 
 
@@ -542,28 +555,19 @@ def _build_parser(subcommand: str | None) -> _Parser:
     subparser, so a call pays for one; all ten for None, so that
     help and usage errors list every subcommand.  A parser is built once
     per subcommand per process and holds nothing from one call to the
-    next: the --format default and the handler are read in main."""
+    next: the handler is read in main."""
     parser = _Parser(prog="curvadapt", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
     for name in _SUBCOMMANDS if subcommand is None else (subcommand,):
         help_text, options = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=_count(0), default=DEFAULT_SEED)
-        p.add_argument("--format", choices=FORMATS, default=None)
-        p.add_argument(
-            "--tol",
-            type=_tolerance,
-            action="append",
-            metavar="NAME=VALUE",
-            help="override a named tolerance",
-        )
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def _emit(payload, table, fmt: str, out) -> None:
-    if fmt == "json" or table is None:
+    if fmt == "json":
         out.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
         return
     rows, columns = table
@@ -589,7 +593,7 @@ def main(argv=None) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        args.tolerances = DEFAULT_TOLERANCES | dict(args.tol or ())
+        args.tolerances = dict(getattr(args, "tol", ()))
         # looked up per call, not when the parser is built once per
         # subcommand per process, so a replaced handler is the one called
         handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
@@ -597,9 +601,8 @@ def main(argv=None) -> int:
     except (_UsageError, CurvAdaptError) as exc:
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    fmt = args.format or os.environ.get(FORMAT_ENV, "json")
-    try:
-        _emit(payload, table, fmt if fmt in FORMATS else "json", sys.stdout)
+    try:  # a subcommand without --format prints JSON
+        _emit(payload, table, getattr(args, "format", "json"), sys.stdout)
     except ValueError as exc:  # a non-finite number reached the JSON output
         print(f"curvadapt: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING
 
 from .certificates import Certificate
 from .errors import (
@@ -42,9 +41,6 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .tube_flow import CurvatureBranch, PCSystem, branch_value, branch_values, linspace
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MERGE_TOL = 1e-9
 DEFAULT_GRID_TOL = 1e-9
@@ -433,9 +429,10 @@ def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def random_profile_system(rng: np.random.Generator, label: str = "p") -> PCSystem:
-    """Seeded random compact system: one to six branches of frequency 1 or
-    2, phases clear of the pole lattice, multiplicities small."""
+def random_profile_system(rng, label: str = "p") -> PCSystem:
+    """Seeded random compact system drawn from rng, a numpy Generator: one
+    to six branches of frequency 1 or 2, phases clear of the pole lattice,
+    multiplicities small."""
     count = int(rng.integers(1, 7))
     branches = []
     for _ in range(count):
@@ -446,10 +443,9 @@ def random_profile_system(rng: np.random.Generator, label: str = "p") -> PCSyste
     return PCSystem(branches=tuple(branches), label=label)
 
 
-def random_profile_pair(
-    rng: np.random.Generator,
-) -> tuple[PCSystem, PCSystem, bool]:
-    """A labeled pair (p, q, expected_equal) for comparator cross-checks.
+def random_profile_pair(rng) -> tuple[PCSystem, PCSystem, bool]:
+    """A labeled pair (p, q, expected_equal) for comparator cross-checks,
+    drawn from rng, a numpy Generator.
 
     Equal pairs are built by branch permutation and phase translation by
     the cot period; unequal pairs perturb one phase by at least 1e-2 or

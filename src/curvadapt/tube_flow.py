@@ -645,6 +645,7 @@ def theorem2_certificate() -> Certificate:
 
 EXCLUDED_COSINES = (0.0, 3.0 / 5.0, 4.0 / 5.0, 1.0)
 CONSTRAINT_MODES = ("a_jj_const", "a_zz_const", "ratio_const")
+DEFAULT_RATIO_TOL = 1e-8  # theorem3_sweep's bound on each angle's ratio defect
 
 
 def _excluded_error(alpha: float) -> ExcludedAngleError | None:
@@ -658,7 +659,7 @@ def _excluded_error(alpha: float) -> ExcludedAngleError | None:
 
 
 def theorem3_sweep(
-    alpha_grid, constraint: str = "a_jj_const", ratio_tol: float = 1e-8
+    alpha_grid, constraint: str = "a_jj_const", ratio_tol: float = DEFAULT_RATIO_TOL
 ) -> Certificate:
     """Non-existence certificate for proportionally-curved pairs at generic angles.
 

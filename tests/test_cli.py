@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -79,6 +80,20 @@ COMMAND_ARGV = {
     "cascade": ["cascade", "--system", P_SYSTEM, "--t", "0.1", "--kmax", "3"],
     "grassmannian-check": ["grassmannian-check", "--triples", "20"],
     "selftest": ["selftest"],
+}
+
+#: the shared options each subcommand takes: (--seed, --format, --tol names)
+SHARED_OPTIONS = {
+    "octonion-table": (False, True, ()),
+    "jacobi-spectrum": (True, True, ("spectrum_residual",)),
+    "sectional-range": (True, False, ()),
+    "tube-table": (False, True, ()),
+    "theorem2": (False, False, ()),
+    "theorem3": (False, False, ("ratio",)),
+    "profile-match": (False, False, ("profile_grid", "pole_merge")),
+    "cascade": (False, False, ("cascade",)),
+    "grassmannian-check": (True, False, ("health", "spectrum_residual", "ratio")),
+    "selftest": (True, False, ()),
 }
 
 
@@ -190,7 +205,7 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "cascade", "--system", P_SYSTEM,
                                "--t", "0.1", "--tol", "nope=3")
         assert code == cli.EXIT_USAGE
-        assert "spectrum_residual" in err
+        assert err.endswith("name among: cascade\n")
 
 
 def _row(kappa, theta, regime="compact"):
@@ -229,12 +244,23 @@ USAGE_ERRORS = [
          "error: argument --window: must be finite, got 'inf'\n"),
         ("window-empty", ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window="],
          "error: argument --window: expects a,b, got ''\n"),
+        # b - a is inf, so every grid point would lie at t = inf, outside the window
+        ("window-width-overflow",
+         ["profile-match", "--p", '[{"kappa":1,"theta":2,"mult":1,"regime":"coth"}]',
+          "--q", '[{"kappa":2,"theta":2.5,"mult":1,"regime":"coth"},'
+                 '{"kappa":1,"theta":1,"mult":1,"regime":"const"}]', "--window=-1e308,1e308"],
+         "error: argument --window: width of '-1e308,1e308' overflows a float\n"),
         ("missing-t", ["cascade", "--system", P_SYSTEM],
          "error: the following arguments are required: --t\n"),
-        ("tol-name", ["octonion-table", "--tol", "bogus=1"],
+        ("tol-name", ["cascade", "--system", P_SYSTEM, "--t", "0.1", "--tol", "bogus=1"],
          "error: argument --tol: unknown tolerance override 'bogus=1'"),
-        ("tol-value", ["octonion-table", "--tol", "cascade=abc"],
+        ("tol-value", ["cascade", "--system", P_SYSTEM, "--t", "0.1", "--tol", "cascade=abc"],
          "error: argument --tol: tolerance 'cascade' needs a numeric value, got 'abc'\n"),
+        ("tol-name-of-another-subcommand",
+         ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--tol", "cascade=1"],
+         "error: argument --tol: unknown tolerance override 'cascade=1'; use name=value "
+         "with name among: pole_merge, profile_grid\n"),
+        ("seed-unread", ["theorem2", "--seed", "1"], "error: unrecognized arguments: --seed 1\n"),
         ("unknown-command", ["no-such-command"], "invalid choice: 'no-such-command'"),
         ("flat-row-kappa", ["cascade", "--system", _row(5, 1, "flat"), "--t", "0.1"],
          "error: argument --system: branch 0 is flat, so its kappa must be 0, got 5.0\n"),
@@ -487,10 +513,14 @@ def _light_argv(draw):
                                     "profile-match", "cascade",
                                     "grassmannian-check", "theorem3"]))
     argv = [command]
-    argv += draw(_option("--seed", _integer(0, 2**32)))
-    argv += draw(_option("--tol", st.tuples(
-        st.sampled_from(sorted(cli.DEFAULT_TOLERANCES)), _number(1e-12, 1.0)
-    ).map("=".join)))
+    seeded, tabular, tolerances = SHARED_OPTIONS[command]
+    if seeded:
+        argv += draw(_option("--seed", _integer(0, 2**32)))
+    if tabular:  # json only: the test parses stdout
+        argv += draw(_option("--format", st.just("json")))
+    if tolerances:
+        argv += draw(_option("--tol", st.tuples(
+            st.sampled_from(tolerances), _number(1e-12, 1.0)).map("=".join)))
     sign = st.sampled_from(["1", "-1", "0", "x"])
     slots = _integer(-3, cli.MAX_SLOTS + 8)
     if command == "jacobi-spectrum":
@@ -523,7 +553,7 @@ def _light_argv(draw):
         argv += draw(_required("--alpha-grid", st.tuples(
             _number(0.0, 1.6), _number(0.0, 1.6), _integer(0, 4)).map(":".join)))
         argv += draw(_option("--constraint", st.sampled_from(["ajj", "azz", "ratio", "x"])))
-    return argv + ["--format", "json"]
+    return argv
 
 
 class TestArgvFuzz:
@@ -536,8 +566,8 @@ class TestArgvFuzz:
                    "--t", "0.1", "--kmax", "4000"])  # lambda^4000 overflows a float
     @example(argv=["profile-match", "--p", '[{"kappa":1,"theta":0.9,"mult":1%s}]' % ("0" * 400),
                    "--q", '[{"kappa":1,"theta":0.9,"mult":1}]'])  # mult overflows a float
-    @example(argv=NON_FINITE_CERTIFICATE_ARGV + ["--format", "json"])  # residual is inf
-    @example(argv=OVERFLOWING_PERIOD_ARGV + ["--format", "json"])  # pi / kappa is inf
+    @example(argv=NON_FINITE_CERTIFICATE_ARGV)  # residual is inf
+    @example(argv=OVERFLOWING_PERIOD_ARGV)  # pi / kappa is inf
     def test_exit_contract_holds(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NEGATIVE)
@@ -707,24 +737,6 @@ class TestTabularFormats:
         assert lines[1].startswith("|")
         assert len(lines) == 2 + 64
 
-    def test_non_tabular_payload_falls_back_to_json(self, capsys):
-        code, out, _ = run_cli(capsys, *COMMAND_ARGV["theorem2"], "--format", "csv")
-        assert code == cli.EXIT_OK
-        json.loads(out)
-
-    def test_env_var_sets_default_format(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FORMAT_ENV, "csv")
-        code, out, _ = run_cli(capsys, "tube-table", "--ambient", "oh2",
-                               "--core", "horosphere")
-        assert code == cli.EXIT_OK
-        assert out.splitlines()[0] == "value,multiplicity,kappa,regime"
-
-    def test_invalid_env_format_falls_back_to_json(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.FORMAT_ENV, "xml")
-        code, out, _ = run_cli(capsys, "octonion-table")
-        assert code == cli.EXIT_OK
-        json.loads(out)
-
 
 class TestPayloadContent:
     def test_octonion_table_is_complete(self, capsys):
@@ -845,10 +857,10 @@ class TestImportPath:
     numpy: not on import, not in a call, each in a fresh interpreter."""
 
     @staticmethod
-    def loaded(code, package):
+    def loaded(code, package, *flags):
         probe = f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
         result = subprocess.run(
-            [sys.executable, "-c", f"{code}\n{probe}"],
+            [sys.executable, *flags, "-c", f"{code}\n{probe}"],
             capture_output=True,
             text=True,
             timeout=60,
@@ -868,6 +880,13 @@ class TestImportPath:
                              ids=["import", *LIGHT_CALLS])
     def test_numpy_is_not_loaded(self, code):
         assert self.loaded(code, "numpy") == "[]"
+
+    def test_typing_is_not_loaded(self):
+        # -S keeps site, which may import typing itself, off the path; so
+        # the package directory goes on sys.path by hand
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = f"import sys\nsys.path.insert(0, {src!r})\nimport curvadapt.cli"
+        assert self.loaded(code, "typing", "-S") == "[]"
 
     def test_package_import_loads_no_submodule(self):
         # the package root re-exports nothing
@@ -907,15 +926,13 @@ options:
 """
 
 TUBE_TABLE_HELP = """\
-usage: curvadapt tube-table [-h] [--seed SEED] [--format {json,csv,md}]
-                            [--tol NAME=VALUE] --ambient {op2,oh2} --core
-                            {point,line,hp2,horosphere} [--radius RADIUS]
+usage: curvadapt tube-table [-h] [--format {json,csv,md}] --ambient {op2,oh2}
+                            --core {point,line,hp2,horosphere}
+                            [--radius RADIUS]
 
 options:
   -h, --help            show this help message and exit
-  --seed SEED
   --format {json,csv,md}
-  --tol NAME=VALUE      override a named tolerance
   --ambient {op2,oh2}
   --core {point,line,hp2,horosphere}
   --radius RADIUS
@@ -973,23 +990,25 @@ class TestParser:
         assert cli._build_parser("cascade") is cli._build_parser("cascade")
         assert cli._build_parser(None) is cli._build_parser(None)
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_each_subcommand_takes_only_the_options_it_reads(self, capsys, command):
+        seeded, tabular, tolerances = SHARED_OPTIONS[command]
+        cases = [("--seed=1", seeded), ("--format=json", tabular)] + [
+            (f"--tol={name}=1", name in tolerances) for name in cli.DEFAULT_TOLERANCES]
+        for option, taken in cases:
+            code, out, err = self.run(capsys, *COMMAND_ARGV[command], option)
+            if taken:
+                assert code in (cli.EXIT_OK, cli.EXIT_NEGATIVE), (option, err)
+            elif option.startswith("--tol") and tolerances:
+                assert (code, out) == (cli.EXIT_USAGE, ""), option
+                assert "name among: " + ", ".join(sorted(tolerances)) + "\n" in err
+            else:
+                assert (code, out) == (cli.EXIT_USAGE, ""), option
+                assert err == f"curvadapt: error: unrecognized arguments: {option}\n"
+
     # The parser is built once per subcommand per process.  Each case below
     # fills that cache with one call first, so a parser that kept a value
     # from its build or from the call before would fail it.
-
-    def test_cached_parser_reads_the_format_env_var_per_call(self, capsys, monkeypatch):
-        argv = ("tube-table", "--ambient", "oh2", "--core", "horosphere")
-        code, out, _ = self.run(capsys, *argv)
-        assert code == cli.EXIT_OK
-        json.loads(out)
-        monkeypatch.setenv(cli.FORMAT_ENV, "csv")
-        code, out, _ = self.run(capsys, *argv)
-        assert code == cli.EXIT_OK
-        assert out.splitlines()[0] == "value,multiplicity,kappa,regime"
-        monkeypatch.setenv(cli.FORMAT_ENV, "xml")
-        code, out, _ = self.run(capsys, *argv)
-        assert code == cli.EXIT_OK
-        json.loads(out)
 
     def test_cached_parser_calls_a_replaced_handler(self, capsys, monkeypatch):
         assert self.run(capsys, "octonion-table")[0] == cli.EXIT_OK
