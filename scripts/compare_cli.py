@@ -10,7 +10,11 @@ stdout and stderr of every argv.  An uncaught exception is recorded as
 that argv's result too: exit value "exception", with its type and message
 appended to stderr.  The corpus is the argv of the three perfbench
 workloads at seeds 1, 11, 12 and 777, plus theorem-3, grassmannian-check,
-tube-table, profile-match, cascade and sectional-range edge cases,
+tube-table, profile-match, cascade and sectional-range edge cases (the
+profile-match ones include tanh rows: the oh2 line and hp2 tubes at
+r = 0.3 against their reversed order, and the hyperbolic doubling pair
+2 coth 2u = coth u + tanh u with a nudged copy; and an all-const system
+whose default window overflows),
 malformed option values, the README examples outside the workloads, each
 subcommand with each of --seed, --format and every --tol name, the bare
 command and the help of the command and of each subcommand.  All argv of a tree run in one process, so an
@@ -59,6 +63,30 @@ MERGED_PAIR_PERMUTED = '[{"kappa":1,"theta":1.5,"mult":1},{"kappa":1,"theta":1,"
 POLE_CHAIN = "[" + ",".join(f'{{"kappa":1,"theta":{theta},"mult":1}}'
                             for theta in (0.5, 1.4, 2.3)) + "]"
 CASCADE_SYSTEM = '[{"kappa":2,"theta":1.2,"mult":3}]'
+#: the oh2 tubes about a line and an hp2 core at r = 0.3, as tube-table
+#: prints them, in (kappa, value, mult, regime) rows: kappa tanh(kappa r) on
+#: the directions tangent to the core, kappa coth(kappa r) on the normal ones
+OH2_TUBES = (
+    ((1, 0.2913126124515909, 8, "tanh"), (2, 3.7240510427733318, 7, "coth")),
+    ((1, 3.4327384303217414, 4, "coth"), (1, 0.2913126124515909, 4, "tanh"),
+     (2, 3.7240510427733318, 3, "coth"), (2, 1.0740991339960708, 4, "tanh")),
+)
+
+
+def _rows(rows) -> str:
+    """Branch JSON of (kappa, value, mult, regime) rows."""
+    return "[" + ",".join(f'{{"kappa":{k},"theta":{v!r},"mult":{m},"regime":"{g}"}}'
+                          for k, v, m, g in rows) + "]"
+
+
+#: 2 coth(2u) = coth(u) + tanh(u) at u = 0.8: one profile from a frequency-2
+#: branch and a split pair, whose tanh row the nudged copy moves to 0.66
+DOUBLED = '[{"kappa":2,"theta":2.1699774723115555,"mult":1,"regime":"coth"}]'
+SPLIT = ('[{"kappa":1,"theta":1.5059407020437063,"mult":1,"regime":"coth"},'
+         '{"kappa":1,"theta":0.6640367702678491,"mult":1,"regime":"tanh"}]')
+SPLIT_NUDGED = SPLIT.replace("0.6640367702678491", "0.66")
+#: no compact branch and pi/kappa overflows a float: no default window
+TINY_CONST = '[{"kappa":1e-310,"theta":1e-310,"mult":1,"regime":"const"}]'
 #: a coth pole matched by both, and a const branch that changes the smooth part
 WIDE_P = '[{"kappa":1,"theta":2,"mult":1,"regime":"coth"}]'
 WIDE_Q = ('[{"kappa":2,"theta":2.5,"mult":1,"regime":"coth"},'
@@ -147,6 +175,12 @@ EDGES = [
     *(["profile-match", "--p", p, "--q", q, "--window=0,2.57", "--tol", "pole_merge=1"]
       for p, q in ((MERGED_PAIR, MERGED_PAIR), (MERGED_PAIR, MERGED_PAIR_PERMUTED),
                    (POLE_CHAIN, POLE_CHAIN))),
+] + [
+    # tanh rows: each oh2 tube against its reversed order, the hyperbolic
+    # doubling pair and its nudged copy; then the overflowing default window
+    *(["profile-match", "--p", _rows(tube), "--q", _rows(tube[::-1])] for tube in OH2_TUBES),
+    *(["profile-match", "--p", DOUBLED, "--q", q] for q in (SPLIT, SPLIT_NUDGED)),
+    ["profile-match", "--p", TINY_CONST, "--q", TINY_CONST],
 ] + [
     ["cascade", "--system", f"[{row},{COMPACT_ROW}]", "--t", t]
     for row in ROWS.values() for t in ("0.1", "-0.4")

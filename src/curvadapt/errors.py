@@ -35,9 +35,5 @@ class ExcludedAngleError(CurvAdaptError):
     """An angle in the excluded set where eigenvalue multiplicities jump."""
 
 
-class UnsupportedRegimeError(CurvAdaptError):
-    """A hyperbolic-regime branch outside the supported hypothesis."""
-
-
 class InconsistentPowerSumsError(CurvAdaptError):
     """Power sums that do not come from any real eigenvalue multiset."""

@@ -8,12 +8,14 @@ same normalization holds for coth and 1/(r - t) branches), so matching
 the pole lists innermost-first and checking that the leftover smooth
 part vanishes on a grid decides equality of profiles.  The branch-level
 restatement is multiset equality modulo the cot period; both comparators
-are run and cross-checked.
+are run and cross-checked.  Every regime takes this one path: tanh and
+const branches add no real pole, so they are decided on the grid alone.
 
-Caveat, documented and tested: 2 cot(2x) = cot(x) + cot(x + pi/2), so a
-single frequency-2 branch has the same profile as a split pair of
-frequency-1 branches.  Profile equality therefore does not imply branch
-multiset equality on that measure-zero locus; the analytic comparator is
+Caveat, documented and tested: 2 cot(2x) = cot(x) + cot(x + pi/2) and
+2 coth(2x) = coth(x) + tanh(x), so a single frequency-2 branch has the
+same profile as a split pair of frequency-1 branches, compact or
+hyperbolic.  Profile equality therefore does not imply branch multiset
+equality on that measure-zero locus; the analytic comparator is
 authoritative and the multiset comparator is reported alongside it.
 
 Systems are tube_flow.PCSystem values; their labels name them in the
@@ -38,7 +40,6 @@ from .errors import (
     FocalPointError,
     InconsistentPowerSumsError,
     NormalizationError,
-    UnsupportedRegimeError,
 )
 from .tube_flow import CurvatureBranch, PCSystem, branch_value, branch_values, linspace
 
@@ -108,31 +109,30 @@ def _kappa_min(*systems: PCSystem) -> float:
 
 
 def default_window(*systems: PCSystem) -> tuple[float, float]:
-    """One cot period of the slowest branch, shifted clear of endpoint poles."""
-    span = math.pi / _kappa_min(*systems)
+    """One cot period of the slowest branch, shifted clear of endpoint poles.
+
+    Raises:
+        NormalizationError: if that period overflows a float.
+    """
+    kappa = _kappa_min(*systems)
+    span = math.pi / kappa
     all_poles = [
         r
         for s in systems
         for b in s.branches
         for r in b.poles(-2 * span, 3 * span)
     ]
+    if span == math.inf:  # after the walk, which names a compact branch's pole count
+        raise NormalizationError(
+            f"the period pi/kappa of the slowest branch, kappa={kappa!r}, overflows "
+            "a float, so there is no default window; pass --window A,B"
+        )
     for k in range(997):
         lo = span * k / 997.0
         hi = lo + span
         if all(abs(r - lo) > 1e-6 and abs(r - hi) > 1e-6 for r in all_poles):
             return (lo, hi)
     raise NormalizationError("could not place a pole-free window boundary")
-
-
-def _refuse_tanh(*systems: PCSystem) -> None:
-    for s in systems:
-        for b in s.branches:
-            if b.space_sign == -1 and b.regime == "tanh":
-                raise UnsupportedRegimeError(
-                    "profile comparison requires |lambda(0)| >= kappa on "
-                    f"every branch; system {s.label!r} has a sub-frequency "
-                    "branch"
-                )
 
 
 def _same_phase(space_sign: int, a: float, b: float, tol: float) -> bool:
@@ -228,12 +228,7 @@ def profiles_equivalent(
     residue weight; once all poles are consumed the leftover smooth part
     must vanish on a masked grid within grid_tol.  The branch-multiset
     comparator runs alongside and its verdict is reported in the details.
-
-    Raises:
-        UnsupportedRegimeError: if either system carries a noncompact
-            branch with |lambda(0)| < kappa.
     """
-    _refuse_tanh(p, q)
     if window is None:
         window = default_window(p, q)
     locs_p, weights_p = extract_poles(p, window, merge_tol)

@@ -16,7 +16,6 @@ from curvadapt.errors import (
     CurvAdaptError,
     FocalPointError,
     NormalizationError,
-    UnsupportedRegimeError,
 )
 from curvadapt.grassmannian import StructureBundle
 from curvadapt.octonion import multiply
@@ -85,10 +84,14 @@ def values_at(system: PCSystem, t: float) -> list[tuple[float, int]]:
     return [(evolve(b, t), b.multiplicity) for b in system.branches]
 
 
+class NotCompactError(CurvAdaptError):
+    """A compact-only helper given a branch of another regime."""
+
+
 def reduced_phase(branch: CurvatureBranch, t: float) -> float:
     """Evolved phase theta - kappa t reduced to (-pi/2, pi/2]."""
     if branch.space_sign != 1:
-        raise UnsupportedRegimeError("phase reduction applies to compact branches")
+        raise NotCompactError("phase reduction applies to compact branches")
     x = branch.phase - branch.kappa * t
     return x - math.pi * round(x / math.pi)
 

@@ -324,6 +324,18 @@ USAGE_ERRORS = [
          f"error: argument --kmax: must be <= {cli.MAX_KMAX}, got {cli.MAX_KMAX + 1}\n"),
         ("kmax-0", ["cascade", "--system", P_SYSTEM, "--t", "0.1", "--kmax", "0"],
          "error: argument --kmax: must be >= 1, got 0\n"),
+        ("t-not-a-float", ["cascade", "--system", P_SYSTEM, "--t", "abc"],
+         "error: argument --t: invalid float value: 'abc'\n"),
+        ("branch-not-an-object", ["profile-match", "--p", "[1]", "--q", Q_SAME],
+         "error: argument --p: branch 0 is not an object\n"),
+        ("branch-missing-theta", ["profile-match", "--p", '[{"kappa":1,"mult":1}]', "--q", Q_SAME],
+         "error: argument --p: branch 0 malformed: 'theta'\n"),
+        # pi / kappa overflows, and no compact branch has poles to count
+        ("default-window-overflow",
+         ["profile-match", "--p", _row(1e-310, 1e-310, "const"),
+          "--q", _row(1e-310, 1e-310, "const")],
+         "error: the period pi/kappa of the slowest branch, kappa=1e-310, overflows a "
+         "float, so there is no default window; pass --window A,B\n"),
     ] + [
         (f"{command}-mult-{name}", argv,
          f"error: argument {flag}: branch 0 needs an integer mult in [1, 2**53], got {got}\n")

@@ -8,7 +8,6 @@ from curvadapt.errors import (
     FocalPointError,
     InconsistentPowerSumsError,
     NormalizationError,
-    UnsupportedRegimeError,
 )
 from curvadapt.tube_flow import (
     CurvatureBranch,
@@ -17,8 +16,10 @@ from curvadapt.tube_flow import (
     branch_values,
     evolve,
     linspace,
+    tube_spectrum,
 )
 from helpers import (
+    NotCompactError,
     branch_from_value,
     branch_sign_divergence,
     reduced_phase,
@@ -228,11 +229,29 @@ class TestProfileEquivalence:
         cert = iso.profiles_equivalent(p, q)
         assert cert.verdict == "distinct"
 
-    def test_tanh_branches_refused(self):
+    def test_tanh_branches_compared(self):
+        # a tanh branch has no real pole, so only p's pole at 0.9 tells
+        # the two apart, and q against itself is decided on the grid alone
         p = system_of(CurvatureBranch.compact(1.0, 0.9))
         q = system_of(CurvatureBranch.hyperbolic(2.0, 0.5), label="q")
-        with pytest.raises(UnsupportedRegimeError):
-            iso.profiles_equivalent(p, q)
+        cert = iso.profiles_equivalent(p, q)
+        assert cert.verdict == "distinct"
+        assert cert.witness["kind"] == "pole_unmatched" and cert.witness["side"] == "p"
+        cert = iso.profiles_equivalent(q, q)
+        assert cert.verdict == "equivalent"
+        assert cert.details["matched_poles"] == []
+
+    @pytest.mark.parametrize("core, radius", [
+        *((core, radius) for core in ("point", "line", "hp2") for radius in (0.3, 1.1)),
+        ("horosphere", None),
+    ])
+    def test_oh2_tube_matches_its_reversal(self, core, radius):
+        # line and hp2 tubes carry tanh branches, one per direction tangent to the core
+        tube = tube_spectrum("oh2", core, radius)
+        reversal = PCSystem(tube.branches[::-1], label="q")
+        cert = iso.profiles_equivalent(tube, reversal)
+        assert cert.verdict == "equivalent"
+        assert cert.details["multiset_match"] is True
 
     def test_equivalence_relation_on_samples(self):
         rng = np.random.default_rng(44)
@@ -413,6 +432,25 @@ class TestComparatorCrossCheck:
             lhs = 2.0 / math.tan(2.0 * x)
             rhs = 1.0 / math.tan(x) + 1.0 / math.tan(x + math.pi / 2)
             assert abs(lhs - rhs) <= 1e-12
+
+    def test_hyperbolic_doubling_is_the_exception(self):
+        # 2 coth(2u) = coth(u) + tanh(u): at u = 0.8 one coth branch of
+        # frequency 2 against a coth and a tanh branch of frequency 1
+        u = 0.8
+        single = system_of(CurvatureBranch.hyperbolic(2.0, 2.0 / math.tanh(2.0 * u)))
+        split = system_of(CurvatureBranch.hyperbolic(1.0, 1.0 / math.tanh(u)),
+                          CurvatureBranch.hyperbolic(1.0, math.tanh(u)), label="q")
+        assert [b.regime for b in split.branches] == ["coth", "tanh"]
+        cert = iso.profiles_equivalent(single, split)
+        assert cert.verdict == "equivalent"
+        assert cert.residual <= 1e-12
+        assert cert.details["multiset_match"] is False
+        assert cert.details["comparators_agree"] is False
+        # the tanh branch nudged from tanh(0.8) = 0.6640... to 0.66
+        nudged = system_of(split.branches[0], CurvatureBranch.hyperbolic(1.0, 0.66), label="q")
+        cert = iso.profiles_equivalent(single, nudged)
+        assert cert.verdict == "distinct"
+        assert cert.witness["kind"] == "smooth_part"
 
 
 class TestIsoparametricVerdict:
@@ -599,5 +637,5 @@ class TestSignDivergence:
             assert -math.pi / 2 < x <= math.pi / 2 + 1e-15
 
     def test_reduced_phase_compact_only(self):
-        with pytest.raises(UnsupportedRegimeError):
+        with pytest.raises(NotCompactError):
             reduced_phase(CurvatureBranch.flat(1.0), 0.0)
