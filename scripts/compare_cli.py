@@ -13,8 +13,11 @@ workloads at seeds 1, 11, 12 and 777, plus theorem-3, grassmannian-check,
 tube-table, profile-match, cascade and sectional-range edge cases (the
 profile-match ones include tanh rows: the oh2 line and hp2 tubes at
 r = 0.3 against their reversed order, and the hyperbolic doubling pair
-2 coth 2u = coth u + tanh u with a nudged copy; and an all-const system
-whose default window overflows),
+2 coth 2u = coth u + tanh u with a nudged copy; an all-const system
+whose default window overflows; a pole-weight witness; a grid point at a
+slow branch's pole; and one branch against itself at kappa 400 and 3e6,
+where the grid is entirely masked and no pole-free window boundary is
+found),
 malformed option values, the README examples outside the workloads, each
 subcommand with each of --seed, --format and every --tol name, the bare
 command and the help of the command and of each subcommand.  All argv of a tree run in one process, so an
@@ -85,6 +88,9 @@ DOUBLED = '[{"kappa":2,"theta":2.1699774723115555,"mult":1,"regime":"coth"}]'
 SPLIT = ('[{"kappa":1,"theta":1.5059407020437063,"mult":1,"regime":"coth"},'
          '{"kappa":1,"theta":0.6640367702678491,"mult":1,"regime":"tanh"}]')
 SPLIT_NUDGED = SPLIT.replace("0.6640367702678491", "0.66")
+#: a pole at 0.1 whose closed-form denominator sin(1e-12 - 1e-11 t) stays
+#: below 1e-12 for t within 0.1 of it
+SLOW_BRANCH = '[{"kappa":1e-11,"theta":1e-12,"mult":1}]'
 #: no compact branch and pi/kappa overflows a float: no default window
 TINY_CONST = '[{"kappa":1e-310,"theta":1e-310,"mult":1,"regime":"const"}]'
 #: a coth pole matched by both, and a const branch that changes the smooth part
@@ -181,6 +187,15 @@ EDGES = [
     *(["profile-match", "--p", _rows(tube), "--q", _rows(tube[::-1])] for tube in OH2_TUBES),
     *(["profile-match", "--p", DOUBLED, "--q", q] for q in (SPLIT, SPLIT_NUDGED)),
     ["profile-match", "--p", TINY_CONST, "--q", TINY_CONST],
+] + [
+    # the pole-weight witness; a grid point within the kernel's 1e-12 pole
+    # proximity of a slow branch's pole at 0.1 (exit 1); and one compact
+    # branch against itself at kappa 400, whose mask covers the default
+    # window, and at kappa 3e6, whose window ends find no pole-free point
+    ["profile-match", "--p", f"[{COMPACT_ROW}]", "--q", '[{"kappa":1,"theta":1,"mult":2}]'],
+    ["profile-match", "--p", SLOW_BRANCH, "--q", SLOW_BRANCH, "--window=0,1"],
+    *(["profile-match", "--p", f'[{{"kappa":{k},"theta":1,"mult":1}}]',
+       "--q", f'[{{"kappa":{k},"theta":1,"mult":1}}]'] for k in ("400", "3e6")),
 ] + [
     ["cascade", "--system", f"[{row},{COMPACT_ROW}]", "--t", t]
     for row in ROWS.values() for t in ("0.1", "-0.4")

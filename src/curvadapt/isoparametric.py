@@ -7,9 +7,12 @@ branch contributes simple poles of residue equal to its multiplicity
 same normalization holds for coth and 1/(r - t) branches), so matching
 the pole lists innermost-first and checking that the leftover smooth
 part vanishes on a grid decides equality of profiles.  The branch-level
-restatement is multiset equality modulo the cot period; both comparators
-are run and cross-checked.  Every regime takes this one path: tanh and
-const branches add no real pole, so they are decided on the grid alone.
+restatement is multiset equality modulo the cot period.  Only the
+profile comparator decides the verdict: the multiset comparator's answer
+is reported beside it (multiset_match, and comparators_agree on an
+equivalent verdict) and gates nothing.  Every regime takes this one
+path: tanh and const branches add no real pole, so they are decided on
+the grid alone.
 
 Caveat, documented and tested: 2 cot(2x) = cot(x) + cot(x + pi/2) and
 2 coth(2x) = coth(x) + tanh(x), so a single frequency-2 branch has the

@@ -22,7 +22,10 @@ totally geodesic core carry -kappa tan(kappa r) (compact) or
 +kappa tanh(kappa r) (hyperbolic); normal directions carry
 kappa cot(kappa r) / kappa coth(kappa r).  These signs reproduce the
 known five-column principal-curvature table for tubes in the octonionic
-planes and are locked in by golden tests.
+planes.  The tests check every table against an oracle that derives it
+from the Cayley-plane model instead: the clusters of
+cayley_plane.jacobi_operator on the core's tangent space and on its
+normal space, through these closed forms.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 They construct, transform or probe the package's objects in ways no
 subcommand needs: re-based and value-seeded branches, the Jacobi closed
-form and minimal radii of tubes, adapted eigenframes, rotated quaternionic
-triples, octonion associators.
+form and minimal radii of tubes, the tube tables and core signatures
+measured from the Cayley-plane model, adapted eigenframes, rotated
+quaternionic triples, octonion associators.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curvadapt import cayley_plane
+from curvadapt import cayley_plane, octonion_table
 from curvadapt.errors import (
     CurvAdaptError,
     FocalPointError,
@@ -19,7 +20,7 @@ from curvadapt.errors import (
 )
 from curvadapt.grassmannian import StructureBundle
 from curvadapt.octonion import multiply
-from curvadapt.operators import EigenCluster
+from curvadapt.operators import EigenCluster, SelfAdjointOperator
 from curvadapt.tube_flow import (
     CurvatureBranch,
     PCSystem,
@@ -166,6 +167,97 @@ def minimal_tube_radius(ambient: str, core: str) -> float:
     tube_spectrum(ambient, core, None if core == "horosphere" else 1.0)
     raise NoMinimalTubeError(
         f"the mean curvature never vanishes for core {core!r} in {ambient!r}"
+    )
+
+
+# --------------------------------------------------------------------------
+# Tubes from the Cayley-plane model
+# --------------------------------------------------------------------------
+
+#: the quaternion subalgebra H = span{1, J1, J2, J4} of the index triple (1, 2, 4)
+_QUATERNIONS = (0, *octonion_table.TRIPLES[0])
+#: coordinates spanning each catalog core's tangent space T at the origin of
+#: the pair model: none for a point, the first octonion slot for OP^1 (line),
+#: and H + H, one copy in each slot, for HP^2
+CORE_TANGENT_COORDINATES = {
+    "point": (),
+    "line": tuple(range(8)),
+    "hp2": _QUATERNIONS + tuple(8 + i for i in _QUATERNIONS),
+}
+
+
+def coordinate_frame(coords) -> np.ndarray:
+    """The orthonormal columns e_i for i in coords, shape (16, len(coords))."""
+    return np.eye(cayley_plane.DIM)[:, list(coords)]
+
+
+def lie_triple_defect(frame: np.ndarray, sign: int) -> float:
+    """max |R(x, y)z| off the span of frame's orthonormal columns, over all
+    columns x, y, z, in one batched curvature call.  It is 0 exactly when
+    the span is a Lie triple system, the tangent space of a totally
+    geodesic submanifold."""
+    b = frame.T
+    r = cayley_plane.curvature(b[:, None, None], b[None, :, None], b[None, None, :], sign)
+    return float(np.max(np.abs(r - (r @ frame) @ frame.T), initial=0.0))
+
+
+def seeded_normals(rng: np.random.Generator, core: str, n: int) -> np.ndarray:
+    """n Gaussian unit normals of the core at the origin, shape (n, 16); a
+    horosphere has no core, so its normals are any unit vectors."""
+    v = rng.normal(size=(n, cayley_plane.DIM))
+    v[:, list(CORE_TANGENT_COORDINATES.get(core, ()))] = 0.0
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class CoreSplit:
+    """K_xi of the Cayley-plane model split along a core's tangent space T.
+
+    tangent and normal are the clusters of K_xi on T and on the normal
+    space minus xi; off_diagonal is max |P_nu K_xi P_T|, which is 0 exactly
+    when K_xi keeps T invariant, that is when the core is curvature-adapted
+    at xi.
+    """
+
+    tangent: tuple[EigenCluster, ...]
+    normal: tuple[EigenCluster, ...]
+    off_diagonal: float
+
+
+def split_jacobi(frame: np.ndarray, xi: np.ndarray, sign: int) -> CoreSplit:
+    """K_xi = cayley_plane.jacobi_operator(xi, sign) split along the span
+    of frame's orthonormal columns, for a unit xi orthogonal to them."""
+    k = cayley_plane.jacobi_operator(xi, sign).matrix
+    taken = np.column_stack([frame, xi])
+    rest = np.linalg.svd(taken)[0][:, taken.shape[1]:]
+    k_t = k @ frame
+    return CoreSplit(
+        tangent=SelfAdjointOperator(frame.T @ k @ frame).spectrum(),
+        normal=SelfAdjointOperator(rest.T @ k @ rest).spectrum(),
+        off_diagonal=float(np.max(np.abs(k_t - frame @ (frame.T @ k_t)), initial=0.0)),
+    )
+
+
+def model_tube_table(ambient: str, core: str, radius: float | None,
+                     xi: np.ndarray) -> list[tuple[float, int]]:
+    """(principal curvature, multiplicity) rows of the tube of the given
+    radius about the core, in increasing order, from the model's K_xi at a
+    unit normal xi and never from tube_flow.
+
+    Each cluster mu of K_xi on the normal space minus xi and on T gives the
+    Riccati closed form of jacobi_tube_curvature: sqrt(mu) cot(sqrt(mu) r)
+    and -sqrt(mu) tan(sqrt(mu) r) in op2, sqrt|mu| coth(sqrt|mu| r) and
+    sqrt|mu| tanh(sqrt|mu| r) in oh2.  The horosphere, radius None, has no
+    core: each cluster of K_xi on xi's complement gives sqrt|mu|.
+    """
+    sign = {"op2": 1, "oh2": -1}[ambient]
+    split = split_jacobi(coordinate_frame(CORE_TANGENT_COORDINATES.get(core, ())), xi, sign)
+    if core == "horosphere":
+        return sorted((math.sqrt(abs(c.value)), c.multiplicity) for c in split.normal)
+    return sorted(
+        (jacobi_tube_curvature(c.value, boundary, radius), c.multiplicity)
+        for boundary, clusters in (("tangent", split.tangent), ("normal", split.normal))
+        for c in clusters
     )
 
 

@@ -6,10 +6,8 @@ bypass so the line is visible in any pytest invocation.
 """
 
 import itertools
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -20,11 +18,9 @@ from curvadapt import octonion as oc
 from curvadapt import octonion_table
 from curvadapt import tube_flow as tf
 from curvadapt.errors import FocalPointError
-from helpers import associator, translated, values_at
+from helpers import associator, model_tube_table, seeded_normals, translated, values_at
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
-
-RADIUS_TAGS = {"pi12": math.pi / 12, "pi8": math.pi / 8, "pi6": math.pi / 6}
+RADII = (math.pi / 12, math.pi / 8, math.pi / 6)
 
 
 def report(capsys, number, name, ok, detail):
@@ -124,38 +120,31 @@ def test_criterion_3_tensor_health(capsys):
            f"{elapsed:.2f}s")
 
 
-def test_criterion_4_tube_tables_vs_goldens(capsys):
+def test_criterion_4_tube_tables_vs_model(capsys):
+    # each table against the one the Cayley-plane model gives at 5 seeded
+    # unit normals of its core (model_tube_table, which never reads tube_flow)
     start = time.monotonic()
+    rng = np.random.default_rng(4)
+    cases = [(ambient, core, radius)
+             for ambient in ("op2", "oh2")
+             for core in ("point", "line", "hp2")
+             for radius in RADII] + [("oh2", "horosphere", None)]
     worst = 0.0
-    sums_ok = True
-    compared = 0
-    for ambient in ("op2", "oh2"):
-        for core in ("point", "line", "hp2"):
-            for tag, radius in RADIUS_TAGS.items():
-                golden = json.loads(
-                    (GOLDEN_DIR / f"tube_{ambient}_{core}_{tag}.json").read_text()
-                )
-                system = tf.tube_spectrum(ambient, core, radius)
-                got = sorted(values_at(system, 0.0))
-                expected = sorted(
-                    (row["value"], row["multiplicity"]) for row in golden["rows"]
-                )
-                sums_ok = sums_ok and sum(m for _, m in got) == 15
-                for (gv, gm), (ev, em) in zip(got, expected):
-                    worst = max(worst, abs(gv - ev))
-                    sums_ok = sums_ok and gm == em
-                compared += 1
-    golden = json.loads((GOLDEN_DIR / "tube_oh2_horosphere.json").read_text())
-    system = tf.tube_spectrum("oh2", "horosphere", None)
-    got = sorted(values_at(system, 0.0))
-    expected = sorted((row["value"], row["multiplicity"]) for row in golden["rows"])
-    sums_ok = sums_ok and got == expected and sum(m for _, m in got) == 15
-    compared += 1
+    rows_ok = True
+    for ambient, core, radius in cases:
+        got = sorted(values_at(tf.tube_spectrum(ambient, core, radius), 0.0))
+        rows_ok = rows_ok and sum(m for _, m in got) == 15
+        for xi in seeded_normals(rng, core, 5):
+            expected = model_tube_table(ambient, core, radius, xi)
+            rows_ok = rows_ok and len(got) == len(expected)
+            for (gv, gm), (ev, em) in zip(got, expected):
+                worst = max(worst, abs(gv - ev))
+                rows_ok = rows_ok and gm == em
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-12 and sums_ok and elapsed < 1.0
-    report(capsys, 4, "tube tables vs goldens", ok,
-           f"{compared} tables, max defect {worst:.2e}, sums {sums_ok}, "
-           f"{elapsed:.2f}s")
+    ok = worst <= 1e-12 and rows_ok and elapsed < 1.0
+    report(capsys, 4, "tube tables vs model", ok,
+           f"{len(cases)} tables x 5 normals, max defect {worst:.2e}, "
+           f"rows {rows_ok}, {elapsed:.2f}s")
 
 
 def test_criterion_5_riccati_consistency(capsys):

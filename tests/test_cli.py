@@ -854,11 +854,16 @@ def _call(argv):
     return f"import curvadapt.cli, sys\ncurvadapt.cli.main({argv!r})"
 
 
-#: subcommands that do only scalar or integer math, with README argv
+#: subcommands that do only scalar or integer math: README argv and the oh2
+#: tube-table paths
 LIGHT_CALLS = {
     "octonion-table": _call(["octonion-table"]),
     "tube-table": _call(["tube-table", "--ambient", "op2", "--core", "line",
                          "--radius", "0.3927"]),
+    "tube-table-oh2": _call(["tube-table", "--ambient", "oh2", "--core", "hp2",
+                             "--radius", "0.3"]),
+    "horosphere": _call(["tube-table", "--ambient", "oh2", "--core", "horosphere"]),
+    "theorem2": _call(["theorem2"]),
     "profile-match": _call(["profile-match", "--p", P_SYSTEM, "--q", Q_SAME]),
     "cascade": _call(["cascade", "--system", P_SYSTEM, "--t", "0.1"]),
 }

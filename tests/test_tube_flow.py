@@ -12,12 +12,17 @@ from curvadapt import isoparametric as iso
 from curvadapt import tube_flow as tf
 from curvadapt.errors import ExcludedAngleError, FocalPointError, NormalizationError
 from helpers import (
+    CORE_TANGENT_COORDINATES,
     NoMinimalTubeError,
     branch_from_value,
+    coordinate_frame,
     focal_radius,
     jacobi_tube_curvature,
+    lie_triple_defect,
     minimal_tube_radius,
     sample_branches,
+    seeded_normals,
+    split_jacobi,
     translated,
     values_at,
 )
@@ -463,6 +468,38 @@ class TestTubeSpectrumValidation:
             tf.tube_spectrum("op2", "point", -0.3)
         with pytest.raises(NormalizationError, match="core 'point' needs a radius"):
             tf.tube_spectrum("op2", "point", None)
+
+
+class TestCatalogFromModel:
+    """CATALOG_CORES is what the Cayley-plane model measures: each core's
+    tangent space is a Lie triple system, K_xi keeps it invariant, and K_xi
+    on the normal space minus xi has the catalog's multiplicities."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_model_measures_the_catalog(self, sign):
+        rng = np.random.default_rng(5)
+        measured = {}
+        worst_off_diagonal = 0.0
+        for core, coords in CORE_TANGENT_COORDINATES.items():
+            frame = coordinate_frame(coords)
+            assert lie_triple_defect(frame, sign) == 0.0
+            measured[core] = set()
+            for xi in seeded_normals(rng, core, 5):
+                split = split_jacobi(frame, xi, sign)
+                worst_off_diagonal = max(worst_off_diagonal, split.off_diagonal)
+                measured[core].add((len(coords), *(
+                    sum(c.multiplicity for c in split.normal
+                        if abs(c.value - sign * mu) <= 1e-9)
+                    for mu in (4, 1)
+                )))
+        assert measured == {core: {sig} for core, sig in tf.CATALOG_CORES.items()}
+        assert worst_off_diagonal <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_subalgebra_span_is_rejected(self, sign):
+        # span{1, J1, J2, J3} is no quaternion subalgebra, since J1 J2 = J4
+        frame = coordinate_frame((0, 1, 2, 3, 8, 9, 10, 11))
+        assert lie_triple_defect(frame, sign) >= 1.0
 
 
 class TestFocalEnumeration:
