@@ -17,14 +17,18 @@ r = 0.3 against their reversed order, and the hyperbolic doubling pair
 whose default window overflows; a pole-weight witness; a grid point at a
 slow branch's pole; and one branch against itself at kappa 400 and 3e6,
 where the grid is entirely masked and no pole-free window boundary is
-found),
+found), three edges of the const regime, which holds only when
+|lambda(0)| = kappa exactly (a kappa = 1e-13 branch with lambda(0) =
+5 kappa under cascade, tagged coth and tagged const, and the oh2 tube
+about a point at r = 8, whose kappa = 2 row is 2 coth(16), just above 2),
 malformed option values, the README examples outside the workloads, each
 subcommand with each of --seed, --format and every --tol name, the bare
-command and the help of the command and of each subcommand.  All argv of a tree run in one process, so an
-identical count also shows that the parser, built once per subcommand,
-carries nothing from one call to the next.  Prints each argv whose results differ with the
-channels that differ, then how many argv are identical in each channel,
-and exits 1 if an argv differs, else exits 0.
+command and the help of the command and of each subcommand.  All argv of
+a tree run in one process, so an identical count also shows that the
+parser, built once per subcommand, carries nothing from one call to the
+next.  Prints each argv whose results differ with the channels that
+differ, then how many argv are identical in each channel, and exits 1 if
+an argv differs, else exits 0.
 """
 
 from __future__ import annotations
@@ -147,6 +151,8 @@ EDGES = [
         ("op2", "point", ["--radius", "1e-13"]),
         ("op2", "line", ["--radius", "1.5707963267948"]),
         ("op2", "hp2", ["--radius", "0.7853981633974"]),
+        # 2 coth(16) lies 5e-14 above 2: a coth row, not a const one
+        ("oh2", "point", ["--radius", "8"]),
     )
 ] + [
     ["tube-table", "--ambient", ambient, "--core", "hp2", "--radius", "0.3", "--format", fmt]
@@ -205,6 +211,11 @@ EDGES = [
     *(["cascade", "--system", CASCADE_SYSTEM, f"--t={t}"] for t in ("1e6", "-1e6", "1e12")),
     ["cascade", "--system", f"[{ROWS['coth-negative']}]", "--t=-0.4"],
     ["cascade", "--system", CASCADE_SYSTEM, "--t", "0.1", "--kmax", "4000"],
+] + [
+    # lambda(0) = 5 kappa at kappa = 1e-13: a coth branch, not a const one
+    ["cascade", "--system", f'[{{"kappa":1e-13,"theta":5e-13,"mult":1,"regime":"{regime}"}}]',
+     "--t", "0.1"]
+    for regime in ("coth", "const")
 ] + [
     # no sampled plane (a null range), one plane, and the hyperbolic dual
     ["sectional-range", "--samples", "0"],

@@ -16,10 +16,11 @@ Conventions fixed here and relied on everywhere else:
 * The normal Jacobi operator is K_xi(X) = R(X, xi) xi, which makes the
   compact spectrum positive: {4 with multiplicity 7, 1 with multiplicity
   8, 0 on xi itself}.
-* METRIC_SCALE = 4 calibrates the raw pair-model tensor so that compact
-  sectional curvatures fill [1, 4]: an octonion-line plane such as
-  span{e0, e1} reaches 4 and a transverse plane such as span{e0, e8}
-  reaches 1, and the tube principal-curvature tables then hold verbatim.
+* The factor 4 on the metric terms of ``curvature`` calibrates the
+  pair-model tensor so that compact sectional curvatures fill [1, 4]: an
+  octonion-line plane such as span{e0, e1} reaches 4 and a transverse
+  plane such as span{e0, e8} reaches 1, and the tube principal-curvature
+  tables then hold verbatim.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import DegeneratePlaneError, NormalizationError
 from .operators import SelfAdjointOperator, dot, jacobi_matrices
 
 DIM = 16
-METRIC_SCALE = 4.0
 _GRAM_TOL = 1e-14
 
 
@@ -76,7 +76,7 @@ def curvature(x: np.ndarray, y: np.ndarray, z: np.ndarray, sign: int = 1) -> np.
         - mul(conj(c), mul(a, f))
         - mul(conj(e), ad_cb)
     )
-    return (sign * METRIC_SCALE / 4.0) * np.concatenate([comp1, comp2], axis=-1)
+    return sign * np.concatenate([comp1, comp2], axis=-1)
 
 
 def jacobi_operator(xi: np.ndarray, sign: int = 1) -> SelfAdjointOperator:

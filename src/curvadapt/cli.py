@@ -34,6 +34,8 @@ DEFAULT_TOLERANCES = {
     "ratio": tube_flow.DEFAULT_RATIO_TOL,
 }
 
+#: theorem3 --constraint: the shape-constraint mode each name writes into the
+#: payload; the certified floor mu1 - mu2 bounds all three from below
 _CONSTRAINT_ALIASES = {
     "ajj": "a_jj_const",
     "azz": "a_zz_const",
@@ -325,11 +327,9 @@ def _cmd_theorem2(args):
 
 
 def _cmd_theorem3(args):
-    constraint = _CONSTRAINT_ALIASES[args.constraint]
-    cert = tube_flow.theorem3_sweep(
-        args.alpha_grid, constraint=constraint, ratio_tol=args.tolerances["ratio"]
-    )
+    cert = tube_flow.theorem3_sweep(args.alpha_grid, ratio_tol=args.tolerances["ratio"])
     payload = cert.to_json_dict()
+    payload["details"]["constraint"] = _CONSTRAINT_ALIASES[args.constraint]
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 

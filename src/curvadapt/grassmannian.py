@@ -175,18 +175,17 @@ def angle_error(alpha: float) -> BoundaryAngleError | None:
 
 @dataclass(frozen=True)
 class HopfPair:
-    """The two distinguished eigenvalues of K_xi at a measured angle.
+    """The two distinguished eigenvalues of K_xi at an angle.
 
-    ``alpha`` is measured back from xi.  ``ratio_defect`` is the ratio law
-    at the requested angle a without its division, |lambda1 (1 - cos a) -
-    lambda2 (1 + cos a)|; so a tolerance tol misses a relative error in
-    lambda2 below about tol / (2 lambda2), 5e-9 / lambda2 at tol = 1e-8.
+    ``ratio_defect`` is the ratio law at the requested angle a without its
+    division, |lambda1 (1 - cos a) - lambda2 (1 + cos a)|; so a tolerance
+    tol misses a relative error in lambda2 below about tol / (2 lambda2),
+    5e-9 / lambda2 at tol = 1e-8.
     """
 
     lambda1: float
     lambda2: float
     residual: float
-    alpha: float
     ratio_defect: float
 
 
@@ -227,40 +226,6 @@ def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:
     residual = np.sqrt(np.vecdot(r, r)).max(axis=0)
     cos_a = np.array([math.cos(a) for a in alphas])  # of the requested angles
     defect = np.abs(lam[0] * (1.0 - cos_a) - lam[1] * (1.0 + cos_a))
-    rows = zip(*lam.tolist(), residual.tolist(), measured.tolist(), defect.tolist())
+    rows = zip(*lam.tolist(), residual.tolist(), defect.tolist())
     return [HopfPair(*row) for row in rows]
 
-
-def shape_consistency(
-    lambda1: float,
-    lambda2: float,
-    a_jj: float,
-    a_zz: float,
-    alpha: float,
-) -> tuple[float, float]:
-    """Residuals of the two shape-operator compatibility equations.
-
-    With beta = alpha/2, t = tan(beta)^2 and its reciprocal q = cot(beta)^2,
-    a symmetric shape operator that has X1, X2 as eigenvectors (eigenvalues
-    lambda1, lambda2) and diagonal entries a_jj = <A J1 xi, J1 xi>,
-    a_zz = <A J1 Z, J1 Z> must satisfy
-
-        a_zz = lambda1 (1 - q) + q a_jj        (first residual)
-        a_zz = lambda2 (1 + t) + t a_jj        (second residual)
-
-    Both residuals vanish iff the constraints hold.  At the boundary
-    beta = pi/4 (alpha = pi/2) the first equation degenerates to
-    a_zz = a_jj and the pair forces lambda2 = 0, so the residuals returned
-    are (a_zz - a_jj, lambda2).
-    """
-    if not 0.0 < alpha <= np.pi / 2 + 1e-12:
-        raise BoundaryAngleError(f"alpha must lie in (0, pi/2], got {alpha!r}")
-    beta = alpha / 2.0
-    cb, sb = np.cos(beta), np.sin(beta)
-    if abs(cb - sb) < 1e-12:
-        return (a_zz - a_jj, lambda2)
-    q = (cb / sb) ** 2
-    t = (sb / cb) ** 2
-    r1 = a_zz - (lambda1 * (1.0 - q) + q * a_jj)
-    r2 = a_zz - (lambda2 * (1.0 + t) + t * a_jj)
-    return (float(r1), float(r2))

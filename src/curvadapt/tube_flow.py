@@ -36,8 +36,6 @@ from dataclasses import dataclass
 from .certificates import Certificate
 from .errors import ExcludedAngleError, FocalPointError, NormalizationError
 
-_CONST_REGIME_RTOL = 1e-12
-
 #: Most poles one compact branch may place in a window.
 #: isoparametric.default_window scans five periods of the slowest branch,
 #: so a branch places about 5 kappa / kappa_min poles there: 20 at a
@@ -118,7 +116,7 @@ class CurvatureBranch:
         if self.space_sign == 0:
             return "flat"
         lam0 = abs(self.phase)
-        if abs(lam0 - self.kappa) <= _CONST_REGIME_RTOL * max(1.0, self.kappa):
+        if lam0 == self.kappa:
             return "const"
         return "coth" if lam0 > self.kappa else "tanh"
 
@@ -273,7 +271,15 @@ class PCSystem:
 # --------------------------------------------------------------------------
 
 AMBIENTS = ("op2", "oh2")
-CORES = ("point", "line", "hp2", "horosphere")
+
+#: admissible signatures for a totally geodesic core: name -> (dimension,
+#: normal multiplicity in the 4-eigenvalue family, in the 1-eigenvalue family)
+CATALOG_CORES: dict[str, tuple[int, int, int]] = {
+    "point": (0, 7, 8),
+    "line": (8, 7, 0),
+    "hp2": (8, 3, 4),
+}
+CORES = (*CATALOG_CORES, "horosphere")
 
 
 def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
@@ -336,14 +342,6 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
 # --------------------------------------------------------------------------
 # Finite search over focal configurations (two eigenvalue families)
 # --------------------------------------------------------------------------
-
-#: admissible signatures for a totally geodesic core: name -> (dimension,
-#: normal multiplicity in the 4-eigenvalue family, in the 1-eigenvalue family)
-CATALOG_CORES: dict[str, tuple[int, int, int]] = {
-    "point": (0, 7, 8),
-    "line": (8, 7, 0),
-    "hp2": (8, 3, 4),
-}
 
 #: focal-set spacings searched: Q2 lies pi/(2g) from Q1 (see
 #: admissible_focal_configurations for the restriction)
@@ -647,7 +645,6 @@ def theorem2_certificate() -> Certificate:
 # --------------------------------------------------------------------------
 
 EXCLUDED_COSINES = (0.0, 3.0 / 5.0, 4.0 / 5.0, 1.0)
-CONSTRAINT_MODES = ("a_jj_const", "a_zz_const", "ratio_const")
 DEFAULT_RATIO_TOL = 1e-8  # theorem3_sweep's bound on each angle's ratio defect
 
 
@@ -661,9 +658,7 @@ def _excluded_error(alpha: float) -> ExcludedAngleError | None:
     return None
 
 
-def theorem3_sweep(
-    alpha_grid, constraint: str = "a_jj_const", ratio_tol: float = DEFAULT_RATIO_TOL
-) -> Certificate:
+def theorem3_sweep(alpha_grid, ratio_tol: float = DEFAULT_RATIO_TOL) -> Certificate:
     """Non-existence certificate for proportionally-curved pairs at generic angles.
 
     For each angle the two distinguished Jacobi eigenvalues mu1 > mu2 > 0
@@ -679,8 +674,8 @@ def theorem3_sweep(
     with witness c = 1 at every lambda2(0).  A row holds alpha, mu1, mu2,
     ratio_defect and min_residual; the certificate reports the smallest
     row, and a positive floor is a "contradiction" verdict.  The a_jj and
-    a_zz shape constraints only add conditions, so mu1 - mu2 bounds every
-    mode from below and ``constraint`` only labels the payload.
+    a_zz shape constraints only add conditions, so this one floor bounds
+    every constraint mode from below.
 
     Every grid angle is measured in one batched model evaluation.
 
@@ -689,14 +684,11 @@ def theorem3_sweep(
             {0, 3/5, 4/5, 1} (within 1e-9), where eigenvalue
             multiplicities jump.
         BoundaryAngleError: if a grid angle lies outside [0, pi/2].
-        NormalizationError: on an unknown constraint, or when the measured
-            eigenvectors or the eigenvalue ratio (1 + cos) / (1 - cos) miss
-            their tolerances.
+        NormalizationError: when the measured eigenvectors or the
+            eigenvalue ratio (1 + cos) / (1 - cos) miss their tolerances.
     """
     from . import grassmannian  # numpy, paid only by the theorem-3 callers
 
-    if constraint not in CONSTRAINT_MODES:
-        raise NormalizationError(f"constraint must be one of {CONSTRAINT_MODES}")
     bundle = grassmannian.StructureBundle.standard(2)
     alphas = [float(alpha) for alpha in alpha_grid]
     # checks needing no model run first; the angles before the first failure
@@ -735,7 +727,7 @@ def theorem3_sweep(
         verdict="contradiction" if floor > 0.0 else "equivalent",
         residual=float(floor),
         witness=witness,
-        details={"constraint": constraint, "alphas": rows},
+        details={"alphas": rows},
     )
 
 

@@ -235,6 +235,9 @@ USAGE_ERRORS = [
          "error: argument --alpha-grid: must be finite, got 'nan'\n"),
         ("alpha-grid-count", ["theorem3", "--alpha-grid", "0.5:1.1:0"],
          "error: argument --alpha-grid: must be >= 1, got 0\n"),
+        ("constraint-choice", ["theorem3", "--alpha-grid", "0.5:1.1:3", "--constraint", "bogus"],
+         "error: argument --constraint: invalid choice: 'bogus' "
+         "(choose from 'ajj', 'azz', 'ratio')\n"),
         ("p-json", ["profile-match", "--p", "[", "--q", Q_SAME],
          "error: argument --p: invalid JSON at line 1 column 2"),
         ("window-order", ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME, "--window", "2,1"],
@@ -788,6 +791,16 @@ class TestPayloadContent:
         for row in rows:
             assert row["min_residual"] >= 1e-3
             assert sorted(row) == ["alpha", "min_residual", "mu1", "mu2", "ratio_defect"]
+
+    def test_theorem3_constraint_labels_one_floor(self, capsys):
+        payloads = {}
+        for mode, label in (("ajj", "a_jj_const"), ("azz", "a_zz_const"),
+                            ("ratio", "ratio_const")):
+            code, payload, _ = run_json(capsys, *COMMAND_ARGV["theorem3"], "--constraint", mode)
+            assert code == cli.EXIT_NEGATIVE
+            assert payload["details"].pop("constraint") == label
+            payloads[mode] = payload
+        assert payloads["ajj"] == payloads["azz"] == payloads["ratio"]
 
     def test_cascade_reports_pass_flag(self, capsys):
         code, payload, _ = run_json(capsys, *COMMAND_ARGV["cascade"])

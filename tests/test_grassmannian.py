@@ -102,9 +102,13 @@ class TestCurvatureTensor:
 
 class TestAlphaDecomposition:
     def test_alpha_law_along_the_sweep(self, bundle):
-        alphas = np.linspace(0.05, np.pi / 2 - 0.05, 15)
-        for alpha, pair in zip(alphas, g.hopf_eigenvectors(alphas, bundle)):
-            assert abs(pair.alpha - alpha) <= 1e-9
+        # cos(alpha) is the length of J xi's projection onto the quaternionic
+        # span of xi: the norm of (<J xi, J_n xi>)_n
+        for alpha in np.linspace(0.05, np.pi / 2 - 0.05, 15):
+            xi = g.unit_with_angle(alpha, bundle)
+            jxi = bundle.J @ xi
+            cos_alpha = np.linalg.norm([jxi @ (Jn @ xi) for Jn in bundle.triple])
+            assert abs(cos_alpha - np.cos(alpha)) <= 1e-12
 
     def test_out_of_range_angle_rejected(self, bundle):
         with pytest.raises(BoundaryAngleError):
@@ -183,35 +187,6 @@ class TestJacobiSpectrum:
     def test_non_unit_direction_rejected(self, bundle):
         with pytest.raises(NormalizationError):
             g.jacobi_operator_g2(np.full(bundle.dim, 0.3), bundle)
-
-
-class TestShapeConsistency:
-    def test_exact_solution_satisfies_both_equations(self, bundle):
-        alpha = 0.9
-        beta = alpha / 2.0
-        lam1 = 4.0 * (1.0 + np.cos(alpha))
-        lam2 = 4.0 * (1.0 - np.cos(alpha))
-        q = 1.0 / np.tan(beta) ** 2
-        t = np.tan(beta) ** 2
-        # solve the linear pair for (a_jj, a_zz)
-        a_jj = (lam2 * (1.0 + t) - lam1 * (1.0 - q)) / (q - t)
-        a_zz = lam1 * (1.0 - q) + q * a_jj
-        r1, r2 = g.shape_consistency(lam1, lam2, a_jj, a_zz, alpha)
-        assert abs(r1) <= 1e-9
-        assert abs(r2) <= 1e-9
-
-    def test_wrong_entries_leave_residual(self):
-        r1, r2 = g.shape_consistency(7.0, 1.0, 0.0, 0.0, 0.9)
-        assert max(abs(r1), abs(r2)) > 1e-2
-
-    def test_boundary_branch_reports_degeneracy(self):
-        r1, r2 = g.shape_consistency(4.0, 0.5, 1.0, 3.0, np.pi / 2)
-        assert r1 == 2.0  # a_zz - a_jj
-        assert r2 == 0.5  # lambda2 itself
-
-    def test_alpha_zero_rejected(self):
-        with pytest.raises(BoundaryAngleError):
-            g.shape_consistency(8.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestBatchedKernels:

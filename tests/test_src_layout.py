@@ -19,9 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "curvadapt"
 #: definitions that nothing in src/ references, each kept for a stated reason
 ALLOWED_UNREFERENCED = {
     "cli._Parser.error": "argparse calls it",
-    "grassmannian.shape_consistency":
-        "leaves with theorem3 --constraint, in a change to the benchmark, "
-        "whose verdicts workload runs all three modes",
     "isoparametric.isoparametric_verdict": "for the planned Cartan certificate",
     "isoparametric.random_profile_pair": "for the planned Cartan certificate",
     "tube_flow.enumerate_focal_configurations":

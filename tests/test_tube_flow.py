@@ -77,11 +77,16 @@ class TestBranchConstruction:
         assert tf.CurvatureBranch.hyperbolic(1.0, 0.5).regime == "tanh"
         assert tf.CurvatureBranch.hyperbolic(2.0, 2.0).regime == "const"
 
-    def test_const_detection_uses_relative_tolerance(self):
-        almost = 2.0 * (1.0 + 1e-13)
-        assert tf.CurvatureBranch.hyperbolic(2.0, almost).regime == "const"
-        clearly = 2.0 * (1.0 + 1e-9)
-        assert tf.CurvatureBranch.hyperbolic(2.0, clearly).regime == "coth"
+    def test_const_detection_is_exact(self):
+        assert tf.CurvatureBranch.hyperbolic(2.0, -2.0).regime == "const"
+        for value, regime in ((math.nextafter(2.0, 3.0), "coth"),
+                              (math.nextafter(2.0, 1.0), "tanh")):
+            branch = tf.CurvatureBranch.hyperbolic(2.0, value)
+            assert branch.regime == regime
+            # the one float next to kappa: its atanh argument still rounds below 1
+            assert math.isclose(tf.evolve(branch, 0.0), value, rel_tol=1e-15)
+        # |lambda(0)| = 5 kappa is coth however small kappa is
+        assert tf.CurvatureBranch.hyperbolic(1e-13, 5e-13).regime == "coth"
 
     def test_invalid_parameters_rejected(self):
         for theta in (0.0, math.pi, -1e-20):  # -1e-20 reduces to pi
@@ -679,7 +684,7 @@ class TestProportionalSweep:
 
     def test_small_sweep_is_contradiction(self):
         alphas = np.linspace(0.3, 1.3, 5)
-        cert = tf.theorem3_sweep(alphas, constraint="a_jj_const")
+        cert = tf.theorem3_sweep(alphas)
         assert cert.verdict == "contradiction"
         assert cert.residual >= 1e-3
         assert cert.witness is not None
@@ -689,7 +694,7 @@ class TestProportionalSweep:
             assert row["min_residual"] >= 1e-3
 
     def test_ratio_mode(self):
-        cert = tf.theorem3_sweep([0.5, 0.9], constraint="ratio_const")
+        cert = tf.theorem3_sweep([0.5, 0.9])
         assert cert.verdict == "contradiction"
         assert cert.residual >= 1e-3
 
@@ -717,9 +722,8 @@ class TestProportionalSweep:
             defect = sampled_residual(c, lam20, alpha, "ratio_const", NEAR_POLE_WINDOW)
             assert np.min(defect) > mu1 - mu2, alpha
 
-    @pytest.mark.parametrize("mode", tf.CONSTRAINT_MODES)
-    def test_certificate_floor_is_eigenvalue_gap(self, mode):
-        cert = tf.theorem3_sweep(SWEEP_ALPHAS, constraint=mode)
+    def test_certificate_floor_is_eigenvalue_gap(self):
+        cert = tf.theorem3_sweep(SWEEP_ALPHAS)
         rows = cert.details["alphas"]
         assert [row["alpha"] for row in rows] == list(SWEEP_ALPHAS)
         for row in rows:
@@ -730,7 +734,6 @@ class TestProportionalSweep:
         assert cert.residual == smallest["min_residual"]
         assert cert.witness == {"alpha": smallest["alpha"], "c": 1.0,
                                 "residual": smallest["min_residual"]}
-        assert cert.details["constraint"] == mode
 
     def test_excluded_angles_rejected(self):
         for cos_a in (0.6, 0.8):
@@ -738,10 +741,6 @@ class TestProportionalSweep:
                 tf.theorem3_sweep([math.acos(cos_a)])
         with pytest.raises(ExcludedAngleError):
             tf.theorem3_sweep([math.pi / 2])  # cos = 0
-
-    def test_unknown_constraint_rejected(self):
-        with pytest.raises(NormalizationError):
-            tf.theorem3_sweep([0.5], constraint="bogus")
 
     def test_boundary_case(self):
         cert = tf.theorem3_boundary_case()
