@@ -722,7 +722,8 @@ class TestProportionalSweep:
             defect = sampled_residual(c, lam20, alpha, "ratio_const", NEAR_POLE_WINDOW)
             assert np.min(defect) > mu1 - mu2, alpha
 
-    def test_certificate_floor_is_eigenvalue_gap(self):
+    @pytest.mark.parametrize("mode", ("a_jj_const", "a_zz_const", "ratio_const"))
+    def test_certificate_floor_is_eigenvalue_gap(self, mode):
         cert = tf.theorem3_sweep(SWEEP_ALPHAS)
         rows = cert.details["alphas"]
         assert [row["alpha"] for row in rows] == list(SWEEP_ALPHAS)
@@ -734,6 +735,12 @@ class TestProportionalSweep:
         assert cert.residual == smallest["min_residual"]
         assert cert.witness == {"alpha": smallest["alpha"], "c": 1.0,
                                 "residual": smallest["min_residual"]}
+        # the one floor bounds the sampled residual under every shape constraint
+        c = np.concatenate([np.linspace(-50.0, 50.0, 401), [1.0]])
+        c, lam20 = np.meshgrid(c, np.linspace(-50.0, 50.0, 21))
+        for row in rows:
+            defect = sampled_residual(c, lam20, row["alpha"], mode, NEAR_POLE_WINDOW)
+            assert np.min(defect) >= row["min_residual"] - 1e-9, row["alpha"]
 
     def test_excluded_angles_rejected(self):
         for cos_a in (0.6, 0.8):
