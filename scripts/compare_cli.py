@@ -14,13 +14,18 @@ tube-table, profile-match, cascade and sectional-range edge cases (the
 profile-match ones include tanh rows: the oh2 line and hp2 tubes at
 r = 0.3 against their reversed order, and the hyperbolic doubling pair
 2 coth 2u = coth u + tanh u with a nudged copy; an all-const system
-whose default window overflows; a pole-weight witness; a grid point at a
-slow branch's pole; and one branch against itself at kappa 400 and 3e6,
-where the grid is entirely masked and no pole-free window boundary is
-found), three edges of the const regime, which holds only when
-|lambda(0)| = kappa exactly (a kappa = 1e-13 branch with lambda(0) =
-5 kappa under cascade, tagged coth and tagged const, and the oh2 tube
-about a point at r = 8, whose kappa = 2 row is 2 coth(16), just above 2),
+whose default window overflows; a pole-weight witness; a slow branch,
+whose closed-form denominator stays below 1e-12 far from its one pole,
+against itself (equivalent); and one branch against itself at kappa 400
+and 3e6, where the grid is entirely masked and no pole-free window
+boundary is found), points that the branch kernel refuses as within
+1e-12 of a pole in t (cascade on a kappa = 1e13 branch, whose poles lie
+3e-13 apart, and on a flat lambda(0) = 1e6 branch 5e-13 past its pole,
+and an op2 tube 7e-13 below its focal radius), three edges of the const
+regime, which holds only when |lambda(0)| = kappa exactly (a kappa =
+1e-13 branch with lambda(0) = 5 kappa under cascade, tagged coth and
+tagged const, and the oh2 tube about a point at r = 8, whose kappa = 2
+row is 2 coth(16), just above 2),
 malformed option values, the README examples outside the workloads, each
 subcommand with each of --seed, --format and every --tol name, the bare
 command and the help of the command and of each subcommand.  All argv of
@@ -93,7 +98,8 @@ SPLIT = ('[{"kappa":1,"theta":1.5059407020437063,"mult":1,"regime":"coth"},'
          '{"kappa":1,"theta":0.6640367702678491,"mult":1,"regime":"tanh"}]')
 SPLIT_NUDGED = SPLIT.replace("0.6640367702678491", "0.66")
 #: a pole at 0.1 whose closed-form denominator sin(1e-12 - 1e-11 t) stays
-#: below 1e-12 for t within 0.1 of it
+#: below 1e-12 for t within 0.1 of it; the grid's points are 0.0039 and more
+#: from the pole, so the branch against itself is equivalent
 SLOW_BRANCH = '[{"kappa":1e-11,"theta":1e-12,"mult":1}]'
 #: no compact branch and pi/kappa overflows a float: no default window
 TINY_CONST = '[{"kappa":1e-310,"theta":1e-310,"mult":1,"regime":"const"}]'
@@ -151,6 +157,7 @@ EDGES = [
         ("op2", "point", ["--radius", "1e-13"]),
         ("op2", "line", ["--radius", "1.5707963267948"]),
         ("op2", "hp2", ["--radius", "0.7853981633974"]),
+        ("op2", "point", ["--radius", "1.5707963267941966"]),  # 7e-13 below pi/2
         # 2 coth(16) lies 5e-14 above 2: a coth row, not a const one
         ("oh2", "point", ["--radius", "8"]),
     )
@@ -194,10 +201,11 @@ EDGES = [
     *(["profile-match", "--p", DOUBLED, "--q", q] for q in (SPLIT, SPLIT_NUDGED)),
     ["profile-match", "--p", TINY_CONST, "--q", TINY_CONST],
 ] + [
-    # the pole-weight witness; a grid point within the kernel's 1e-12 pole
-    # proximity of a slow branch's pole at 0.1 (exit 1); and one compact
-    # branch against itself at kappa 400, whose mask covers the default
-    # window, and at kappa 3e6, whose window ends find no pole-free point
+    # the pole-weight witness; a slow branch with its pole at 0.1, whose
+    # grid keeps clear of the kernel's 1e-12 pole proximity (equivalent);
+    # and one compact branch against itself at kappa 400, whose mask covers
+    # the default window, and at kappa 3e6, whose window ends find no
+    # pole-free point
     ["profile-match", "--p", f"[{COMPACT_ROW}]", "--q", '[{"kappa":1,"theta":1,"mult":2}]'],
     ["profile-match", "--p", SLOW_BRANCH, "--q", SLOW_BRANCH, "--window=0,1"],
     *(["profile-match", "--p", f'[{{"kappa":{k},"theta":1,"mult":1}}]',
@@ -211,6 +219,12 @@ EDGES = [
     *(["cascade", "--system", CASCADE_SYSTEM, f"--t={t}"] for t in ("1e6", "-1e6", "1e12")),
     ["cascade", "--system", f"[{ROWS['coth-negative']}]", "--t=-0.4"],
     ["cascade", "--system", CASCADE_SYSTEM, "--t", "0.1", "--kmax", "4000"],
+] + [
+    # within 1e-12 of a pole in t: every t of a branch whose poles lie
+    # 3e-13 apart, and 5e-13 past the pole at 1e-6 of a flat branch
+    ["cascade", "--system", '[{"kappa":1e13,"theta":1,"mult":1}]', "--t", "0.1"],
+    ["cascade", "--system", '[{"kappa":0,"theta":1e6,"mult":1,"regime":"flat"}]',
+     "--t", "1.0000005e-06"],
 ] + [
     # lambda(0) = 5 kappa at kappa = 1e-13: a coth branch, not a const one
     ["cascade", "--system", f'[{{"kappa":1e-13,"theta":5e-13,"mult":1,"regime":"{regime}"}}]',

@@ -17,7 +17,7 @@ import sys
 from functools import cache, partial
 
 from . import isoparametric, octonion_table, tube_flow
-from .errors import CurvAdaptError, FocalPointError
+from .errors import CurvAdaptError
 from .tube_flow import CurvatureBranch, PCSystem
 
 EXIT_OK = 0
@@ -293,22 +293,15 @@ def _cmd_sectional_range(args):
 
 def _cmd_tube_table(args):
     system = tube_flow.tube_spectrum(args.ambient, args.core, args.radius)
-    try:
-        rows = [
-            {
-                "value": tube_flow.evolve(b, 0.0),
-                "multiplicity": b.multiplicity,
-                "kappa": b.kappa,
-                "regime": b.regime,
-            }
-            for b in system.branches
-        ]
-    except FocalPointError:  # the branch kernel's pole proximity
-        raise _UsageError(
-            f"the tube of radius {args.radius!r} lies within "
-            f"{tube_flow.POLE_PROXIMITY!r} of a focal set of core {args.core!r}, "
-            "so no finite table can be evaluated"
-        ) from None
+    rows = [
+        {
+            "value": tube_flow.evolve(b, 0.0),
+            "multiplicity": b.multiplicity,
+            "kappa": b.kappa,
+            "regime": b.regime,
+        }
+        for b in system.branches
+    ]
     payload = {
         "ambient": args.ambient,
         "core": args.core,

@@ -173,7 +173,7 @@ class CurvatureBranch:
         return (-math.inf, math.inf)
 
 
-#: branch_values treats a closed-form denominator below this as a pole
+#: distance in t within which branch_values takes a point to be a pole
 POLE_PROXIMITY = 1e-12
 
 
@@ -186,11 +186,12 @@ def branch_values(branch: CurvatureBranch, ts: list) -> list:
     meromorphic function, so only its isolated poles are off limits; the
     mean-curvature profile evaluates it everywhere, while evolve first
     confines t to the flow's regularity interval.  A column of complex t
-    takes cos, sin and tanh from cmath.
+    takes cos, sin and tanh from cmath, and its distance to a pole is
+    that of its real part.
 
     Raises:
-        FocalPointError: at the first t whose closed-form denominator is
-            within POLE_PROXIMITY of zero, that is at a pole.
+        FocalPointError: at the first t within POLE_PROXIMITY of a pole,
+            a distance in t whatever the branch's frequency.
     """
     lib = math
     if ts and isinstance(ts[0], complex):
@@ -204,20 +205,29 @@ def branch_values(branch: CurvatureBranch, ts: list) -> list:
         return [k * lib.tanh(shift - k * t) for t in ts]
     if regime == "coth":
         shift = math.atanh(k / branch.phase)
+    # |x| / scale, x reduced mod pi if compact, is the distance in t to a pole
+    # and bounds |den| / scale: most points pay one comparison, and a zero den
+    # (<=) reaches the confirmation even where near underflows to 0
+    scale = abs(branch.phase) if regime == "flat" else k
+    near = scale * POLE_PROXIMITY
     values = []
     for t in ts:
         if regime == "compact":
-            arg = branch.phase - k * t
-            num, den = k * lib.cos(arg), lib.sin(arg)
+            x = branch.phase - k * t
+            num, den = k * lib.cos(x), lib.sin(x)
         elif regime == "flat":
-            num, den = branch.phase, 1.0 - branch.phase * t
+            num = branch.phase
+            den = x = 1.0 - branch.phase * t
         else:
-            num, den = k, lib.tanh(shift - k * t)
-        if abs(den) < POLE_PROXIMITY:
-            raise FocalPointError(
-                f"evaluation at a pole of the {regime} branch: t={t!r}",
-                focal_radius=t,
-            )
+            x = shift - k * t
+            num, den = k, lib.tanh(x)
+        if abs(den) <= near:
+            offset = math.remainder(x.real, math.pi) if regime == "compact" else x.real
+            if abs(offset) / scale < POLE_PROXIMITY:
+                raise FocalPointError(
+                    f"evaluation at a pole of the {regime} branch: t={t!r}",
+                    focal_radius=t,
+                )
         values.append(num / den)
     return values
 
@@ -300,7 +310,8 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
             outside oh2 or with a radius, or a missing or nonpositive radius.
         FocalPointError: if an op2 radius reaches the focal set of the core,
             the first pole of its branches: pi/2 (pi/4 for hp2);
-            focal_radius is that limit.
+            focal_radius is that limit.  Also within POLE_PROXIMITY of a
+            focal set, 0 or that limit, where branch_values refuses t = 0.
     """
     if ambient not in AMBIENTS:
         raise NormalizationError(f"ambient must be one of {AMBIENTS}: {ambient!r}")
@@ -322,6 +333,21 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
     if not radius > 0.0:
         raise NormalizationError(f"core {core!r} needs a positive radius, got {radius!r}")
     cfg = _catalog_configuration(1, "q1", core)
+    # phase pi p/4 + kappa r first reaches pi at r = (4 - p) pi / (4 kappa)
+    limit = math.pi / 4 * min((4 - p) / k for k, p, _ in cfg.branches_at("q1"))
+    if ambient == "op2" and radius >= limit:
+        raise FocalPointError(
+            f"radius {radius!r} reaches the focal set of core {core!r} at {limit!r}",
+            focal_radius=limit,
+        )
+    # <=: at r = POLE_PROXIMITY the oh2 shift atanh(tanh(kappa r)) rounds below kappa r
+    for focal in (0.0, limit) if ambient == "op2" else (0.0,):
+        if abs(radius - focal) <= POLE_PROXIMITY:
+            raise FocalPointError(
+                f"the tube of radius {radius!r} lies within {POLE_PROXIMITY!r} of a focal "
+                f"set of core {core!r}, so no finite table can be evaluated",
+                focal_radius=focal,
+            )
     if ambient == "oh2":
         return PCSystem(branches=tuple(
             CurvatureBranch.hyperbolic(
@@ -329,13 +355,6 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
             )
             for k, p, m in cfg.branches_at("q1")
         ))
-    # phase pi p/4 + kappa r first reaches pi at r = (4 - p) pi / (4 kappa)
-    limit = math.pi / 4 * min((4 - p) / k for k, p, _ in cfg.branches_at("q1"))
-    if radius >= limit:
-        raise FocalPointError(
-            f"radius {radius!r} reaches the focal set of core {core!r} at {limit!r}",
-            focal_radius=limit,
-        )
     return cfg.realize(radius)
 
 
@@ -573,10 +592,10 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
             interior_poles += m
             continue
         branches.append(b)
-        poles = b.poles(-mid - 1e-12, mid + 1e-12)
-        interior_poles += m * any(abs(r) < mid - 1e-12 for r in poles)
+        poles = b.poles(-mid - POLE_PROXIMITY, mid + POLE_PROXIMITY)
+        interior_poles += m * any(abs(r) < mid - POLE_PROXIMITY for r in poles)
         for q, end in zip(FOCAL_SETS, (mid, -mid)):
-            focal[q] += m * any(abs(r - end) <= 1e-12 for r in poles)
+            focal[q] += m * any(abs(r - end) <= POLE_PROXIMITY for r in poles)
     grid = linspace(-mid * 0.98, mid * 0.98, 41)
     finite = len(branches) == len(rows)  # the grid runs through the midpoint
     if finite:
@@ -646,6 +665,7 @@ def theorem2_certificate() -> Certificate:
 
 EXCLUDED_COSINES = (0.0, 3.0 / 5.0, 4.0 / 5.0, 1.0)
 DEFAULT_RATIO_TOL = 1e-8  # theorem3_sweep's bound on each angle's ratio defect
+EIGENVECTOR_RESIDUAL_TOL = 1e-8  # theorem3_sweep's bound on each HopfPair.residual
 
 
 def _excluded_error(alpha: float) -> ExcludedAngleError | None:
@@ -684,8 +704,8 @@ def theorem3_sweep(alpha_grid, ratio_tol: float = DEFAULT_RATIO_TOL) -> Certific
             {0, 3/5, 4/5, 1} (within 1e-9), where eigenvalue
             multiplicities jump.
         BoundaryAngleError: if a grid angle lies outside [0, pi/2].
-        NormalizationError: when the measured eigenvectors or the
-            eigenvalue ratio (1 + cos) / (1 - cos) miss their tolerances.
+        NormalizationError: when the eigenvector residual exceeds
+            EIGENVECTOR_RESIDUAL_TOL or the ratio defect exceeds ratio_tol.
     """
     from . import grassmannian  # numpy, paid only by the theorem-3 callers
 
@@ -699,7 +719,7 @@ def theorem3_sweep(alpha_grid, ratio_tol: float = DEFAULT_RATIO_TOL) -> Certific
     floor = math.inf
     witness = None
     for alpha, pair in zip(alphas, grassmannian.hopf_eigenvectors(alphas[:stop], bundle)):
-        if pair.residual > 1e-8:
+        if pair.residual > EIGENVECTOR_RESIDUAL_TOL:
             raise NormalizationError(
                 f"model eigenvector residual {pair.residual!r} too large at alpha={alpha!r}"
             )

@@ -52,6 +52,16 @@ OVERFLOWING_PERIOD_ARGV = [
 ]
 
 
+#: kappa 1e-11, theta 1e-12: a compact branch whose one pole in [0, 1] is at 0.1
+SLOW_BRANCH = '[{"kappa":1e-11,"theta":1e-12,"mult":1}]'
+
+#: a coth pole at 0.549 that both match, and a const branch in Q that
+#: changes the smooth part within 8.4 of it
+WIDE_P = '[{"kappa":1,"theta":2,"mult":1,"regime":"coth"}]'
+WIDE_Q = ('[{"kappa":2,"theta":2.5,"mult":1,"regime":"coth"},'
+          '{"kappa":1,"theta":1,"mult":1,"regime":"const"}]')
+
+
 def load_schema(name):
     path = resources.files("curvadapt") / "schemas" / name
     return json.loads(path.read_text())
@@ -187,6 +197,14 @@ class TestExitCodes:
         code, payload, _ = run_json(capsys, "profile-match", "--p", p, "--q", p, "--window=0,1")
         assert code == cli.EXIT_OK and payload["verdict"] == "equivalent"
 
+    def test_slow_branch_is_compared_clear_of_its_pole(self, capsys):
+        # one pole, at 0.1, and sin(theta - kappa t) below 1e-12 on all of
+        # [0, 0.2]; the kernel refuses only t within 1e-12 of the pole
+        code, payload, _ = run_json(capsys, "profile-match", "--p", SLOW_BRANCH,
+                                    "--q", SLOW_BRANCH, "--window=0,1")
+        assert code == cli.EXIT_OK
+        assert payload["verdict"] == "equivalent" and payload["residual"] == 0.0
+
     def test_malformed_json_reports_position(self, capsys):
         code, _, err = run_cli(capsys, "profile-match", "--p", "[{\"kappa\": }]",
                                "--q", Q_SAME)
@@ -206,6 +224,34 @@ class TestExitCodes:
                                "--t", "0.1", "--tol", "nope=3")
         assert code == cli.EXIT_USAGE
         assert err.endswith("name among: cascade\n")
+
+
+class TestOpenGridDefects:
+    """Defects of profile-match's smooth-part grid that are not mended yet.
+    Each xfail is strict, so the change that mends one must flip it."""
+
+    def test_narrow_window_sees_the_smooth_part(self, capsys):
+        code, payload, _ = run_json(capsys, "profile-match", "--p", WIDE_P, "--q", WIDE_Q,
+                                    "--window=0,20")
+        assert code == cli.EXIT_NEGATIVE and payload["verdict"] == "distinct"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the mask radius grows with the window and hides the "
+                              "smooth part next to the matched pole")
+    @pytest.mark.parametrize("window", ["0,1000", "0,1e6"])
+    def test_wide_window_sees_the_smooth_part(self, capsys, window):
+        code, payload, _ = run_json(capsys, "profile-match", "--p", WIDE_P, "--q", WIDE_Q,
+                                    f"--window={window}")
+        assert code == cli.EXIT_NEGATIVE and payload["verdict"] == "distinct"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="at kappa 400 the 1e-2 mask floor covers the default window; "
+                              "at 3e6 the absolute 1e-6 endpoint clearance finds no boundary")
+    @pytest.mark.parametrize("kappa", ["400", "3e6"])
+    def test_fast_branch_equals_itself(self, capsys, kappa):
+        system = f'[{{"kappa":{kappa},"theta":1,"mult":1}}]'
+        code, _, err = run_cli(capsys, "profile-match", "--p", system, "--q", system)
+        assert code == cli.EXIT_OK, err
 
 
 def _row(kappa, theta, regime="compact"):
@@ -354,7 +400,8 @@ USAGE_ERRORS = [
             ("cascade", "--system", ["cascade", "--system", _mult_row(mult), "--t", "0.1"]),
         ]
     ] + [
-        # the branch kernel cannot evaluate a tube this close to its focal set
+        # tube_spectrum refuses a radius within 1e-12 of a focal set, 0 or the
+        # op2 focal radius, where the branch kernel would refuse t = 0
         (f"{ambient}-{core}-radius-{radius}-pole-proximity",
          ["tube-table", "--ambient", ambient, "--core", core, "--radius", radius],
          f"error: the tube of radius {radius} lies within 1e-12 of a focal set of core "

@@ -362,23 +362,6 @@ class TestGridKernel:
             assert hexes(iso._masked_grid_residual(p, q, window, locations)) == hexes(expected)
         assert reached > 40
 
-    @pytest.mark.parametrize("p_thetas, q_thetas, side, t", [
-        ((1.5,), (1.5,), "p", "1.5"),
-        ((1.5,), (1.0,), "q", "1.0"),
-        ((2.4, 2.0), (2.4,), "p", "2.0"),
-        ((2.0, 0.5), (0.7,), "p", "0.5"),
-    ], ids=["both", "q-first", "p-second-branch", "p-first"])
-    def test_pole_on_the_grid_raises_the_point_walk_error(self, p_thetas, q_thetas, side, t):
-        # grid point i of the window (0, 2.57) is (i + 1) / 100, and no pole is masked
-        p = system_of(*(CurvatureBranch.compact(1.0, th) for th in p_thetas), label="p")
-        q = system_of(*(CurvatureBranch.compact(1.0, th) for th in q_thetas), label="q")
-        with pytest.raises(FocalPointError) as walk:
-            point_walk_residual(p, q, (0.0, 2.57), [])
-        with pytest.raises(FocalPointError) as column:
-            iso._masked_grid_residual(p, q, (0.0, 2.57), [])
-        assert str(column.value) == str(walk.value) == f"profile of {side!r} hits a pole at t={t}"
-        assert column.value.focal_radius == walk.value.focal_radius
-
     def test_merged_away_pole_is_masked_through_the_comparator(self):
         # pole_merge 1 merges the pole at 1.5 into the one at 1, and the mask
         # still covers both, so grid point 1.5 is left out

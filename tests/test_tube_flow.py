@@ -296,6 +296,38 @@ class TestBranchPoles:
                 with pytest.raises(FocalPointError):
                     tf.branch_value(branch, r)
 
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_kernel_refuses_a_distance_in_t_around_every_pole(self, kappa):
+        for theta in (0.3, 1.5, 2.9):
+            branch = tf.CurvatureBranch.compact(kappa, theta)
+            for r in branch.poles(-10.0, 10.0):
+                for d in (-5e-13, 5e-13):
+                    with pytest.raises(FocalPointError):
+                        tf.branch_value(branch, r + d)
+                for d in (-2e-12, 2e-12):
+                    assert math.isfinite(tf.branch_value(branch, r + d))
+
+    def test_slow_branch_is_refused_only_next_to_its_pole(self):
+        # sin(theta - kappa t) stays below 1e-12 on all of [0, 0.2], yet the
+        # one pole is at 0.1: a denominator bound would refuse every point
+        branch = tf.CurvatureBranch.compact(1e-11, 1e-12)
+        for t in (0.0039, 0.2):
+            assert math.isfinite(tf.branch_value(branch, t))
+        for t in (0.1 - 5e-13, 0.1 + 5e-13):
+            with pytest.raises(FocalPointError):
+                tf.branch_value(branch, t)
+
+    def test_flat_and_fast_branches_take_the_distance_in_t(self):
+        flat = tf.CurvatureBranch.flat(1e6)  # the pole is at 1e-6
+        for t in (1e-6 - 5e-13, 1e-6 + 5e-13):
+            with pytest.raises(FocalPointError):
+                tf.branch_value(flat, t)
+        assert math.isfinite(tf.branch_value(flat, 1e-6 + 2e-12))
+        # |tanh| <= 1 is below kappa * 1e-12 everywhere, so the distance
+        # decides: the pole sits at atanh(1/2) / 1e300, far from 0.01
+        fast = tf.CurvatureBranch.hyperbolic(1e300, 2e300)
+        assert tf.branch_value(fast, 0.01) == -1e300
+
     def test_regularity_interval_ends_at_the_nearest_poles(self):
         rng = np.random.default_rng(54)
         for branch in sample_branches(rng, 200) + [tf.CurvatureBranch.flat(0.0)]:
@@ -456,6 +488,19 @@ class TestTubeSpectrumValidation:
         assert abs(err.value.focal_radius - math.pi / 4) <= 1e-15
         # hyperbolic ambient has no focal bound
         tf.tube_spectrum("oh2", "point", 5.0)
+
+    @pytest.mark.parametrize("ambient, core, focal", [
+        ("oh2", "point", 0.0), ("op2", "line", 0.0),
+        ("op2", "point", math.pi / 2), ("op2", "hp2", math.pi / 4),
+    ])
+    def test_radius_within_pole_proximity_of_a_focal_set(self, ambient, core, focal):
+        side = 1.0 if focal == 0.0 else -1.0
+        with pytest.raises(FocalPointError, match="lies within 1e-12 of a focal set") as err:
+            tf.tube_spectrum(ambient, core, focal + side * 5e-13)
+        assert abs(err.value.focal_radius - focal) <= 1e-15
+        # just outside, every row of the table evaluates at the tube, t = 0
+        for b in tf.tube_spectrum(ambient, core, focal + side * 2e-12).branches:
+            assert math.isfinite(tf.evolve(b, 0.0))
 
     def test_horosphere_rules(self):
         with pytest.raises(NormalizationError):
