@@ -21,19 +21,22 @@ and 3e6, where the grid is entirely masked and no pole-free window
 boundary is found), points that the branch kernel refuses as within
 1e-12 of a pole in t (cascade on a kappa = 1e13 branch, whose poles lie
 3e-13 apart, and on a flat lambda(0) = 1e6 branch 5e-13 past its pole,
-and an op2 tube 7e-13 below its focal radius), three edges of the const
-regime, which holds only when |lambda(0)| = kappa exactly (a kappa =
-1e-13 branch with lambda(0) = 5 kappa under cascade, tagged coth and
-tagged const, and the oh2 tube about a point at r = 8, whose kappa = 2
-row is 2 coth(16), just above 2),
-malformed option values, the README examples outside the workloads, each
-subcommand with each of --seed, --format and every --tol name, the bare
-command and the help of the command and of each subcommand.  All argv of
-a tree run in one process, so an identical count also shows that the
-parser, built once per subcommand, carries nothing from one call to the
-next.  Prints each argv whose results differ with the channels that
-differ, then how many argv are identical in each channel, and exits 1 if
-an argv differs, else exits 0.
+and an op2 tube 7e-13 below its focal radius), cascade on a kappa = 1e300
+branch at t = 1e10, where kappa t overflows a float, jacobi-spectrum
+--space grassmannian at alpha 0.0001, 1.5707 and 1.5707963 with m = 2
+and at 0.001 with m = 3, whose clusters lie closer than 1e-6 yet far
+above eigh's rounding, three edges of the const regime, which holds only
+when |lambda(0)| = kappa exactly (a kappa = 1e-13 branch with
+lambda(0) = 5 kappa under cascade, tagged coth and tagged const, and the
+oh2 tube about a point at r = 8, whose kappa = 2 row is 2 coth(16), just
+above 2), malformed option values, the README examples outside the
+workloads, each subcommand with each of --seed, --format and every --tol
+name, the bare command and the help of the command and of each
+subcommand.  All argv of a tree run in one process, so an identical
+count also shows that the parser, built once per subcommand, carries
+nothing from one call to the next.  Prints each argv whose results
+differ with the channels that differ, then how many argv are identical
+in each channel, and exits 1 if an argv differs, else exits 0.
 """
 
 from __future__ import annotations
@@ -225,6 +228,13 @@ EDGES = [
     ["cascade", "--system", '[{"kappa":1e13,"theta":1,"mult":1}]', "--t", "0.1"],
     ["cascade", "--system", '[{"kappa":0,"theta":1e6,"mult":1,"regime":"flat"}]',
      "--t", "1.0000005e-06"],
+    # kappa t overflows a float, so the compact branch has no value
+    ["cascade", "--system", '[{"kappa":1e300,"theta":1,"mult":1}]', "--t", "1e10"],
+] + [
+    # clusters closer than 1e-6 but far above eigh's rounding: 2 alpha^2
+    # beside 0 at small angles, and pairs cos(alpha) apart near pi/2
+    ["jacobi-spectrum", "--space", "grassmannian", "--alpha", alpha, "--m", m]
+    for alpha, m in (("0.0001", "2"), ("1.5707", "2"), ("1.5707963", "2"), ("0.001", "3"))
 ] + [
     # lambda(0) = 5 kappa at kappa = 1e-13: a coth branch, not a const one
     ["cascade", "--system", f'[{{"kappa":1e-13,"theta":5e-13,"mult":1,"regime":"{regime}"}}]',

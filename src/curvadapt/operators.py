@@ -1,10 +1,11 @@
 """Self-adjoint operators, clustered spectra and the Jacobi operator build.
 
 Eigenvalues coming out of the curvature machinery are exact integers or
-smooth functions of an angle, so clustering nearby numerical eigenvalues
-into multiplicities is safe: the cluster gap (1e-6) sits many orders of
-magnitude above eigensolver noise and below any genuine spectral gap used
-in this package.
+smooth functions of an angle.  eigh is backward stable, so a computed
+eigenvalue lies within about n eps ||K|| of a true one (Parlett, The
+Symmetric Eigenvalue Problem, 1998), and a spectrum clusters eigenvalues
+closer than CLUSTER_GAP_FACTOR times that: 9.1e-13 for n = 8, ||K|| = 8,
+which keeps the Grassmannian's 2 alpha^2 apart from 0 down to alpha 7e-7.
 
 Both geometries build K_xi = R(., xi) xi through ``jacobi_matrices``, the
 one unit check on xi, and a ``SelfAdjointOperator`` rejects a matrix whose
@@ -19,7 +20,9 @@ import numpy as np
 
 from .errors import NormalizationError
 
-CLUSTER_GAP = 1e-6
+#: a new cluster starts where the gap exceeds this times n eps max|lambda|
+CLUSTER_GAP_FACTOR = 64
+_EPS = float(np.finfo(float).eps)
 UNIT_TOL = 1e-10
 SYMMETRY_RTOL = 1e-12
 
@@ -70,13 +73,16 @@ class SelfAdjointOperator:
         object.__setattr__(self, "matrix", m)
 
     def spectrum(self) -> tuple[EigenCluster, ...]:
-        """Eigendecomposition with eigenvalues clustered by CLUSTER_GAP, in
-        increasing order of value."""
+        """Eigendecomposition in increasing order of value, a gap above
+        CLUSTER_GAP_FACTOR n eps max|lambda| starting a new cluster."""
         evals, evecs = np.linalg.eigh(0.5 * (self.matrix + self.matrix.T))
+        n = len(evals)
+        # evals increase, so max|lambda| is at one end
+        gap = CLUSTER_GAP_FACTOR * n * _EPS * max(-evals[0], evals[-1]) if n else 0.0
         clusters: list[EigenCluster] = []
         start = 0
-        for i in range(1, len(evals) + 1):
-            if i == len(evals) or evals[i] - evals[i - 1] > CLUSTER_GAP:
+        for i in range(1, n + 1):
+            if i == n or evals[i] - evals[i - 1] > gap:
                 block = evecs[:, start:i]
                 clusters.append(
                     EigenCluster(

@@ -328,6 +328,10 @@ USAGE_ERRORS = [
         ("boundary-alpha", ["grassmannian-check", "--alpha", "1e-8"],
          "error: hopf eigenvectors need 0 < alpha < pi/2 as measured back from xi; "
          "requested alpha=1e-08 measures alpha=0.0\n"),
+        # kappa t overflows to inf, where cos has no value
+        ("cascade-phase-overflow",
+         ["cascade", "--system", '[{"kappa":1e300,"theta":1,"mult":1}]', "--t", "1e10"],
+         "error: kappa=1e+300 times t=10000000000.0 overflows a float\n"),
         ("cascade-power-overflow",
          ["cascade", "--system", '[{"kappa":2,"theta":1.2,"mult":3}]', "--t", "0.1",
           "--kmax", "4000"],
@@ -819,6 +823,15 @@ class TestPayloadContent:
         )
         assert code == cli.EXIT_OK
         assert payload["space"] == "grassmannian"
+        assert sum(c["multiplicity"] for c in payload["clusters"]) == 8
+
+    @pytest.mark.parametrize("alpha", ["0.0001", "1.5707", "1.5707963"])
+    def test_jacobi_grassmannian_extreme_angles(self, capsys, alpha):
+        # 2 alpha^2 beside 0, or clusters cos(alpha) apart, are separate eigenvalues
+        code, payload, _ = run_json(
+            capsys, "jacobi-spectrum", "--space", "grassmannian", "--alpha", alpha
+        )
+        assert code == cli.EXIT_OK and payload["residual_ok"]
         assert sum(c["multiplicity"] for c in payload["clusters"]) == 8
 
     def test_sectional_range_brackets(self, capsys):

@@ -184,6 +184,19 @@ class TestJacobiSpectrum:
         spec = g.jacobi_operator_g2(g.unit_with_angle(alpha, bundle), bundle).spectrum()
         assert [c.multiplicity for c in spec] == [2, 2, 1, 2, 1]
 
+    @pytest.mark.parametrize("m, mults", [(2, [2, 1, 2, 2, 1]), (3, [2, 2, 1, 2, 2, 2, 1])])
+    def test_small_and_near_right_angles_keep_every_eigenvalue(self, m, mults):
+        # 2 alpha^2 beside 0 at small angles, and clusters cos(alpha) apart
+        # near pi/2, stay apart: the gap is eigh's rounding, about 1e-12
+        bundle = g.StructureBundle.standard(m)
+        small = np.logspace(-6, -2, 400)
+        for alpha in [*small, *(np.pi / 2 - small)]:
+            op = g.jacobi_operator_g2(g.unit_with_angle(float(alpha), bundle), bundle)
+            spec = op.spectrum()
+            assert op.max_eigen_residual(spec) <= 1e-9, alpha
+        spec = g.jacobi_operator_g2(g.unit_with_angle(1e-4, bundle), bundle).spectrum()
+        assert [c.multiplicity for c in spec] == mults
+
     def test_non_unit_direction_rejected(self, bundle):
         with pytest.raises(NormalizationError):
             g.jacobi_operator_g2(np.full(bundle.dim, 0.3), bundle)

@@ -20,16 +20,20 @@ def test_rejects_non_square():
 
 
 def test_clustering_merges_within_gap():
-    vals = np.diag([1.0, 1.0 + 1e-9, 2.0])
-    spec = SelfAdjointOperator(vals).spectrum()
-    assert sum(c.multiplicity for c in spec) == 3
-    assert [c.multiplicity for c in spec] == [2, 1]
+    # the gap is 64 n eps max|lambda|, 8.5e-14 here, and scales with the matrix
+    for scale in (1.0, 1e8):
+        vals = scale * np.diag([1.0, 1.0 + 1e-14, 2.0])
+        spec = SelfAdjointOperator(vals).spectrum()
+        assert sum(c.multiplicity for c in spec) == 3
+        assert [c.multiplicity for c in spec] == [2, 1]
 
 
 def test_clustering_respects_gap():
-    vals = np.diag([1.0, 1.0 + 1e-3, 2.0])
-    spec = SelfAdjointOperator(vals).spectrum()
-    assert [c.multiplicity for c in spec] == [1, 1, 1]
+    # 1e-9 lies far above eigh's rounding, so it separates two eigenvalues
+    for split in (1e-3, 1e-9):
+        vals = np.diag([1.0, 1.0 + split, 2.0])
+        spec = SelfAdjointOperator(vals).spectrum()
+        assert [c.multiplicity for c in spec] == [1, 1, 1]
 
 
 def test_eigen_residual_small_for_exact_operator():

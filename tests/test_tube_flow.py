@@ -328,6 +328,13 @@ class TestBranchPoles:
         fast = tf.CurvatureBranch.hyperbolic(1e300, 2e300)
         assert tf.branch_value(fast, 0.01) == -1e300
 
+    def test_overflowing_phase_is_refused_on_both_columns(self):
+        # kappa t overflows to inf, and cos(-inf) has no value
+        branch = tf.CurvatureBranch.compact(1e300, 1.0)
+        for t in (1e10, -1e10, complex(1e10, 1e-30)):
+            with pytest.raises(NormalizationError, match=r"kappa=1e\+300 times t="):
+                tf.branch_values(branch, [t])
+
     def test_regularity_interval_ends_at_the_nearest_poles(self):
         rng = np.random.default_rng(54)
         for branch in sample_branches(rng, 200) + [tf.CurvatureBranch.flat(0.0)]:
@@ -602,7 +609,6 @@ class TestFocalEnumeration:
             assert check["interior_poles"] == 0
             assert check["q1_focal_mult_ok"]
             assert check["q2_focal_mult_ok"]
-            assert check["mean_curvature_finite"]
 
     def test_evolution_check_reports_instead_of_raising(self):
         # a branch (kappa, p) at Q1 has its poles at (4n - p) pi / (4 kappa)
@@ -616,13 +622,13 @@ class TestFocalEnumeration:
             interior = sum(m for k, x, m in poles if 0 < x < 2 * k)
             check = tf.verify_configuration_by_evolution(cfg)
             assert check["interior_poles"] == interior, cfg
-            assert check["mean_curvature_finite"] == (interior == 0), cfg
             if any(x == k for k, x, _ in poles):
                 midpoint += 1
             elif interior:
                 crossing += 1
-        # the sample holds both configurations that used to raise: a pole at
-        # the midpoint the system is realized at, and one the grid crosses
+        # the sample holds both kinds of interior pole: one at the midpoint
+        # the system is realized at, where no branch can be built, and one
+        # strictly between the midpoint and a focal set
         assert midpoint > 0 and crossing > 0
 
     def test_realized_system_focalizes_at_distance(self):
