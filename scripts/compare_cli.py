@@ -25,18 +25,20 @@ and an op2 tube 7e-13 below its focal radius), cascade on a kappa = 1e300
 branch at t = 1e10, where kappa t overflows a float, jacobi-spectrum
 --space grassmannian at alpha 0.0001, 1.5707 and 1.5707963 with m = 2
 and at 0.001 with m = 3, whose clusters lie closer than 1e-6 yet far
-above eigh's rounding, three edges of the const regime, which holds only
-when |lambda(0)| = kappa exactly (a kappa = 1e-13 branch with
-lambda(0) = 5 kappa under cascade, tagged coth and tagged const, and the
-oh2 tube about a point at r = 8, whose kappa = 2 row is 2 coth(16), just
-above 2), malformed option values, the README examples outside the
-workloads, each subcommand with each of --seed, --format and every --tol
-name, the bare command and the help of the command and of each
-subcommand.  All argv of a tree run in one process, so an identical
-count also shows that the parser, built once per subcommand, carries
-nothing from one call to the next.  Prints each argv whose results
-differ with the channels that differ, then how many argv are identical
-in each channel, and exits 1 if an argv differs, else exits 0.
+above eigh's rounding, jacobi-spectrum --space grassmannian and
+grassmannian-check at two angles with m = 2, 64 and 3 interleaved, three
+edges of the const regime, which holds only when |lambda(0)| = kappa
+exactly (a kappa = 1e-13 branch with lambda(0) = 5 kappa under cascade,
+tagged coth and tagged const, and the oh2 tube about a point at r = 8,
+whose kappa = 2 row is 2 coth(16), just above 2), malformed option
+values, the README examples outside the workloads, each subcommand with
+each of --seed, --format and every --tol name, the bare command and the
+help of the command and of each subcommand.  All argv of a tree run in
+one process, so an identical count also shows that the parser, built
+once per subcommand, and the Grassmannian structure bundle, built once
+per m, carry nothing from one call to the next.  Prints each argv whose
+results differ with the channels that differ, then how many argv are
+identical in each channel, and exits 1 if an argv differs, else exits 0.
 """
 
 from __future__ import annotations
@@ -235,6 +237,13 @@ EDGES = [
     # beside 0 at small angles, and pairs cos(alpha) apart near pi/2
     ["jacobi-spectrum", "--space", "grassmannian", "--alpha", alpha, "--m", m]
     for alpha, m in (("0.0001", "2"), ("1.5707", "2"), ("1.5707963", "2"), ("0.001", "3"))
+] + [
+    # the model's calls switch m back and forth, each reading its own bundle
+    [name, *options, "--m", m]
+    for alpha in ("0.3", "1.2")
+    for m in ("2", "64", "3")
+    for name, options in (("jacobi-spectrum", ["--space", "grassmannian", "--alpha", alpha]),
+                          ("grassmannian-check", ["--alpha", alpha, "--triples", "3"]))
 ] + [
     # lambda(0) = 5 kappa at kappa = 1e-13: a coth branch, not a const one
     ["cascade", "--system", f'[{{"kappa":1e-13,"theta":5e-13,"mult":1,"regime":"{regime}"}}]',

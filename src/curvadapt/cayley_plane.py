@@ -110,7 +110,8 @@ def random_unit_pair(rng: np.random.Generator, batch: tuple[int, ...] = ()) -> n
 
     Returns shape batch + (16,); the default is one (16,) vector.  The
     draws fill the batch in C order, so a batch takes the same random
-    stream as the same number of single draws.
+    stream as the same number of single draws: selftest draws its five
+    normals as one batch and prints what the single draws printed.
     """
     v = rng.normal(size=(*batch, DIM))
     return v / np.sqrt(np.vecdot(v, v))[..., None]

@@ -227,16 +227,18 @@ def _cmd_octonion_table(args):
 
 
 def _cmd_jacobi_spectrum(args):
-    import numpy as np
-
-    from . import cayley_plane, grassmannian
-
     if args.space == "cayley":
+        import numpy as np
+
+        from . import cayley_plane
+
         rng = np.random.default_rng(args.seed)
         xi = cayley_plane.random_unit_pair(rng)
         op = cayley_plane.jacobi_operator(xi, sign=args.sign)
         context = {"space": "cayley", "sign": args.sign, "seed": args.seed}
     else:
+        from . import grassmannian
+
         bundle = grassmannian.StructureBundle.standard(args.m)
         xi = grassmannian.unit_with_angle(args.alpha, bundle)
         op = grassmannian.jacobi_operator_g2(xi, bundle)
@@ -295,7 +297,7 @@ def _cmd_tube_table(args):
     system = tube_flow.tube_spectrum(args.ambient, args.core, args.radius)
     rows = [
         {
-            "value": tube_flow.evolve(b, 0.0),
+            "value": tube_flow.branch_value(b, 0.0),
             "multiplicity": b.multiplicity,
             "kappa": b.kappa,
             "regime": b.regime,
@@ -401,6 +403,7 @@ def _selftest_checks(seed: int):
     import numpy as np
 
     from . import cayley_plane, octonion
+    from .operators import SelfAdjointOperator, jacobi_matrices
 
     rng = np.random.default_rng(seed)
     checks = []
@@ -418,9 +421,8 @@ def _selftest_checks(seed: int):
     record("octonion_norm_multiplicative", worst <= 1e-12, f"max defect {worst:.2e}")
 
     ok = True
-    for _ in range(5):
-        xi = cayley_plane.random_unit_pair(rng)
-        spec = cayley_plane.jacobi_operator(xi).spectrum()
+    for k in jacobi_matrices(cayley_plane.curvature, cayley_plane.random_unit_pair(rng, (5,))):
+        spec = SelfAdjointOperator(k).spectrum()
         pairs = sorted((round(c.value), c.multiplicity) for c in spec)
         ok = ok and pairs == [(0, 1), (1, 8), (4, 7)]
     record("cayley_spectrum_shape", ok, "clusters {0:1, 1:8, 4:7}")
@@ -434,7 +436,7 @@ def _selftest_checks(seed: int):
     worst = 0.0
     for _ in range(50):
         branch = CurvatureBranch.compact(
-            float(rng.choice([1.0, 2.0])), float(rng.uniform(0.3, math.pi - 0.3)), 1
+            float(1 + rng.integers(2)), float(rng.uniform(0.3, math.pi - 0.3)), 1
         )
         t = float(rng.uniform(-0.05, 0.05))
         h = 1e-5

@@ -74,17 +74,25 @@ class StructureBundle:
 
     @classmethod
     def standard(cls, m: int = 2) -> "StructureBundle":
+        """The standard bundle on R^{4m}: built, and its relations checked,
+        once per m per process; every later call returns that same bundle,
+        whose arrays are read-only, so no call can change what the next
+        one reads.  An m below 2 raises on every call."""
         if m < 2:
             raise NormalizationError(f"model needs m >= 2 quaternionic slots, got {m}")
-        bundle = cls(
-            m=m,
-            J=_blockdiag(m, _left_mult((0, 1, 0, 0))),
-            J1=_blockdiag(m, _right_mult((0, 1, 0, 0))),
-            J2=_blockdiag(m, _right_mult((0, 0, 1, 0))),
-            J3=-_blockdiag(m, _right_mult((0, 0, 0, 1))),
-        )
-        if bundle.defect > _STRUCTURE_TOL:
-            raise NormalizationError(f"structure relations violated: defect {bundle.defect!r}")
+        if (bundle := _STANDARD.get(m)) is None:
+            structures = [
+                _blockdiag(m, _left_mult((0, 1, 0, 0))),
+                _blockdiag(m, _right_mult((0, 1, 0, 0))),
+                _blockdiag(m, _right_mult((0, 0, 1, 0))),
+                -_blockdiag(m, _right_mult((0, 0, 0, 1))),
+            ]
+            for a in structures:
+                a.flags.writeable = False
+            bundle = cls(m, *structures)
+            if bundle.defect > _STRUCTURE_TOL:
+                raise NormalizationError(f"structure relations violated: defect {bundle.defect!r}")
+            _STANDARD[m] = bundle
         return bundle
 
     @property
@@ -112,6 +120,10 @@ class StructureBundle:
             defects.append(np.max(np.abs(Jn + Jn.T)))
             defects.append(np.max(np.abs(J @ Jn - Jn @ J)))
         return float(max(defects))
+
+
+#: StructureBundle.standard's bundles, keyed by m
+_STANDARD: dict[int, StructureBundle] = {}
 
 
 def curvature_g2(

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .certificates import Certificate
 from .errors import ExcludedAngleError, FocalPointError, NormalizationError
@@ -415,16 +416,20 @@ class FocalConfiguration:
     def _poles_admissible(self) -> bool:
         return all(_on_focal_lattice(self.g, k, p) for k, p, _ in self.branches_at("q1"))
 
-    def branches_at(self, q: str) -> list[tuple[int, int, int]]:
+    def branches_at(self, q: str) -> tuple[tuple[int, int, int], ...]:
         """(kappa, phase at focal set q, mult) of each occupied branch,
         kappa=1 first; the phase at Q2 is the phase at Q1 shifted by
-        kappa * spacing, mod 4."""
-        return [
-            (k, (p + _phase_shift(self.g, k, q)) % 4, m)
-            for k, mults in ((1, self.m1), (2, self.m2))
-            for p, m in enumerate(mults)
-            if m
-        ]
+        kappa * spacing, mod 4.  Read from _branch_table, derived once per
+        instance, so every call returns the same tuple."""
+        return self._branch_table[q]
+
+    @cached_property
+    def _branch_table(self) -> dict[str, tuple[tuple[int, int, int], ...]]:
+        at_q1 = [(k, p, m) for k, mults in ((1, self.m1), (2, self.m2))
+                 for p, m in enumerate(mults) if m]
+        spacing = self.spacing
+        at_q2 = [(k, (p + k * spacing) % 4, m) for k, p, m in at_q1]
+        return dict(zip(FOCAL_SETS, (tuple(at_q1), tuple(at_q2))))
 
     def normal_mults(self, q: str) -> tuple[int, int]:
         """(kappa=2 mult, kappa=1 mult) of branches focalizing at q."""

@@ -200,6 +200,17 @@ class TestBatchedKernels:
             cp.sectional_curvature(x, y)
         cp.sectional_curvature(np.delete(x, 6, axis=0), np.delete(y, 6, axis=0))
 
+    def test_one_batched_build_equals_single_operators(self):
+        # selftest builds its five Jacobi matrices in one call, and its
+        # output stays byte-identical only if they are the single builds
+        from curvadapt.operators import jacobi_matrices
+
+        xis = cp.random_unit_pair(np.random.default_rng(116), (5,))
+        batch = jacobi_matrices(cp.curvature, xis)
+        assert batch.shape == (5, 16, 16)
+        for k, xi in zip(batch, xis):
+            assert np.array_equal(k, cp.jacobi_operator(xi).matrix)
+
     def test_batched_draws_take_the_single_draw_stream(self):
         batch = cp.random_unit_pair(np.random.default_rng(115), (4, 2))
         rng = np.random.default_rng(115)

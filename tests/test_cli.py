@@ -971,6 +971,16 @@ class TestImportPath:
     def test_numpy_is_not_loaded(self, code):
         assert self.loaded(code, "numpy") == "[]"
 
+    @pytest.mark.parametrize("space, model, absent", [
+        ("cayley", "cayley_plane", ["grassmannian"]),
+        ("grassmannian", "grassmannian", ["cayley_plane", "octonion"]),
+    ])
+    def test_jacobi_spectrum_loads_only_its_space(self, space, model, absent):
+        loaded = self.loaded(_call(["jacobi-spectrum", "--space", space]), "curvadapt")
+        assert f"'curvadapt.{model}'" in loaded
+        for module in absent:
+            assert f"'curvadapt.{module}'" not in loaded
+
     def test_typing_is_not_loaded(self):
         # -S keeps site, which may import typing itself, off the path; so
         # the package directory goes on sys.path by hand

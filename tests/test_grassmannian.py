@@ -53,6 +53,24 @@ class TestStructureBundle:
         assert bundle.dim == 8
         assert g.StructureBundle.standard(m=3).dim == 12
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_standard_is_one_bundle_per_m(self, m):
+        assert g.StructureBundle.standard(m) is g.StructureBundle.standard(m)
+        assert g.StructureBundle.standard(m) is g.StructureBundle.standard(m=m)
+        assert g.StructureBundle.standard() is g.StructureBundle.standard(2)
+
+    def test_standard_arrays_are_read_only(self, bundle):
+        # a call that wrote into the shared bundle would change every later call
+        for array in (bundle.J, *bundle.triple):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        assert bundle.defect == 0.0
+
+    def test_too_few_slots_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NormalizationError):
+                g.StructureBundle.standard(1)
+
 
 class TestCurvatureTensor:
     def test_corrected_tensor_identities(self, bundle):

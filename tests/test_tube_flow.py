@@ -559,13 +559,41 @@ class TestCatalogFromModel:
         assert lie_triple_defect(frame, sign) >= 1.0
 
 
+@pytest.fixture(scope="module")
+def everything():
+    """enumerate_focal_configurations(), built once for the module: each
+    configuration derives its branch table once, and the tests share it."""
+    return tf.enumerate_focal_configurations()
+
+
 class TestFocalEnumeration:
-    def test_enumeration_size(self):
+    def test_enumeration_size(self, everything):
         # compositions of 7 and 8 into 4 labeled parts, for both g values,
         # listed in sorted order, which the search's sorted() relies on
-        everything = tf.enumerate_focal_configurations()
         assert len(everything) == 2 * 120 * 165
         assert sorted(everything) == everything
+
+    def test_branch_table_is_the_closed_form(self, everything):
+        # the table is derived once per instance; at Q2 each phase is its
+        # phase at Q1 advanced by kappa * spacing, mod 4
+        assert [cfg.branches_at(q) for cfg in everything for q in tf.FOCAL_SETS] == [
+            tuple((k, (p + shift * k * cfg.spacing) % 4, m)
+                  for k, mults in ((1, cfg.m1), (2, cfg.m2))
+                  for p, m in enumerate(mults)
+                  if m)
+            for cfg in everything
+            for shift in (0, 1)
+        ]
+        cfg = everything[-1]
+        assert all(cfg.branches_at(q) is cfg.branches_at(q) for q in tf.FOCAL_SETS)
+
+    def test_branch_table_belongs_to_the_instance(self):
+        cfg = tf.admissible_focal_configurations()[0]
+        cfg.branches_at("q1")
+        twin = tf.FocalConfiguration(cfg.g, cfg.m2, cfg.m1)
+        assert "_branch_table" not in vars(twin)
+        assert twin.branches_at("q1") == cfg.branches_at("q1")
+        assert twin == cfg and hash(twin) == hash(cfg)
 
     def test_exactly_four_survivors(self):
         # (g, q1 block, q2 block, cores) in the search's order, written out by
@@ -610,13 +638,13 @@ class TestFocalEnumeration:
             assert check["q1_focal_mult_ok"]
             assert check["q2_focal_mult_ok"]
 
-    def test_evolution_check_reports_instead_of_raising(self):
+    def test_evolution_check_reports_instead_of_raising(self, everything):
         # a branch (kappa, p) at Q1 has its poles at (4n - p) pi / (4 kappa)
         # from Q1, and the focal sets lie pi / (2g) apart, so it has a pole
         # strictly between them iff 0 < (4n - p) g < 2 kappa for an integer
         # n (only n = 1 can qualify), and at the midpoint iff (4n - p) g = kappa
         midpoint = crossing = 0
-        for cfg in tf.enumerate_focal_configurations()[::5]:
+        for cfg in everything[::5]:
             rows = cfg.branches_at("q1")
             poles = [(k, (4 * n - p) * cfg.g, m) for k, p, m in rows for n in range(3)]
             interior = sum(m for k, x, m in poles if 0 < x < 2 * k)
@@ -650,9 +678,8 @@ class TestFocalEnumeration:
                     expected = Fraction(1, kappa) % spacing == 0 and first % spacing == 0
                     assert tf._on_focal_lattice(g, kappa, p) == expected, (g, kappa, p)
 
-    def test_lattice_search_matches_brute_force_oracle(self):
+    def test_lattice_search_matches_brute_force_oracle(self, everything):
         # the filter chain applied to every configuration, one stage at a time
-        everything = tf.enumerate_focal_configurations()
         lattice = [c for c in everything if c._poles_admissible()]
         proper = [c for c in lattice
                   if sum(c.normal_mults("q1")) > 0 and sum(c.normal_mults("q2")) > 0]
@@ -672,12 +699,12 @@ class TestFocalEnumeration:
         cert = tf.theorem2_certificate()
         assert cert.details["total_enumerated"] == len(everything)
 
-    def test_catalog_configuration_is_the_closed_form(self):
+    def test_catalog_configuration_is_the_closed_form(self, everything):
         # every enumerated configuration with a totally geodesic focal set q
         # carrying a catalog core is the one the search builds for (g, q, core)
         catalog = {sig: name for name, sig in tf.CATALOG_CORES.items()}
         matched = 0
-        for cfg in tf.enumerate_focal_configurations():
+        for cfg in everything:
             for q in tf.FOCAL_SETS:
                 core = catalog.get(cfg.signature(q))
                 if core and cfg.totally_geodesic(q):
