@@ -7,7 +7,8 @@ Submodule map:
     cayley_plane   sixteen-dimensional curvature tensor, Jacobi operators
     grassmannian   Kaehler + quaternionic structure bundles and their tensor
     tube_flow      branch kernel and Riccati evolution, focal-configuration
-                   search, tube spectra built from its core catalog
+                   search, tube spectra built from its core catalog,
+                   proportional-eigenvalue sweep
     isoparametric  mean-curvature profiles, pole stripping, power-sum cascade
     certificates   verdict objects shared by the oracles
     errors         the exception types

@@ -22,7 +22,7 @@ def _signed_products() -> dict[tuple[int, int], tuple[int, int]]:
     """(i, j) -> (sign, k) meaning J_i J_j = sign * J_k.
 
     Raises:
-        AssertionError: if a basis pair is left out or assigned twice.
+        RuntimeError: if a basis pair is left out or assigned twice.
     """
     products = {(0, 0): (1, 0)}
     for i in range(1, DIM):
@@ -33,7 +33,8 @@ def _signed_products() -> dict[tuple[int, int], tuple[int, int]]:
             products[x, y] = (1, z)
             products[y, x] = (-1, z)
     # 64 assignments in all, so 64 keys means none was overwritten
-    assert len(products) == DIM * DIM, "multiplication table not total"
+    if len(products) != DIM * DIM:
+        raise RuntimeError("multiplication table not total")
     return products
 
 

@@ -287,6 +287,11 @@ class PCSystem:
 # --------------------------------------------------------------------------
 
 AMBIENTS = ("op2", "oh2")
+#: d, the real dimension of the octonions: K_xi has d - 1 directions at
+#: kappa = 2 and d at kappa = 1, so a tube has dimension 2d - 1
+_D = 8
+#: N, the phase denominator: focal phases are integer multiples of pi/N
+_N = 4
 
 #: admissible signatures for a totally geodesic core: name -> (dimension,
 #: normal multiplicity in the 4-eigenvalue family, in the 1-eigenvalue family)
@@ -330,8 +335,8 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
             raise NormalizationError(f"core 'horosphere' takes no radius, got {radius!r}")
         return PCSystem(
             branches=(
-                CurvatureBranch.hyperbolic(1.0, 1.0, 8),
-                CurvatureBranch.hyperbolic(2.0, 2.0, 7),
+                CurvatureBranch.hyperbolic(1.0, 1.0, _D),
+                CurvatureBranch.hyperbolic(2.0, 2.0, _D - 1),
             )
         )
     if radius is None:
@@ -339,8 +344,8 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
     if not radius > 0.0:
         raise NormalizationError(f"core {core!r} needs a positive radius, got {radius!r}")
     cfg = _catalog_configuration(1, "q1", core)
-    # phase pi p/4 + kappa r first reaches pi at r = (4 - p) pi / (4 kappa)
-    limit = math.pi / 4 * min((4 - p) / k for k, p, _ in cfg.branches_at("q1"))
+    # phase pi p/N + kappa r first reaches pi at r = (N - p) pi / (N kappa)
+    limit = math.pi / _N * min((_N - p) / k for k, p, _ in cfg.branches_at("q1"))
     if ambient == "op2" and radius >= limit:
         raise FocalPointError(
             f"radius {radius!r} reaches the focal set of core {core!r} at {limit!r}",
@@ -371,10 +376,8 @@ def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
 #: focal-set spacings searched: Q2 lies pi/(2g) from Q1 (see
 #: admissible_focal_configurations for the restriction)
 _G_VALUES = (1, 2)
-#: branch phases at Q1, as integers in units of pi/4
-_PHASES = (0, 1, 2, 3)
-_PHASE_LABELS = ("0", "1/4", "1/2", "3/4")  # phase / pi
-_COT_AT = (1, 0, -1)  # cot(pi * p / 4) for p = 1, 2, 3, exact on the lattice
+_PHASE_LABELS = ("0", "1/4", "1/2", "3/4")  # phase p / pi for p in range(N)
+_COT_AT = (1, 0, -1)  # cot(pi * p / N) for p = 1 .. N - 1, exact on the lattice
 #: the two focal sets, in the order and under the keys of the certificate payload
 FOCAL_SETS = ("q1", "q2")
 
@@ -382,16 +385,16 @@ FOCAL_SETS = ("q1", "q2")
 def _on_focal_lattice(g: int, kappa: int, phase: int) -> bool:
     """Whether every pole of the branch lands on a focal set.
 
-    The poles of kappa cot(pi p / 4 - kappa t) sit at (4 - p) / kappa plus
-    multiples of 4 / kappa (units of pi/4); the focal sets are spaced
-    2 / g apart.
+    The poles of kappa cot(pi p / N - kappa t) sit at (N - p) / kappa plus
+    multiples of N / kappa (units of pi/N); the focal sets are spaced
+    N / (2g) apart.
     """
-    return (2 * g) % kappa == 0 and ((4 - phase) * g) % (2 * kappa) == 0
+    return (2 * g) % kappa == 0 and ((_N - phase) * 2 * g) % (_N * kappa) == 0
 
 
 def _phase_shift(g: int, kappa: int, q: str) -> int:
-    """Advance of a kappa branch's phase from Q1 to focal set q, in pi/4."""
-    return kappa * (2 // g) * FOCAL_SETS.index(q)
+    """Advance of a kappa branch's phase from Q1 to focal set q, in units of pi/N."""
+    return kappa * (_N // (2 * g)) * FOCAL_SETS.index(q)
 
 
 @dataclass(frozen=True, order=True)
@@ -399,27 +402,22 @@ class FocalConfiguration:
     """One candidate focal configuration along a closed normal geodesic.
 
     m2 and m1 are the kappa=2 and kappa=1 multiplicities, indexed by branch
-    phase at the first focal set Q1 in units of pi/4; phase 0 marks branches
+    phase at the first focal set Q1 in units of pi/N; phase 0 marks branches
     normal to Q1 (they focalize there).  The second focal set Q2 sits at
     distance pi/(2g).  The order is that of enumerate_focal_configurations.
     """
 
     g: int
-    m2: tuple[int, int, int, int]
-    m1: tuple[int, int, int, int]
-
-    @property
-    def spacing(self) -> int:
-        """Distance from Q1 to Q2 in units of pi/4."""
-        return 2 // self.g
+    m2: tuple[int, ...]
+    m1: tuple[int, ...]
 
     def _poles_admissible(self) -> bool:
         return all(_on_focal_lattice(self.g, k, p) for k, p, _ in self.branches_at("q1"))
 
     def branches_at(self, q: str) -> tuple[tuple[int, int, int], ...]:
         """(kappa, phase at focal set q, mult) of each occupied branch,
-        kappa=1 first; the phase at Q2 is the phase at Q1 shifted by
-        kappa * spacing, mod 4.  Read from _branch_table, derived once per
+        kappa=1 first; the phase at Q2 is the phase at Q1 advanced by
+        _phase_shift, mod N.  Read from _branch_table, derived once per
         instance, so every call returns the same tuple."""
         return self._branch_table[q]
 
@@ -427,8 +425,8 @@ class FocalConfiguration:
     def _branch_table(self) -> dict[str, tuple[tuple[int, int, int], ...]]:
         at_q1 = [(k, p, m) for k, mults in ((1, self.m1), (2, self.m2))
                  for p, m in enumerate(mults) if m]
-        spacing = self.spacing
-        at_q2 = [(k, (p + k * spacing) % 4, m) for k, p, m in at_q1]
+        shift = _phase_shift(self.g, 1, "q2")  # a kappa branch advances kappa * shift
+        at_q2 = [(k, (p + k * shift) % _N, m) for k, p, m in at_q1]
         return dict(zip(FOCAL_SETS, (tuple(at_q1), tuple(at_q2))))
 
     def normal_mults(self, q: str) -> tuple[int, int]:
@@ -445,7 +443,7 @@ class FocalConfiguration:
 
     def signature(self, q: str) -> tuple[int, int, int]:
         m2, m1 = self.normal_mults(q)
-        return (15 - m2 - m1, m2, m1)
+        return (2 * _D - 1 - m2 - m1, m2, m1)
 
     def totally_geodesic(self, q: str) -> bool:
         return all(v == 0 for _, v, _ in self.tangent_values(q))
@@ -490,13 +488,13 @@ class FocalConfiguration:
 
 
 def _realized_branch(kappa: int, phase: int, mult: int, s: float) -> CurvatureBranch:
-    """The branch of the given phase at Q1 (units of pi/4), at distance s from Q1.
+    """The branch of the given phase at Q1 (units of pi/N), at distance s from Q1.
 
     Raises:
         NormalizationError: if the branch focalizes at distance s itself.
     """
     # phase-0 branches must focalize after flowing distance s
-    theta = (phase / 4 * math.pi + kappa * s) % math.pi
+    theta = (phase / _N * math.pi + kappa * s) % math.pi
     return CurvatureBranch.compact(float(kappa), theta, mult)
 
 
@@ -509,13 +507,13 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-#: len(enumerate_focal_configurations()): the compositions of 7 and of 8
-#: into the four phases, for each g
-_ENUMERATED = len(_G_VALUES) * math.comb(7 + 3, 3) * math.comb(8 + 3, 3)
+#: len(enumerate_focal_configurations()): the compositions of d - 1 and of
+#: d into the N phases, for each g
+_ENUMERATED = len(_G_VALUES) * math.comb(_D - 1 + _N - 1, _N - 1) * math.comb(_D + _N - 1, _N - 1)
 
 
 def enumerate_focal_configurations() -> list[FocalConfiguration]:
-    """All phase assignments for the 7+8 eigenvalue split, before filtering.
+    """All phase assignments for the (d - 1) + d eigenvalue split, unfiltered.
 
     The brute-force reference for admissible_focal_configurations, which
     never builds this list.
@@ -523,20 +521,20 @@ def enumerate_focal_configurations() -> list[FocalConfiguration]:
     return [
         FocalConfiguration(g, m2, m1)
         for g in _G_VALUES
-        for m2 in _compositions(7, len(_PHASES))
-        for m1 in _compositions(8, len(_PHASES))
+        for m2 in _compositions(_D - 1, _N)
+        for m1 in _compositions(_D, _N)
     ]
 
 
 def _catalog_configuration(g: int, q: str, core: str) -> FocalConfiguration:
     """The one configuration of spacing g whose focal set q is totally
     geodesic with the core's catalog signature: there every tangent branch
-    sits at phase pi/2, the only zero of cot, and the normal multiplicities
-    at phase 0; shifting those phases back to Q1 gives the configuration."""
+    sits at phase pi/2 (N/2), the only zero of cot, and the normal ones at
+    phase 0; shifting those phases back to Q1 gives the configuration."""
     _, n2, n1 = CATALOG_CORES[core]
     return FocalConfiguration(g, *(
-        tuple(at_q[(p + _phase_shift(g, k, q)) % 4] for p in _PHASES)
-        for k, at_q in ((2, (n2, 0, 7 - n2, 0)), (1, (n1, 0, 8 - n1, 0)))
+        tuple(at_q.get((p + _phase_shift(g, k, q)) % _N, 0) for p in range(_N))
+        for k, at_q in ((2, {0: n2, _N // 2: _D - 1 - n2}), (1, {0: n1, _N // 2: _D - n1}))
     ))
 
 
@@ -589,7 +587,7 @@ def verify_configuration_by_evolution(cfg: FocalConfiguration) -> dict:
     midpoint included; q1_focal_mult_ok and q2_focal_mult_ok say whether
     the branches focalizing at each focal set match its counts.
     """
-    mid = cfg.spacing / 8 * math.pi
+    mid = _phase_shift(cfg.g, 1, "q2") / (2 * _N) * math.pi
     # flow toward Q1 is +t, toward Q2 is -t from the midpoint
     focal = dict.fromkeys(FOCAL_SETS, 0)
     interior_poles = 0

@@ -96,3 +96,15 @@ def test_scan_sees_an_unreferenced_definition(tmp_path):
         "def unused(n):\n    return used() + unused(n - 1)\n"
     )
     assert unreferenced_definitions(tmp_path) == {"mod.unused", "mod.Pair.first"}
+
+
+def test_src_checks_without_assert():
+    # python -O strips assert statements, so a program check in src/ raises
+    # explicitly instead
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, f"assert in src/; raise instead: {asserts}"

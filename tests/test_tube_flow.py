@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from curvadapt import cayley_plane
 from curvadapt import isoparametric as iso
 from curvadapt import tube_flow as tf
 from curvadapt.errors import ExcludedAngleError, FocalPointError, NormalizationError
@@ -559,6 +560,32 @@ class TestCatalogFromModel:
         assert lie_triple_defect(frame, sign) >= 1.0
 
 
+class TestPlaneNumbers:
+    """The search's two numbers of OP^2, tube_flow._D and tube_flow._N,
+    against sources that do not read them."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_d_is_the_model_multiplicity(self, sign):
+        # K_xi of the Cayley-plane model: d directions at sign * 1 and
+        # d - 1 at sign * 4, besides xi itself at 0
+        for xi in seeded_normals(np.random.default_rng(35), "horosphere", 5):
+            clusters = {round(c.value): c.multiplicity
+                        for c in cayley_plane.jacobi_operator(xi, sign).spectrum()}
+            assert clusters == {0: 1, sign: tf._D, 4 * sign: tf._D - 1}
+
+    def test_every_catalog_core_fills_the_tube_dimension(self):
+        for core, signature in tf.CATALOG_CORES.items():
+            assert sum(signature) == 2 * tf._D - 1, core
+
+    def test_n_is_the_phase_tables_length(self):
+        assert len(tf._PHASE_LABELS) == tf._N
+        for p, label in enumerate(tf._PHASE_LABELS):
+            assert Fraction(label) == Fraction(p, tf._N)
+        assert len(tf._COT_AT) == tf._N - 1
+        for p in range(1, tf._N):
+            assert tf._COT_AT[p - 1] == round(1 / math.tan(math.pi * p / tf._N)), p
+
+
 @pytest.fixture(scope="module")
 def everything():
     """enumerate_focal_configurations(), built once for the module: each
@@ -575,9 +602,10 @@ class TestFocalEnumeration:
 
     def test_branch_table_is_the_closed_form(self, everything):
         # the table is derived once per instance; at Q2 each phase is its
-        # phase at Q1 advanced by kappa * spacing, mod 4
+        # phase at Q1 advanced by kappa * (2 // g) (Q2 lies pi/(2g) from Q1,
+        # in units of pi/4), mod 4
         assert [cfg.branches_at(q) for cfg in everything for q in tf.FOCAL_SETS] == [
-            tuple((k, (p + shift * k * cfg.spacing) % 4, m)
+            tuple((k, (p + shift * k * (2 // cfg.g)) % 4, m)
                   for k, mults in ((1, cfg.m1), (2, cfg.m2))
                   for p, m in enumerate(mults)
                   if m)
@@ -673,7 +701,7 @@ class TestFocalEnumeration:
         for g in (1, 2):
             spacing = Fraction(1, 2 * g)
             for kappa in (1, 2):
-                for p in tf._PHASES:
+                for p in range(4):
                     first = (1 - Fraction(p, 4)) / kappa
                     expected = Fraction(1, kappa) % spacing == 0 and first % spacing == 0
                     assert tf._on_focal_lattice(g, kappa, p) == expected, (g, kappa, p)
