@@ -38,7 +38,14 @@ one process, so an identical count also shows that the parser, built
 once per subcommand, and the Grassmannian structure bundle, built once
 per m, carry nothing from one call to the next.  Prints each argv whose
 results differ with the channels that differ, then how many argv are
-identical in each channel, and exits 1 if an argv differs, else exits 0.
+identical in each channel.  Then it says what differs inside the JSON:
+over the argv whose stdout parses as JSON in both trees, each JSON path
+whose value differs (list items share their list's path, as in
+``details.matched_poles``) with the number of argv where it differs and
+the largest relative difference |a - b| / max(|a|, |b|) between the
+numbers there, or how many of its differences are not between two
+numbers; and last how many argv changed their exit code and how many
+their payload's ``verdict``.  Exits 1 if an argv differs, else exits 0.
 """
 
 from __future__ import annotations
@@ -313,6 +320,62 @@ def results_for(src: str, argvs: list[list[str]]) -> list:
     return json.loads(proc.stdout)
 
 
+def _json_diffs(a, b, path: str, out: list) -> None:
+    """Append (path, relative difference) for each value where the JSON
+    documents a and b differ; the difference is None unless both values
+    are numbers."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            _json_diffs(a[key], b[key], f"{path}.{key}" if path else key, out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            _json_diffs(x, y, path, out)
+    elif a != b:
+        numbers = all(type(v) in (int, float) for v in (a, b))
+        out.append((path or "(document)",
+                    abs(a - b) / max(abs(a), abs(b)) if numbers else None))
+
+
+def _payload(stdout: str):
+    try:
+        return json.loads(stdout)
+    except ValueError:
+        return None
+
+
+def _verdict(payload):
+    return payload.get("verdict") if isinstance(payload, dict) else None
+
+
+def json_summary(old: list, new: list) -> None:
+    """Print each JSON path that differs, then the exit code and verdict changes."""
+    paths: dict[str, list] = {}  # path -> [argv, largest relative difference, not numbers]
+    verdicts = 0
+    for a, b in zip(old, new):
+        pa, pb = _payload(a[1]), _payload(b[1])
+        verdicts += _verdict(pa) != _verdict(pb)
+        if pa is None or pb is None:
+            continue
+        diffs: list = []
+        _json_diffs(pa, pb, "", diffs)
+        for path in dict.fromkeys(path for path, _ in diffs):
+            paths.setdefault(path, [0, None, 0])[0] += 1
+        for path, rel in diffs:
+            if rel is None:
+                paths[path][2] += 1
+            else:
+                paths[path][1] = max(paths[path][1] or 0.0, rel)
+    for path, (count, rel, others) in paths.items():
+        parts = [f"{count} argv"]
+        if rel is not None:
+            parts.append(f"largest relative difference {rel:.2g}")
+        if others:
+            parts.append(f"{others} differences not between numbers")
+        print(f"json path {path}: " + ", ".join(parts))
+    exits = sum(a[0] != b[0] for a, b in zip(old, new))
+    print(f"exit code changed on {exits} argv, verdict on {verdicts}")
+
+
 def main() -> int:
     if sys.argv[1:] == ["--run"]:
         run_corpus()
@@ -332,6 +395,7 @@ def main() -> int:
     for i, name in enumerate(CHANNELS):
         same = sum(a[i] == b[i] for a, b in zip(old, new))
         print(f"{name}: {same} of {len(argvs)} argv identical")
+    json_summary(old, new)
     return 1 if differing else 0
 
 

@@ -532,7 +532,8 @@ _SUBCOMMANDS = {
         **_tol("cascade"),
         "--system": dict(type=partial(_system, "p"), required=True, metavar="JSON"),
         "--kmax": dict(type=_count(1, MAX_KMAX), default=5),
-        "--t": dict(type=_finite_float, required=True),
+        "--t": dict(type=_finite_float, required=True,
+                    help="flow parameter; write --t=T when T is negative in exponent form"),
     }),
     "grassmannian-check": ("structure bundle and tensor health", {
         **_SEED, **_tol("health", "spectrum_residual", "ratio"),

@@ -103,8 +103,14 @@ def _kappa_min(*systems: PCSystem) -> float:
 def default_window(*systems: PCSystem) -> tuple[float, float]:
     """One cot period of the slowest branch, shifted clear of endpoint poles.
 
+    The window's ends are scanned over [0, 2 span], span = pi/kappa_min,
+    so only the poles within the 1e-6 clearance of that range are listed.
+
     Raises:
-        NormalizationError: if that period overflows a float.
+        NormalizationError: if a compact branch has more than
+            MAX_BRANCH_POLES poles in the scanned range (CurvatureBranch.poles),
+            if the period overflows a float, or if no scanned window has
+            both ends 1e-6 clear of every pole.
     """
     kappa = _kappa_min(*systems)
     span = math.pi / kappa
@@ -112,9 +118,9 @@ def default_window(*systems: PCSystem) -> tuple[float, float]:
         r
         for s in systems
         for b in s.branches
-        for r in b.poles(-2 * span, 3 * span)
+        for r in b.poles(-2e-6, 2 * span + 2e-6)
     ]
-    if span == math.inf:  # after the walk, which names a compact branch's pole count
+    if span == math.inf:  # after the listing, which names a compact branch's pole count
         raise NormalizationError(
             f"the period pi/kappa of the slowest branch, kappa={kappa!r}, overflows "
             "a float, so there is no default window; pass --window A,B"

@@ -11,10 +11,11 @@ of the ambient space.  branch_values evaluates every closed-form family:
     tanh        lambda(t) = kappa tanh(theta0 - kappa t),  |lambda0| < kappa
     const       lambda(t) = +/- kappa,                     |lambda0| = kappa
 
-CurvatureBranch.poles is the one pole model of these families: the
-profile comparator and the theorem-2 pole check read it, and so does the
-regularity interval of a non-compact flow.  A compact branch's interval
-takes the closed form of its two nearest poles instead.
+CurvatureBranch.poles is the one pole model of these families, and a
+compact branch's poles are the lattice (theta + j pi)/kappa, j an integer,
+in closed form.  The profile comparator and the theorem-2 pole check read
+it, and so does the regularity interval, whose compact ends are the
+lattice at j = -1 and j = 0.
 
 Orientation convention for tubes: the flow parameter t moves toward the
 core, so a branch built at tube radius r focalizes at t = r exactly when
@@ -39,10 +40,9 @@ from .certificates import Certificate
 from .errors import ExcludedAngleError, FocalPointError, NormalizationError
 
 #: Most poles one compact branch may place in a window.
-#: isoparametric.default_window scans five periods of the slowest branch,
-#: so a branch places about 5 kappa / kappa_min poles there: 20 at a
-#: frequency ratio of 4, but 5e9 for kappa 1e-9 beside kappa 1, whose walk
-#: would never end.
+#: isoparametric.default_window lists the poles of two periods of the
+#: slowest branch, so a branch places about 2 kappa / kappa_min poles there:
+#: 8 at a frequency ratio of 4, but 2e9 for kappa 1e-9 beside kappa 1.
 MAX_BRANCH_POLES = 10_000
 
 
@@ -125,10 +125,10 @@ class CurvatureBranch:
     def poles(self, lo: float, hi: float) -> list[float]:
         """The branch's poles in the open interval (lo, hi), increasing.
 
-        A compact branch has one at theta/kappa and every pi/kappa from
-        there; a flat branch one at 1/lambda(0) unless lambda(0) = 0; a coth
-        branch one at atanh(kappa/lambda(0))/kappa; tanh and const branches
-        none.
+        A compact branch has one at (theta + j pi)/kappa for each integer
+        j, a float that depends on j alone, not on the window; a flat
+        branch one at 1/lambda(0) unless lambda(0) = 0; a coth branch one
+        at atanh(kappa/lambda(0))/kappa; tanh and const branches none.
 
         Raises:
             NormalizationError: if a compact branch has more than
@@ -149,25 +149,19 @@ class CurvatureBranch:
                 f"with kappa={self.kappa!r}, more than {MAX_BRANCH_POLES}; "
                 "narrow the window or bring the frequencies closer"
             )
-        r = self.phase / self.kappa
-        step = math.pi / self.kappa
-        if step == math.inf:  # the period overflows: no second pole is a float
-            return [r] if lo < r < hi else []
-        r += math.ceil((lo - r) / step) * step
         out = []
-        # bounded by the count, since r += step stalls once step < ulp(r)
-        for _ in range(math.ceil(count) + 2):
-            if r >= hi:
-                break
+        j = math.floor((lo * self.kappa - self.phase) / math.pi)
+        while (r := (self.phase + j * math.pi) / self.kappa) < hi:
             if r > lo:
                 out.append(r)
-            r += step
+            j += 1
         return out
 
     def regularity_interval(self) -> tuple[float, float]:
         """Open interval around 0 on which the branch stays finite: up to
-        the nearest pole on each side.  A compact branch takes the closed
-        form of its two nearest poles, since evolve reads it on every call."""
+        the nearest pole on each side.  A compact branch's ends are the
+        poles at j = -1 and j = 0, bit for bit, written out since evolve
+        reads them on every call."""
         if self.space_sign == 1:
             return ((self.phase - math.pi) / self.kappa, self.phase / self.kappa)
         for r in self.poles(-math.inf, math.inf):  # a lone pole, on lambda(0)'s side
@@ -193,7 +187,8 @@ def branch_values(branch: CurvatureBranch, ts: list) -> list:
 
     Raises:
         FocalPointError: at the first t within POLE_PROXIMITY of a pole,
-            a distance in t whatever the branch's frequency.
+            a distance in t whatever the branch's frequency; focal_radius
+            is that pole, the float CurvatureBranch.poles lists.
         NormalizationError: where kappa t of a compact branch overflows.
     """
     lib = math
@@ -230,9 +225,14 @@ def branch_values(branch: CurvatureBranch, ts: list) -> list:
         if abs(den) <= near:
             offset = math.remainder(x.real, math.pi) if regime == "compact" else x.real
             if abs(offset) / scale < POLE_PROXIMITY:
+                if regime == "compact":  # the lattice point poles lists, j nearest t
+                    j = round((k * t.real - branch.phase) / math.pi)
+                    pole = (branch.phase + j * math.pi) / k
+                else:
+                    (pole,) = branch.poles(-math.inf, math.inf)
                 raise FocalPointError(
                     f"evaluation at a pole of the {regime} branch: t={t!r}",
-                    focal_radius=t,
+                    focal_radius=pole,
                 )
         values.append(num / den)
     return values

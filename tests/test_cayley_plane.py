@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvadapt import cayley_plane as cp
+from curvadapt import octonion as oct
 from curvadapt.errors import DegeneratePlaneError, NormalizationError
 from helpers import adapted_frame
 
@@ -70,6 +71,43 @@ class TestTensorHealth:
         x, y, z = [v / np.linalg.norm(v) for v in rng.standard_normal((3, 16))]
         assert np.allclose(cp.curvature(x, y, z, 1), -cp.curvature(x, y, z, -1),
                            atol=1e-14)
+
+
+class TestSpin9Derivation:
+    """OP^2 = F4/Spin(9): its curvature is the Spin(9) moment map on the
+    spinor module O^2 (Brown & Gray, 1972; Friedrich, Asian J. Math. 5,
+    2001), which the Cl(7) Clifford tensor of the same Jacobi spectrum and
+    pinching is not.  Every entry is an integer, so equality is exact."""
+
+    @staticmethod
+    def generators():
+        """gamma_a(x, y) = (e_a ybar, xbar e_a) for a = 0..7 and
+        gamma_8(x, y) = (x, -y), as 16x16 matrices."""
+        basis = np.eye(16)
+        x, y = basis[:, :8], basis[:, 8:]
+        units = np.eye(8)
+        gammas = [np.concatenate([oct.multiply(units[a], oct.conjugate(y)),
+                                  oct.multiply(oct.conjugate(x), units[a])], axis=-1).T
+                  for a in range(8)]
+        return np.array([*gammas, np.diag([1.0] * 8 + [-1.0] * 8)])
+
+    def test_generators_satisfy_the_clifford_relations(self):
+        g = self.generators()
+        anti = np.einsum("aij,bjk->abik", g, g)
+        assert np.array_equal(anti + anti.transpose(1, 0, 2, 3),
+                              2.0 * np.einsum("ab,ik->abik", np.eye(9), np.eye(16)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_moment_map_is_the_model_tensor(self, sign):
+        # R(x, y)z = -sum_{a<b} <g_a g_b x, y> g_a g_b z on all 4,096 basis triples
+        g = self.generators()
+        a, b = np.triu_indices(9, 1)
+        pairs = g[a] @ g[b]
+        spin9 = -np.einsum("pji,pkl->ijlk", pairs, pairs).reshape(4096, 16)
+        basis = np.eye(16)
+        i, j, k = (n.ravel() for n in np.indices((16, 16, 16)))
+        model = cp.curvature(basis[i], basis[j], basis[k], sign)
+        assert np.max(np.abs(model - sign * spin9)) == 0.0
 
 
 class TestSectionalCurvature:

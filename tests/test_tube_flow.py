@@ -287,7 +287,7 @@ class TestBranchPoles:
 
     @staticmethod
     def window(branch):
-        # a non-compact pole may lie anywhere; a compact walk needs a bound
+        # a non-compact pole may lie anywhere; a compact lattice needs a bound
         return (-10.0, 10.0) if branch.space_sign == 1 else (-math.inf, math.inf)
 
     def test_kernel_raises_at_every_pole(self):
@@ -307,6 +307,33 @@ class TestBranchPoles:
                         tf.branch_value(branch, r + d)
                 for d in (-2e-12, 2e-12):
                     assert math.isfinite(tf.branch_value(branch, r + d))
+
+    def test_kernel_names_the_pole_it_refused(self):
+        # a listed pole is a float of its lattice index alone, so the kernel's
+        # focal_radius equals it whichever side of it t falls on
+        rng = np.random.default_rng(56)
+        regimes = set()
+        for branch in sample_branches(rng, 300):
+            for r in branch.poles(*self.window(branch)):
+                for t in (r - 5e-13, r + 5e-13, complex(r + 5e-13, 1e-30)):
+                    with pytest.raises(FocalPointError) as err:
+                        tf.branch_value(branch, t)
+                    assert err.value.focal_radius == r, (branch, t)
+                regimes.add(branch.regime)
+        assert regimes == {"compact", "flat", "coth"}
+
+    def test_lattice_does_not_drift_on_the_doubling_pair(self):
+        # 2 cot(2x) = cot(x) + cot(x + pi/2): a kappa = 2 branch and its split
+        # pair of kappa = 1 branches share every pole, far from t = 0 too
+        rng = np.random.default_rng(57)
+        for theta in rng.uniform(0.05, math.pi - 0.05, 200):
+            double = tf.CurvatureBranch.compact(2.0, float(theta))
+            split = [tf.CurvatureBranch.compact(1.0, float(theta) / 2 + shift)
+                     for shift in (0.0, math.pi / 2)]
+            poles = double.poles(0.0, 9000.0)
+            halves = sorted(r for b in split for r in b.poles(0.0, 9000.0))
+            assert len(poles) == len(halves) > 5000
+            assert max(abs(a - b) for a, b in zip(poles, halves)) <= 1e-11, theta
 
     def test_slow_branch_is_refused_only_next_to_its_pole(self):
         # sin(theta - kappa t) stays below 1e-12 on all of [0, 0.2], yet the
@@ -343,10 +370,8 @@ class TestBranchPoles:
             assert poles == sorted(poles)
             below = max((r for r in poles if r < 0.0), default=-math.inf)
             above = min((r for r in poles if r > 0.0), default=math.inf)
-            lo, hi = branch.regularity_interval()
-            # the compact ends are closed forms, the walk's poles sums
-            assert math.isclose(lo, below, rel_tol=0.0, abs_tol=1e-12), branch
-            assert math.isclose(hi, above, rel_tol=0.0, abs_tol=1e-12), branch
+            # the compact ends are the lattice at j = -1 and j = 0, bit for bit
+            assert branch.regularity_interval() == (below, above), branch
 
     def test_tanh_and_const_branches_have_no_pole(self):
         rng = np.random.default_rng(55)
