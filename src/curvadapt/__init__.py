@@ -17,8 +17,9 @@ Submodule map:
 The package re-exports nothing, so ``import curvadapt`` loads no
 submodule: import each name from its submodule.  operators, cayley_plane,
 grassmannian and octonion import numpy.  The other modules import numpy,
-or those four, only inside the functions that do linear algebra, so
-importing the cli loads no numpy.
+or those four, only inside the functions that do linear algebra.  The
+cli's handlers import the submodules they call in their own bodies, so
+importing the cli loads errors and no other submodule, and no numpy.
 """
 
 __version__ = "0.1.0"

@@ -16,22 +16,24 @@ import reprlib
 import sys
 from functools import cache, partial
 
-from . import isoparametric, octonion_table, tube_flow
 from .errors import CurvAdaptError
-from .tube_flow import CurvatureBranch, PCSystem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 
-#: every named tolerance's default; a subcommand's --tol takes the names it reads
+#: every named tolerance's default; a subcommand's --tol takes the names it
+#: reads.  profile_grid, pole_merge and ratio are the kernels' own defaults
+#: (isoparametric.DEFAULT_GRID_TOL and DEFAULT_MERGE_TOL,
+#: tube_flow.DEFAULT_RATIO_TOL), written out so that building the parser
+#: imports no kernel; a test keeps them equal
 DEFAULT_TOLERANCES = {
     "spectrum_residual": 1e-9,
     "health": 1e-10,
-    "profile_grid": isoparametric.DEFAULT_GRID_TOL,
-    "pole_merge": isoparametric.DEFAULT_MERGE_TOL,
+    "profile_grid": 1e-9,
+    "pole_merge": 1e-9,
     "cascade": 1e-6,
-    "ratio": tube_flow.DEFAULT_RATIO_TOL,
+    "ratio": 1e-8,
 }
 
 #: theorem3 --constraint: the shape-constraint mode each name writes into the
@@ -145,8 +147,10 @@ def _endpoints(text: str, form: str) -> tuple[float, float, list[str]]:
 def _alpha_grid(text: str) -> list[float]:
     """argparse type for --alpha-grid A:B:N: N evenly spaced angles from A
     to B, with N in [1, MAX_ANGLES]."""
+    from .tube_flow import linspace
+
     a, b, (n,) = _endpoints(text, "a:b:n")
-    return tube_flow.linspace(a, b, _count(1, MAX_ANGLES)(n))
+    return linspace(a, b, _count(1, MAX_ANGLES)(n))
 
 
 def _window(text: str) -> tuple[float, float]:
@@ -159,45 +163,46 @@ def _window(text: str) -> tuple[float, float]:
     return (a, b)
 
 
-def _branch(idx: int, row) -> CurvatureBranch:
-    """Branch idx of a system from its JSON row."""
-    if not isinstance(row, dict):
-        raise argparse.ArgumentTypeError(f"branch {idx} is not an object")
-    try:
-        kappa = float(row["kappa"])
-        theta = float(row["theta"])
-        mult = row["mult"]
-        regime = row.get("regime", "compact")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise argparse.ArgumentTypeError(f"branch {idx} malformed: {exc}")
-    if not (math.isfinite(kappa) and math.isfinite(theta)):
-        raise argparse.ArgumentTypeError(f"branch {idx} needs finite kappa and theta")
-    if type(mult) is not int or not 1 <= mult <= MAX_MULT:  # type(): a bool is no count
-        raise argparse.ArgumentTypeError(f"branch {idx} needs an integer mult in "
-                                         f"[1, 2**53], got {reprlib.repr(mult)}")
-    if regime == "flat" and kappa != 0.0:
-        raise argparse.ArgumentTypeError(
-            f"branch {idx} is flat, so its kappa must be 0, got {kappa!r}")
-    try:
-        if regime == "compact":
-            return CurvatureBranch.compact(kappa, theta, mult)
-        if regime == "flat":
-            return CurvatureBranch.flat(theta, mult)
-        if regime not in ("coth", "tanh", "const"):
-            raise argparse.ArgumentTypeError(f"branch {idx} has unknown regime {regime!r}")
-        branch = CurvatureBranch.hyperbolic(kappa, theta, mult)
-    except CurvAdaptError as exc:
-        raise argparse.ArgumentTypeError(f"branch {idx}: {exc}")
-    if branch.regime != regime:
-        raise argparse.ArgumentTypeError(
-            f"branch {idx} tagged {regime!r} but lambda(0)={theta!r} vs kappa={kappa!r} "
-            f"implies {branch.regime!r}")
-    return branch
-
-
 def _system(label: str, text: str) -> PCSystem:
     """argparse type, with label bound, for a branch system: a nonempty JSON
     array of branch rows.  label names the system in profile witnesses."""
+    from .tube_flow import CurvatureBranch, PCSystem
+
+    def parse(idx: int, row) -> CurvatureBranch:
+        """Branch idx of a system from its JSON row."""
+        if not isinstance(row, dict):
+            raise argparse.ArgumentTypeError(f"branch {idx} is not an object")
+        try:
+            kappa = float(row["kappa"])
+            theta = float(row["theta"])
+            mult = row["mult"]
+            regime = row.get("regime", "compact")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(f"branch {idx} malformed: {exc}")
+        if not (math.isfinite(kappa) and math.isfinite(theta)):
+            raise argparse.ArgumentTypeError(f"branch {idx} needs finite kappa and theta")
+        if type(mult) is not int or not 1 <= mult <= MAX_MULT:  # type(): a bool is no count
+            raise argparse.ArgumentTypeError(f"branch {idx} needs an integer mult in "
+                                             f"[1, 2**53], got {reprlib.repr(mult)}")
+        if regime == "flat" and kappa != 0.0:
+            raise argparse.ArgumentTypeError(
+                f"branch {idx} is flat, so its kappa must be 0, got {kappa!r}")
+        try:
+            if regime == "compact":
+                return CurvatureBranch.compact(kappa, theta, mult)
+            if regime == "flat":
+                return CurvatureBranch.flat(theta, mult)
+            if regime not in ("coth", "tanh", "const"):
+                raise argparse.ArgumentTypeError(f"branch {idx} has unknown regime {regime!r}")
+            branch = CurvatureBranch.hyperbolic(kappa, theta, mult)
+        except CurvAdaptError as exc:
+            raise argparse.ArgumentTypeError(f"branch {idx}: {exc}")
+        if branch.regime != regime:
+            raise argparse.ArgumentTypeError(
+                f"branch {idx} tagged {regime!r} but lambda(0)={theta!r} vs kappa={kappa!r} "
+                f"implies {branch.regime!r}")
+        return branch
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -207,19 +212,23 @@ def _system(label: str, text: str) -> PCSystem:
         raise argparse.ArgumentTypeError(f"invalid JSON: {exc}")
     if not isinstance(payload, list) or not payload:
         raise argparse.ArgumentTypeError("expected a nonempty JSON array of branches")
-    return PCSystem(tuple(_branch(idx, row) for idx, row in enumerate(payload)), label=label)
+    return PCSystem(tuple(parse(idx, row) for idx, row in enumerate(payload)), label=label)
 
 
 # --------------------------------------------------------------------------
 # Subcommand handlers: each takes the parsed args, with args.tolerances
 # holding the named tolerances its --tol takes, and returns (payload,
 # table_spec_or_None, exit_code).
-# numpy and the modules built on it are imported inside the handlers that
-# do linear algebra, so the other subcommands never load them.
+# A handler imports the package modules it calls, and numpy with them, in
+# its own body, as do the argparse types that build branches or grids; so
+# importing this module loads only errors, and each subcommand loads only
+# what it runs.
 # --------------------------------------------------------------------------
 
 
 def _cmd_octonion_table(args):
+    from . import octonion_table
+
     rows = octonion_table.multiplication_table()
     payload = {"dimension": octonion_table.DIM, "products": rows}
     table = (rows, ["i", "j", "sign", "k"])
@@ -294,6 +303,8 @@ def _cmd_sectional_range(args):
 
 
 def _cmd_tube_table(args):
+    from . import tube_flow
+
     system = tube_flow.tube_spectrum(args.ambient, args.core, args.radius)
     rows = [
         {
@@ -316,12 +327,16 @@ def _cmd_tube_table(args):
 
 
 def _cmd_theorem2(args):
+    from . import tube_flow
+
     cert = tube_flow.theorem2_certificate()
     payload = cert.to_json_dict()
     return payload, None, EXIT_OK if cert.positive else EXIT_NEGATIVE
 
 
 def _cmd_theorem3(args):
+    from . import tube_flow
+
     cert = tube_flow.theorem3_sweep(args.alpha_grid, ratio_tol=args.tolerances["ratio"])
     payload = cert.to_json_dict()
     payload["details"]["constraint"] = _CONSTRAINT_ALIASES[args.constraint]
@@ -329,6 +344,8 @@ def _cmd_theorem3(args):
 
 
 def _cmd_profile_match(args):
+    from . import isoparametric
+
     cert = isoparametric.profiles_equivalent(
         args.p, args.q, window=args.window,
         grid_tol=args.tolerances["profile_grid"], merge_tol=args.tolerances["pole_merge"],
@@ -338,6 +355,8 @@ def _cmd_profile_match(args):
 
 
 def _cmd_cascade(args):
+    from . import isoparametric
+
     residuals = isoparametric.power_sum_cascade(args.system, args.kmax, args.t)
     payload = {
         "t": args.t,
@@ -402,7 +421,7 @@ def _cmd_grassmannian_check(args):
 def _selftest_checks(seed: int):
     import numpy as np
 
-    from . import cayley_plane, octonion
+    from . import cayley_plane, isoparametric, octonion, octonion_table, tube_flow
     from .operators import SelfAdjointOperator, jacobi_matrices
 
     rng = np.random.default_rng(seed)
@@ -435,7 +454,7 @@ def _selftest_checks(seed: int):
 
     worst = 0.0
     for _ in range(50):
-        branch = CurvatureBranch.compact(
+        branch = tube_flow.CurvatureBranch.compact(
             float(1 + rng.integers(2)), float(rng.uniform(0.3, math.pi - 0.3)), 1
         )
         t = float(rng.uniform(-0.05, 0.05))
@@ -511,8 +530,9 @@ _SUBCOMMANDS = {
     }),
     "tube-table": ("principal curvatures of a tube", {
         **_FORMAT,
-        "--ambient": dict(choices=tube_flow.AMBIENTS, required=True),
-        "--core": dict(choices=tube_flow.CORES, required=True),
+        # tube_flow.AMBIENTS and CORES, written out as DEFAULT_TOLERANCES is
+        "--ambient": dict(choices=("op2", "oh2"), required=True),
+        "--core": dict(choices=("point", "line", "hp2", "horosphere"), required=True),
         "--radius": dict(type=_finite_float, default=None),
     }),
     "theorem2": ("finite search over focal configurations", {}),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from curvadapt import cli, tube_flow
+from curvadapt import cli, isoparametric, tube_flow
 
 
 SCHEMA_BY_COMMAND = {
@@ -942,9 +942,15 @@ LIGHT_CALLS = {
 }
 
 
+#: the modules of the scalar subcommands, which no numpy subcommand loads
+SCALAR_KERNELS = ("tube_flow", "isoparametric", "certificates")
+
+
 class TestImportPath:
     """The package never loads scipy, and the light subcommands never load
-    numpy: not on import, not in a call, each in a fresh interpreter."""
+    numpy: not on import, not in a call, each in a fresh interpreter.
+    Importing the cli loads only errors, and each subcommand loads only the
+    package modules it runs."""
 
     @staticmethod
     def loaded(code, package, *flags):
@@ -972,14 +978,49 @@ class TestImportPath:
         assert self.loaded(code, "numpy") == "[]"
 
     @pytest.mark.parametrize("space, model, absent", [
-        ("cayley", "cayley_plane", ["grassmannian"]),
-        ("grassmannian", "grassmannian", ["cayley_plane", "octonion"]),
+        ("cayley", "cayley_plane", ["grassmannian", *SCALAR_KERNELS]),
+        ("grassmannian", "grassmannian", ["cayley_plane", "octonion", *SCALAR_KERNELS]),
     ])
     def test_jacobi_spectrum_loads_only_its_space(self, space, model, absent):
         loaded = self.loaded(_call(["jacobi-spectrum", "--space", space]), "curvadapt")
         assert f"'curvadapt.{model}'" in loaded
         for module in absent:
             assert f"'curvadapt.{module}'" not in loaded
+
+    def test_cli_import_loads_only_errors(self):
+        code = "import curvadapt.cli, sys"
+        assert self.loaded(code, "curvadapt") == (
+            "['curvadapt', 'curvadapt.cli', 'curvadapt.errors']")
+        # start-up itself (site) loads no dataclasses, so this pins the cli
+        assert self.loaded("import sys", "dataclasses") == "[]"
+        assert self.loaded(code, "dataclasses") == "[]"
+
+    def test_octonion_table_adds_only_its_table(self):
+        assert self.loaded(LIGHT_CALLS["octonion-table"], "curvadapt") == (
+            "['curvadapt', 'curvadapt.cli', 'curvadapt.errors', 'curvadapt.octonion_table']")
+
+    @pytest.mark.parametrize("argv", [
+        ["sectional-range", "--samples", "10"],
+        ["grassmannian-check", "--triples", "1"],
+    ], ids=["sectional-range", "grassmannian-check"])
+    def test_numpy_calls_load_no_scalar_kernel(self, argv):
+        loaded = self.loaded(_call(argv), "curvadapt")
+        for module in SCALAR_KERNELS:
+            assert f"'curvadapt.{module}'" not in loaded
+
+    @pytest.mark.parametrize("name", ["tube-table", "theorem2"])
+    def test_tube_calls_load_no_profiles(self, name):
+        assert "'curvadapt.isoparametric'" not in self.loaded(LIGHT_CALLS[name], "curvadapt")
+
+    def test_parser_tables_match_the_kernels(self):
+        # the cli writes these out so that building its parser imports no kernel
+        tol = cli.DEFAULT_TOLERANCES
+        assert (tol["profile_grid"], tol["pole_merge"], tol["ratio"]) == (
+            isoparametric.DEFAULT_GRID_TOL, isoparametric.DEFAULT_MERGE_TOL,
+            tube_flow.DEFAULT_RATIO_TOL)
+        options = cli._SUBCOMMANDS["tube-table"][1]
+        assert options["--ambient"]["choices"] == tube_flow.AMBIENTS
+        assert options["--core"]["choices"] == tube_flow.CORES
 
     def test_typing_is_not_loaded(self):
         # -S keeps site, which may import typing itself, off the path; so

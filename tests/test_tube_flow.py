@@ -21,6 +21,7 @@ from helpers import (
     jacobi_tube_curvature,
     lie_triple_defect,
     minimal_tube_radius,
+    model_tube_table,
     sample_branches,
     seeded_normals,
     split_jacobi,
@@ -690,6 +691,34 @@ class TestFocalEnumeration:
             assert check["interior_poles"] == 0
             assert check["q1_focal_mult_ok"]
             assert check["q2_focal_mult_ok"]
+
+    def test_every_survivor_is_a_model_tube(self):
+        # the survivor realized at distance s from Q1 is, at each matched
+        # focal set, the model's tube about that core: of radius s at Q1,
+        # and of radius pi/(2g) - s at Q2, seen with the opposite unit
+        # normal, so every value negated.  The tables come from the model's
+        # K_xi (model_tube_table), never from tube_spectrum.
+        def merged(rows):
+            out = {}
+            for value, mult in rows:
+                key = round(value, 8)
+                out[key] = out.get(key, 0) + mult
+            return out
+
+        rng = np.random.default_rng(38)
+        compared = 0
+        for cfg in tf.admissible_focal_configurations():
+            for s in (0.1, 0.3, 0.5, 0.7):
+                got = merged((tf.branch_value(b, 0.0), b.multiplicity)
+                             for b in cfg.realize(s).branches)
+                for q, core in cfg.matched_cores().items():
+                    r, sign = (s, 1) if q == "q1" else (math.pi / (2 * cfg.g) - s, -1)
+                    (xi,) = seeded_normals(rng, core, 1)
+                    want = merged((sign * value, mult)
+                                  for value, mult in model_tube_table("op2", core, r, xi))
+                    assert got == want, (cfg, s, q, core)
+                    compared += 1
+        assert compared == 24
 
     def test_evolution_check_reports_instead_of_raising(self, everything):
         # a branch (kappa, p) at Q1 has its poles at (4n - p) pi / (4 kappa)
