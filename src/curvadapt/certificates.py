@@ -2,28 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 VERDICTS = ("equivalent", "distinct", "contradiction")
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "verdict residual witness details")):
     """Outcome of a verification: a verdict plus the numbers backing it.
 
     residual is the quantity the verdict rests on (its meaning is
     operation-specific and documented there); witness carries the
-    counterexample or extremal datum when one exists.
+    counterexample or extremal datum when one exists; details defaults to
+    a fresh empty dict.
+
+    A named tuple: read-only fields, equal to the plain tuple of them;
+    _make and _replace skip the checks of __new__.
     """
 
-    verdict: str
-    residual: float
-    witness: dict | None = None
-    details: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f"verdict must be one of {VERDICTS}, got {self.verdict!r}")
+    def __new__(cls, verdict: str, residual: float, witness: dict | None = None, details=None):
+        if verdict not in VERDICTS:
+            raise ValueError(f"verdict must be one of {VERDICTS}, got {verdict!r}")
+        return super().__new__(cls, verdict, residual, witness, {} if details is None else details)
 
     @property
     def positive(self) -> bool:
@@ -33,9 +34,4 @@ class Certificate:
     def to_json_dict(self) -> dict:
         """The four fields as built, from plain JSON types; a non-finite
         number is left for the strict (``allow_nan=False``) dump to reject."""
-        return {
-            "verdict": self.verdict,
-            "residual": self.residual,
-            "witness": self.witness,
-            "details": self.details,
-        }
+        return self._asdict()

@@ -30,7 +30,7 @@ N tangent vectors; structures act on the last axis, as ``X @ J.T``), so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, partial
 
 import numpy as np
@@ -62,15 +62,12 @@ def _blockdiag(m: int, block: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StructureBundle:
-    """Kaehler structure J plus a quaternionic triple (J1, J2, J3) on R^{4m}."""
+class StructureBundle(namedtuple("StructureBundle", "m J J1 J2 J3")):
+    """Kaehler structure J plus a quaternionic triple (J1, J2, J3) on R^{4m}.
 
-    m: int
-    J: np.ndarray
-    J1: np.ndarray
-    J2: np.ndarray
-    J3: np.ndarray
+    A named tuple: read-only fields, equal to the plain tuple of them.
+    Its __dict__ holds the cached defect and takes new attributes.
+    """
 
     @classmethod
     def standard(cls, m: int = 2) -> "StructureBundle":
@@ -185,20 +182,18 @@ def angle_error(alpha: float) -> BoundaryAngleError | None:
     return None
 
 
-@dataclass(frozen=True)
-class HopfPair:
+class HopfPair(namedtuple("HopfPair", "lambda1 lambda2 residual ratio_defect")):
     """The two distinguished eigenvalues of K_xi at an angle.
 
     ``ratio_defect`` is the ratio law at the requested angle a without its
     division, |lambda1 (1 - cos a) - lambda2 (1 + cos a)|; so a tolerance
     tol misses a relative error in lambda2 below about tol / (2 lambda2),
     5e-9 / lambda2 at tol = 1e-8.
+
+    A named tuple: read-only fields, equal to the plain tuple of them.
     """
 
-    lambda1: float
-    lambda2: float
-    residual: float
-    ratio_defect: float
+    __slots__ = ()
 
 
 def hopf_eigenvectors(alphas, bundle: StructureBundle) -> list[HopfPair]:

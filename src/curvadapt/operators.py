@@ -14,7 +14,7 @@ asymmetry exceeds SYMMETRY_RTOL * max(1, max|M|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,31 +46,34 @@ def jacobi_matrices(curvature, xi) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
 
-@dataclass(frozen=True)
-class EigenCluster:
-    """One eigenvalue with its multiplicity and an orthonormal eigenbasis."""
+class EigenCluster(namedtuple("EigenCluster", "value multiplicity vectors")):
+    """One eigenvalue with its multiplicity and an orthonormal eigenbasis,
+    vectors of shape (dim, multiplicity) with eigenvectors as columns.
 
-    value: float
-    multiplicity: int
-    vectors: np.ndarray  # shape (dim, multiplicity), columns are eigenvectors
+    A named tuple: read-only fields, equal to the plain tuple of them.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SelfAdjointOperator:
-    """A dense square matrix, symmetric to SYMMETRY_RTOL * max(1, max|M|)."""
+class SelfAdjointOperator(namedtuple("SelfAdjointOperator", "matrix")):
+    """A dense square matrix, symmetric to SYMMETRY_RTOL * max(1, max|M|),
+    held in C order whatever the caller's layout, so products round alike.
 
-    matrix: np.ndarray
+    A named tuple: read-only fields, equal to the plain tuple of them;
+    _make and _replace skip the checks of __new__.
+    """
 
-    def __post_init__(self):
-        # C order whatever the caller's layout, so products with the
-        # matrix round the same way
-        m = np.ascontiguousarray(self.matrix, dtype=float)
+    __slots__ = ()
+
+    def __new__(cls, matrix: np.ndarray):
+        m = np.ascontiguousarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator matrix must be square, got {m.shape}")
         defect = float(np.max(np.abs(m - m.T), initial=0.0))
         if not defect <= SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
             raise NormalizationError(f"operator matrix is not symmetric: defect {defect!r}")
-        object.__setattr__(self, "matrix", m)
+        return super().__new__(cls, m)
 
     def spectrum(self) -> tuple[EigenCluster, ...]:
         """Eigendecomposition in increasing order of value, a gap above

@@ -33,7 +33,7 @@ normal space, through these closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .certificates import Certificate
@@ -60,8 +60,7 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return grid
 
 
-@dataclass(frozen=True)
-class CurvatureBranch:
+class CurvatureBranch(namedtuple("CurvatureBranch", "kappa space_sign phase multiplicity")):
     """One principal-curvature branch of the Riccati flow.
 
     Attributes:
@@ -70,28 +69,29 @@ class CurvatureBranch:
         phase: theta in (0, pi) for compact branches; the initial value
             lambda(0) otherwise.
         multiplicity: dimension of the branch's eigenspace.
+
+    A named tuple: read-only fields, equal to the plain tuple of them;
+    _make and _replace skip the checks of __new__.
     """
 
-    kappa: float
-    space_sign: int
-    phase: float
-    multiplicity: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.space_sign not in (1, 0, -1):
-            raise NormalizationError(f"space_sign must be +1, 0 or -1: {self.space_sign!r}")
-        if self.kappa < 0:
-            raise NormalizationError(f"kappa must be nonnegative: {self.kappa!r}")
-        if self.multiplicity < 1:
-            raise NormalizationError(f"multiplicity must be >= 1: {self.multiplicity!r}")
-        if self.space_sign != 0 and self.kappa == 0:
+    def __new__(cls, kappa: float, space_sign: int, phase: float, multiplicity: int):
+        if space_sign not in (1, 0, -1):
+            raise NormalizationError(f"space_sign must be +1, 0 or -1: {space_sign!r}")
+        if kappa < 0:
+            raise NormalizationError(f"kappa must be nonnegative: {kappa!r}")
+        if multiplicity < 1:
+            raise NormalizationError(f"multiplicity must be >= 1: {multiplicity!r}")
+        if space_sign != 0 and kappa == 0:
             raise NormalizationError(
                 "curved branches need kappa > 0; kappa 0 is the flat regime")
-        if self.space_sign == 1 and not 0.0 < self.phase < math.pi:
+        if space_sign == 1 and not 0.0 < phase < math.pi:
             raise NormalizationError(
-                f"compact phase must lie in (0, pi), got {self.phase!r}; "
+                f"compact phase must lie in (0, pi), got {phase!r}; "
                 "a phase that is a multiple of pi is a pole"
             )
+        return super().__new__(cls, kappa, space_sign, phase, multiplicity)
 
     # -- constructors ------------------------------------------------------
 
@@ -142,16 +142,17 @@ class CurvatureBranch:
             else:
                 return []
             return [r] if lo < r < hi else []
-        count = (hi - lo) * self.kappa / math.pi
+        k, phase = self.kappa, self.phase
+        count = (hi - lo) * k / math.pi
         if not count <= MAX_BRANCH_POLES:
             raise NormalizationError(
                 f"window ({lo!r}, {hi!r}) holds {count:.3g} poles of the branch "
-                f"with kappa={self.kappa!r}, more than {MAX_BRANCH_POLES}; "
+                f"with kappa={k!r}, more than {MAX_BRANCH_POLES}; "
                 "narrow the window or bring the frequencies closer"
             )
         out = []
-        j = math.floor((lo * self.kappa - self.phase) / math.pi)
-        while (r := (self.phase + j * math.pi) / self.kappa) < hi:
+        j = math.floor((lo * k - phase) / math.pi)
+        while (r := (phase + j * math.pi) / k) < hi:
             if r > lo:
                 out.append(r)
             j += 1
@@ -194,31 +195,31 @@ def branch_values(branch: CurvatureBranch, ts: list) -> list:
     lib = math
     if ts and isinstance(ts[0], complex):
         import cmath as lib  # only power_sum_cascade's complex step needs it
-    k = branch.kappa
+    k, phase = branch.kappa, branch.phase  # locals: the loop reads them per point
     regime = branch.regime
     if regime == "const":
-        return [branch.phase if lib is math else complex(branch.phase)] * len(ts)
+        return [phase if lib is math else complex(phase)] * len(ts)
     if regime == "tanh":
-        shift = math.atanh(branch.phase / k)
+        shift = math.atanh(phase / k)
         return [k * lib.tanh(shift - k * t) for t in ts]
     if regime == "coth":
-        shift = math.atanh(k / branch.phase)
+        shift = math.atanh(k / phase)
     # |x| / scale, x reduced mod pi if compact, is the distance in t to a pole
     # and bounds |den| / scale: most points pay one comparison, and a zero den
     # (<=) reaches the confirmation even where near underflows to 0
-    scale = abs(branch.phase) if regime == "flat" else k
+    scale = abs(phase) if regime == "flat" else k
     near = scale * POLE_PROXIMITY
     values = []
     for t in ts:
         if regime == "compact":
-            x = branch.phase - k * t
+            x = phase - k * t
             try:
                 num, den = k * lib.cos(x), lib.sin(x)
             except ValueError:  # cos of an infinite phase
                 raise NormalizationError(f"kappa={k!r} times t={t!r} overflows a float") from None
         elif regime == "flat":
-            num = branch.phase
-            den = x = 1.0 - branch.phase * t
+            num = phase
+            den = x = 1.0 - phase * t
         else:
             x = shift - k * t
             num, den = k, lib.tanh(x)
@@ -226,8 +227,8 @@ def branch_values(branch: CurvatureBranch, ts: list) -> list:
             offset = math.remainder(x.real, math.pi) if regime == "compact" else x.real
             if abs(offset) / scale < POLE_PROXIMITY:
                 if regime == "compact":  # the lattice point poles lists, j nearest t
-                    j = round((k * t.real - branch.phase) / math.pi)
-                    pole = (branch.phase + j * math.pi) / k
+                    j = round((k * t.real - phase) / math.pi)
+                    pole = (phase + j * math.pi) / k
                 else:
                     (pole,) = branch.poles(-math.inf, math.inf)
                 raise FocalPointError(
@@ -262,20 +263,23 @@ def evolve(branch: CurvatureBranch, t: float) -> float:
     return branch_value(branch, t)
 
 
-@dataclass(frozen=True)
-class PCSystem:
+class PCSystem(namedtuple("PCSystem", "branches label")):
     """A full principal-curvature system: branches with multiplicities.
 
-    The label names the system in the witnesses of profile comparisons.
+    The branches are stored as a tuple, which must not be empty.  The label
+    names the system in the witnesses of profile comparisons.
+
+    A named tuple: read-only fields, equal to the plain tuple of them;
+    _make and _replace skip the checks of __new__.
     """
 
-    branches: tuple[CurvatureBranch, ...]
-    label: str = "p"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.branches:
+    def __new__(cls, branches, label: str = "p"):
+        branches = tuple(branches)
+        if not branches:
             raise NormalizationError("a principal-curvature system needs branches")
-        object.__setattr__(self, "branches", tuple(self.branches))
+        return super().__new__(cls, branches, label)
 
     @property
     def total_multiplicity(self) -> int:
@@ -397,19 +401,17 @@ def _phase_shift(g: int, kappa: int, q: str) -> int:
     return kappa * (_N // (2 * g)) * FOCAL_SETS.index(q)
 
 
-@dataclass(frozen=True, order=True)
-class FocalConfiguration:
+class FocalConfiguration(namedtuple("FocalConfiguration", "g m2 m1")):
     """One candidate focal configuration along a closed normal geodesic.
 
     m2 and m1 are the kappa=2 and kappa=1 multiplicities, indexed by branch
     phase at the first focal set Q1 in units of pi/N; phase 0 marks branches
     normal to Q1 (they focalize there).  The second focal set Q2 sits at
     distance pi/(2g).  The order is that of enumerate_focal_configurations.
-    """
 
-    g: int
-    m2: tuple[int, ...]
-    m1: tuple[int, ...]
+    A named tuple: read-only fields, equal to the plain tuple of them.
+    Its __dict__ holds the cached _branch_table and takes new attributes.
+    """
 
     def _poles_admissible(self) -> bool:
         return all(_on_focal_lattice(self.g, k, p) for k, p, _ in self.branches_at("q1"))

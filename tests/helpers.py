@@ -308,6 +308,40 @@ def rotated(bundle: StructureBundle, rotation: np.ndarray) -> StructureBundle:
     return turned
 
 
+def holonomy_algebra(curvature, n: int) -> tuple[int, float, float]:
+    """(dim h, closure defect, invariance defect) of the span h of the
+    operators R(e_i, e_j), i < j, of a broadcasting curvature R(x, y)z on
+    R^n.  The tensor of a symmetric space gives a Lie algebra h, closed
+    under the bracket, and is invariant under it: A.R = 0 for A in h, with
+    (A.R)(x, y)z = A R(x, y)z - R(Ax, y)z - R(x, Ay)z - R(x, y)Az.
+
+    The generators are a spanning subset of the R(e_i, e_j) themselves,
+    taken greedily, not a float basis: where the tensor has integer entries
+    on the basis, as both models have, every number of the invariance
+    check is a small integer, so that defect is exact.  The closure defect
+    is the largest distance of a bracket of two generators from h."""
+    eye = np.eye(n)
+    # t[i, j, k] = R(e_i, e_j)e_k, so R(e_i, e_j) is the matrix t[i, j].T
+    t = curvature(eye[:, None, None], eye[None, :, None], eye[None, None, :])
+    gens = []
+    for i, j in zip(*np.triu_indices(n, 1)):
+        op = t[i, j].T
+        if np.linalg.matrix_rank(np.array([*gens, op]).reshape(len(gens) + 1, -1)) > len(gens):
+            gens.append(op)
+    gens = np.array(gens)
+    basis = np.linalg.svd(gens.reshape(len(gens), -1), full_matrices=False)[2]
+    brackets = (gens[:, None] @ gens[None] - gens[None] @ gens[:, None]).reshape(-1, n * n)
+    closure = brackets - (brackets @ basis.T) @ basis
+    invariance = 0.0
+    for a in gens:
+        d = (np.einsum("lm,ijkm->ijkl", a, t, optimize=True)
+             - np.einsum("pi,pjkl->ijkl", a, t, optimize=True)
+             - np.einsum("pj,ipkl->ijkl", a, t, optimize=True)
+             - np.einsum("pk,ijpl->ijkl", a, t, optimize=True))
+        invariance = max(invariance, float(np.max(np.abs(d))))
+    return len(gens), float(np.max(np.abs(closure))), invariance
+
+
 def inner(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """The Euclidean inner product of octonions over the last axis: a float
     for single octonions, an array of the batch shape for batches."""

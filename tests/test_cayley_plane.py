@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from curvadapt import cayley_plane as cp
 from curvadapt import octonion as oct
 from curvadapt.errors import DegeneratePlaneError, NormalizationError
-from helpers import adapted_frame
+from helpers import adapted_frame, holonomy_algebra
 
 
 def assert_spectrum(spec, expected, tol=1e-9):
@@ -108,6 +110,20 @@ class TestSpin9Derivation:
         i, j, k = (n.ravel() for n in np.indices((16, 16, 16)))
         model = cp.curvature(basis[i], basis[j], basis[k], sign)
         assert np.max(np.abs(model - sign * spin9)) == 0.0
+
+
+class TestHolonomy:
+    """OP^2 and OH^2 are symmetric spaces: the operators R(x, y) span the
+    isotropy algebra so(9), and R is invariant under it (Helgason, ch. IV).
+    The Cl(7) Clifford tensor of the same Jacobi spectrum spans more and is
+    not invariant."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_model_is_a_symmetric_space(self, sign):
+        dim, closure, invariance = holonomy_algebra(partial(cp.curvature, sign=sign), cp.DIM)
+        assert dim == 36  # dim so(9)
+        assert closure <= 1e-12
+        assert invariance == 0.0
 
 
 class TestSectionalCurvature:

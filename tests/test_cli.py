@@ -927,23 +927,38 @@ def _call(argv):
     return f"import curvadapt.cli, sys\ncurvadapt.cli.main({argv!r})"
 
 
+#: one README argv of each scalar subcommand, as the numpy-free CI job runs them
+SCALAR_ARGV = {
+    "tube-table": ["tube-table", "--ambient", "op2", "--core", "line", "--radius", "0.3927"],
+    "theorem2": ["theorem2"],
+    "profile-match": ["profile-match", "--p", P_SYSTEM, "--q", Q_SAME],
+    "cascade": ["cascade", "--system", P_SYSTEM, "--t", "0.1"],
+}
+
 #: subcommands that do only scalar or integer math: README argv and the oh2
 #: tube-table paths
 LIGHT_CALLS = {
     "octonion-table": _call(["octonion-table"]),
-    "tube-table": _call(["tube-table", "--ambient", "op2", "--core", "line",
-                         "--radius", "0.3927"]),
+    **{name: _call(argv) for name, argv in SCALAR_ARGV.items()},
     "tube-table-oh2": _call(["tube-table", "--ambient", "oh2", "--core", "hp2",
                              "--radius", "0.3"]),
     "horosphere": _call(["tube-table", "--ambient", "oh2", "--core", "horosphere"]),
-    "theorem2": _call(["theorem2"]),
-    "profile-match": _call(["profile-match", "--p", P_SYSTEM, "--q", Q_SAME]),
-    "cascade": _call(["cascade", "--system", P_SYSTEM, "--t", "0.1"]),
 }
 
 
 #: the modules of the scalar subcommands, which no numpy subcommand loads
 SCALAR_KERNELS = ("tube_flow", "isoparametric", "certificates")
+
+#: one argv of each of the ten subcommands
+EVERY_SUBCOMMAND_ARGV = [
+    ["octonion-table"],
+    ["jacobi-spectrum", "--space", "cayley"],
+    ["sectional-range", "--samples", "10"],
+    *SCALAR_ARGV.values(),
+    ["theorem3", "--alpha-grid", "0.5:1.1:3"],
+    ["grassmannian-check", "--triples", "1"],
+    ["selftest"],
+]
 
 
 class TestImportPath:
@@ -963,6 +978,13 @@ class TestImportPath:
         )
         assert result.returncode == 0, result.stderr
         return result.stdout.splitlines()[-1]
+
+    @staticmethod
+    def each(argvs):
+        """Code that runs each argv through cli.main, exiting on a usage or
+        input error (exit code 1) so that the probe fails."""
+        return (f"import curvadapt.cli, sys\nfor argv in {list(argvs)!r}:\n"
+                "    if curvadapt.cli.main(argv) == 1:\n        sys.exit(f'exit 1: {argv}')")
 
     @pytest.mark.parametrize("code", [
         "import curvadapt.cli, sys",
@@ -1028,6 +1050,16 @@ class TestImportPath:
         src = str(Path(cli.__file__).resolve().parents[1])
         code = f"import sys\nsys.path.insert(0, {src!r})\nimport curvadapt.cli"
         assert self.loaded(code, "typing", "-S") == "[]"
+
+    def test_no_subcommand_loads_dataclasses(self):
+        # the value types are named tuples; all ten run in one interpreter
+        assert self.loaded(self.each(EVERY_SUBCOMMAND_ARGV), "dataclasses") == "[]"
+
+    def test_scalar_calls_load_no_inspect(self):
+        # under -S, as for typing above, so that site cannot load it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = f"import sys\nsys.path.insert(0, {src!r})\n{self.each(SCALAR_ARGV.values())}"
+        assert self.loaded(code, "inspect", "-S") == "[]"
 
     def test_package_import_loads_no_submodule(self):
         # the package root re-exports nothing

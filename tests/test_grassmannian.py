@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from curvadapt import grassmannian as g
 from curvadapt.errors import BoundaryAngleError, NormalizationError
 from curvadapt.tube_flow import linspace
-from helpers import rotated
+from helpers import holonomy_algebra, rotated
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,27 @@ class TestCurvatureTensor:
             direct = g.curvature_g2(x, y, z, bundle)
             turned = g.curvature_g2(x, y, z, other)
             assert np.max(np.abs(direct - turned)) <= 1e-10
+
+
+class TestHolonomy:
+    """The model is the tangent space of the symmetric space
+    G2(C^{m+2}): the operators R(x, y) span s(u(2) + u(m)), of dimension
+    m^2 + 3, and R is invariant under it.  The verbatim reading is not."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_model_is_a_symmetric_space(self, m):
+        bundle = g.StructureBundle.standard(m)
+        dim, closure, invariance = holonomy_algebra(
+            partial(g.curvature_g2, bundle=bundle), bundle.dim)
+        assert dim == m * m + 3
+        assert closure <= 1e-12
+        assert invariance == 0.0
+
+    def test_verbatim_reading_is_not(self):
+        bundle = g.StructureBundle.standard(3)
+        _, _, invariance = holonomy_algebra(
+            partial(g.curvature_g2, bundle=bundle, verbatim=True), bundle.dim)
+        assert invariance >= 1.0
 
 
 class TestAlphaDecomposition:

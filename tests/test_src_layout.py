@@ -1,14 +1,15 @@
 """src/ keeps only code that src/ itself reaches; test-only code lives in tests/.
 
 The scan parses src/curvadapt/*.py.  A definition is a public top-level
-function or class, or a public method or annotated field of a top-level
-class.  A top-level definition counts as referenced when its name appears
-as a name, an attribute or an imported name anywhere in src/ outside its
-own definition.  A method or field counts only when it is read as an
-attribute (``obj.name``) there: a local variable or a constructor keyword
-of the same name does not.  Names are matched as text, so a definition
-whose name is reused elsewhere passes; the scan catches code that nothing
-in src/ names.
+function or class, or a public method or field of a top-level class: an
+annotated class attribute, or a name in the field string of a
+``namedtuple("Name", "a b")`` base.  A top-level definition counts as
+referenced when its name appears as a name, an attribute or an imported
+name anywhere in src/ outside its own definition.  A method or field
+counts only when it is read as an attribute (``obj.name``) there: a local
+variable or a constructor keyword of the same name does not.  Names are
+matched as text, so a definition whose name is reused elsewhere passes;
+the scan catches code that nothing in src/ names.
 """
 
 import ast
@@ -37,6 +38,16 @@ def _definitions(module: str, tree: ast.Module):
         if not node.name.startswith("_"):
             yield f"{module}.{node.name}", node.name, node, False
         if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                if (isinstance(base, ast.Call) and len(base.args) == 2
+                        and (getattr(base.func, "id", None) == "namedtuple"
+                             or getattr(base.func, "attr", None) == "namedtuple")
+                        and isinstance(base.args[1], ast.Constant)):
+                    # the base call is the field's span, so reads in the
+                    # class's own methods count
+                    for name in base.args[1].value.replace(",", " ").split():
+                        if not name.startswith("_"):
+                            yield f"{module}.{node.name}.{name}", name, base, True
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
                     name = member.name
@@ -89,13 +100,19 @@ def test_src_holds_no_test_only_code():
 
 def test_scan_sees_an_unreferenced_definition(tmp_path):
     # the scan itself: a function that only calls itself is unreferenced,
-    # and so is a field whose name is only a local or a constructor keyword
+    # and so is a field whose name is only a local or a constructor keyword,
+    # annotated or named in a namedtuple base; a field read in its own
+    # class's method counts
     (tmp_path / "mod.py").write_text(
+        "from collections import namedtuple\n\n\n"
         "class Pair:\n    first: int\n    second: int\n\n\n"
-        "def used():\n    first = 1\n    return Pair(first=first, second=2).second\n\n\n"
+        "class Point(namedtuple('Point', 'x y z')):\n"
+        "    def norm(self):\n        return self.x\n\n\n"
+        "def used():\n    first = 1\n    y = Point(x=0, y=1, z=2).z\n"
+        "    return Pair(first=first, second=y).second + Point(0, 1, 2).norm()\n\n\n"
         "def unused(n):\n    return used() + unused(n - 1)\n"
     )
-    assert unreferenced_definitions(tmp_path) == {"mod.unused", "mod.Pair.first"}
+    assert unreferenced_definitions(tmp_path) == {"mod.unused", "mod.Pair.first", "mod.Point.y"}
 
 
 def test_src_checks_without_assert():

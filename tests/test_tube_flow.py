@@ -101,6 +101,15 @@ class TestBranchConstruction:
         with pytest.raises(NormalizationError, match="kappa 0 is the flat regime"):
             tf.CurvatureBranch(kappa=0.0, space_sign=1, phase=0.5, multiplicity=1)
 
+    def test_system_needs_branches(self):
+        # the argument is converted before the check: an empty generator is
+        # truthy, and used to pass as a system with no branches
+        for empty in ((), [], (b for b in [])):
+            with pytest.raises(NormalizationError, match="needs branches"):
+                tf.PCSystem(empty)
+        branch = tf.CurvatureBranch.compact(1.0, 0.5)
+        assert tf.PCSystem(b for b in [branch]).branches == (branch,)
+
     def test_from_value_round_trip(self):
         for v in (-5.0, -1.0, 0.0, 0.3, 7.0):
             b = branch_from_value(2.0, v)
