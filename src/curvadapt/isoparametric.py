@@ -26,17 +26,19 @@ witnesses.  Branch values come from tube_flow.branch_values, the one
 closed-form evaluator, and pole locations from CurvatureBranch.poles;
 this module only merges and matches them.  A profile's poles are two
 parallel lists, (locations, weights).  The smooth-part grid masks every
-branch pole of both systems, whatever the merge tolerance, and reads
-branch_values a column per branch, summed in branch order by
-_profile_column, of which profile is the one-point case.  The profile is
-the meromorphic function, so it is evaluated past the first pole, where
-the flow of tube_flow.evolve ends.
+branch pole of both systems, whatever the merge tolerance, and passes
+its kept points to profile, the one profile evaluator, which reads
+branch_values a column per branch and sums the columns in branch order.
+The profile is the meromorphic function, so it is evaluated past the
+first pole, where the flow of tube_flow.evolve ends.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from functools import reduce
+from operator import add
 
 from .certificates import Certificate
 from .errors import InconsistentPowerSumsError, NormalizationError
@@ -47,9 +49,9 @@ DEFAULT_GRID_TOL = 1e-9
 GRID_POINTS = 256
 
 
-def _profile_column(sys: PCSystem, ts: list[float]) -> list[float]:
-    """The profile at each t of ts: the branch columns summed in branch
-    order, starting from 0.0.
+def profile(sys: PCSystem, ts: list[float]) -> list[float]:
+    """The mean-curvature profile at each t of ts: the multiplicity-weighted
+    branch columns summed in branch order, starting from 0.0.
 
     Raises:
         FocalPointError: from branch_values, at the first t of ts within
@@ -60,12 +62,6 @@ def _profile_column(sys: PCSystem, ts: list[float]) -> list[float]:
         m = b.multiplicity
         total = [s + m * v for s, v in zip(total, branch_values(b, ts))]
     return total
-
-
-def profile(sys: PCSystem, t: float) -> float:
-    """Multiplicity-weighted sum of all branch values at parameter t:
-    _profile_column at a single point."""
-    return _profile_column(sys, [t])[0]
 
 
 def extract_poles(
@@ -198,7 +194,7 @@ def _masked_grid_residual(
     grid = linspace(lo, hi, GRID_POINTS + 2)[1:-1]
     mask_radius = max(1e-2, 2.0 * (hi - lo) / GRID_POINTS)
     kept = [t for t in grid if not _near_pole(t, pole_locations, mask_radius)]
-    diffs = [abs(a - b) for a, b in zip(_profile_column(p, kept), _profile_column(q, kept))]
+    diffs = [abs(a - b) for a, b in zip(profile(p, kept), profile(q, kept))]
     worst = -1.0
     worst_t = lo
     for t, d in zip(kept, diffs):
@@ -311,6 +307,8 @@ def isoparametric_verdict(
 # --------------------------------------------------------------------------
 # Newton's identities and the power-sum cascade
 # --------------------------------------------------------------------------
+# Sums add left to right from 0.0, as sum added floats before Python 3.12
+# began to compensate their rounding, so the residuals print the same bytes.
 
 
 def newton_recover(power_sums, tol: float = 1e-8):
@@ -347,7 +345,7 @@ def newton_recover(power_sums, tol: float = 1e-8):
     values = sorted(float(x) for x in roots.real)
     scale = max(1.0, max(abs(x) for x in p))
     for k in range(1, n + 1):
-        got = sum(v**k for v in values)
+        got = reduce(add, (v**k for v in values), 0.0)
         if abs(got - p[k - 1]) > tol * scale * 10 ** (k - 1):
             raise InconsistentPowerSumsError(
                 f"round-trip failed at p_{k}: {got!r} vs {p[k - 1]!r}"
@@ -375,7 +373,7 @@ def power_sums(sys: PCSystem, t: float | complex, k_max: int) -> list[float | co
     sums, terms = [], [m for _, m in values]
     for _ in range(k_max):
         terms = [w * v for w, (v, _) in zip(terms, values)]
-        sums.append(sum(terms))
+        sums.append(reduce(add, terms, 0.0))
     return sums
 
 
@@ -405,11 +403,11 @@ def power_sum_cascade(sys: PCSystem, k_max: int, t: float) -> list[float]:
               for b in sys.branches]
     residuals = []
     for k in range(1, k_max + 1):
-        curvature_term = sum(m * s_kappa_sq * v ** (k - 1)
-                             for v, m, s_kappa_sq in values)
+        curvature_term = reduce(add, (m * s_kappa_sq * v ** (k - 1)
+                                      for v, m, s_kappa_sq in values), 0.0)
         closed = k * (here[k] + curvature_term)
-        size = k * sum(m * (abs(v) ** (k + 1) + abs(s_kappa_sq) * abs(v) ** (k - 1))
-                       for v, m, s_kappa_sq in values)
+        size = k * reduce(add, (m * (abs(v) ** (k + 1) + abs(s_kappa_sq) * abs(v) ** (k - 1))
+                                for v, m, s_kappa_sq in values), 0.0)
         residuals.append(abs(derivative[k - 1] - closed) / max(1.0, size))
     return residuals
 

@@ -39,11 +39,11 @@ class TestProfileEvaluation:
         )
         t = 0.2
         expected = 8.0 / math.tan(math.pi / 2 - t) + 14.0 / math.tan(math.pi / 2 - 2 * t)
-        assert abs(iso.profile(sys, t) - expected) <= 1e-12
+        assert abs(iso.profile(sys, [t])[0] - expected) <= 1e-12
 
     def test_profile_at_symmetric_point_vanishes(self):
         sys = system_of(CurvatureBranch.compact(1.0, math.pi / 2, 8))
-        assert abs(iso.profile(sys, 0.0)) <= 1e-15
+        assert abs(iso.profile(sys, [0.0])[0]) <= 1e-15
 
     def test_profile_continues_past_first_pole(self):
         # evolve() implements flow semantics and refuses to cross a pole;
@@ -52,12 +52,12 @@ class TestProfileEvaluation:
         sys = system_of(b)
         with pytest.raises(FocalPointError):
             evolve(b, 2.0)
-        assert abs(iso.profile(sys, 2.0) - math.tan(2.0)) <= 1e-12
+        assert abs(iso.profile(sys, [2.0])[0] - math.tan(2.0)) <= 1e-12
 
     def test_profile_raises_exactly_at_pole(self):
         sys = system_of(CurvatureBranch.compact(1.0, math.pi / 2, 3))
         with pytest.raises(FocalPointError):
-            iso.profile(sys, math.pi / 2)
+            iso.profile(sys, [math.pi / 2])
 
     def test_branch_value_matches_evolve_inside_interval(self):
         rng = np.random.default_rng(41)
@@ -224,8 +224,8 @@ class TestProfileEquivalence:
             CurvatureBranch.compact(1.0, math.pi - 1.1, 1),
             label="q",
         )
-        assert abs(iso.profile(p, 0.0)) <= 1e-12
-        assert abs(iso.profile(q, 0.0)) <= 1e-12
+        assert abs(iso.profile(p, [0.0])[0]) <= 1e-12
+        assert abs(iso.profile(q, [0.0])[0]) <= 1e-12
         cert = iso.profiles_equivalent(p, q)
         assert cert.verdict == "distinct"
 
@@ -284,7 +284,7 @@ def point_walk_residual(p, q, window, pole_locations):
     for t in grid:
         if any(abs(t - r) < mask_radius for r in pole_locations):
             continue
-        d = abs(iso.profile(p, t) - iso.profile(q, t))
+        d = abs(iso.profile(p, [t])[0] - iso.profile(q, [t])[0])
         if d > worst:
             worst, worst_t = d, t
     if worst < 0.0:
@@ -330,8 +330,8 @@ class TestGridKernel:
             kept = [t for t in linspace(lo, hi, iso.GRID_POINTS + 2)[1:-1]
                     if not any(abs(t - r) < radius for r in locations)]
             for system in (p, q):
-                assert hexes(iso._profile_column(system, kept)) == hexes(
-                    iso.profile(system, t) for t in kept)
+                assert hexes(iso.profile(system, kept)) == hexes(
+                    iso.profile(system, [t])[0] for t in kept)
 
     def test_bisected_mask_keeps_what_a_scan_keeps(self):
         rng = np.random.default_rng(5)
@@ -361,6 +361,36 @@ class TestGridKernel:
             reached += 1
             assert hexes(iso._masked_grid_residual(p, q, window, locations)) == hexes(expected)
         assert reached > 40
+
+    def test_grid_runs_through_profile(self, monkeypatch):
+        # the grid calls the module-global profile once per system with the
+        # kept points, so a replaced profile, as the tracer's is, sees it
+        calls = []
+        evaluate = iso.profile
+
+        def counting(system, ts):
+            calls.append((system.label, list(ts)))
+            return evaluate(system, ts)
+
+        monkeypatch.setattr(iso, "profile", counting)
+        p = system_of(CurvatureBranch.compact(1.0, 0.9, 2), CurvatureBranch.compact(2.0, 2.1))
+        q = PCSystem(p.branches[::-1], label="q")
+        cert = iso.profiles_equivalent(p, q)
+        assert cert.verdict == "equivalent"
+        lo, hi = cert.details["window"]
+        radius = max(1e-2, 2.0 * (hi - lo) / iso.GRID_POINTS)
+        poles = [r for b in p.branches for r in b.poles(lo, hi)]
+        kept = [t for t in linspace(lo, hi, iso.GRID_POINTS + 2)[1:-1]
+                if not any(abs(t - r) < radius for r in poles)]
+        assert 0 < len(kept) < iso.GRID_POINTS
+        assert calls == [("p", kept), ("q", kept)]
+
+        calls.clear()
+        moved = system_of(CurvatureBranch.compact(1.0, 1.0, 2), CurvatureBranch.compact(2.0, 2.1),
+                          label="q")
+        cert = iso.profiles_equivalent(p, moved)
+        assert cert.witness["kind"] == "pole_location"
+        assert calls == []
 
     def test_merged_away_pole_is_masked_through_the_comparator(self):
         # pole_merge 1 merges the pole at 1.5 into the one at 1, and the mask
@@ -518,6 +548,13 @@ class TestPowerSumCascade:
         p1, p2 = iso.power_sums(sys, 0.0, 2)
         assert abs(p1 - 3.0) <= 1e-12
         assert abs(p2 - 9.0) <= 1e-12
+
+    def test_power_sums_add_left_to_right(self):
+        # sum compensates float rounding since Python 3.12 and would give
+        # [1.0]; left to right from 0.0 it is [0.0] on every version
+        sys = system_of(CurvatureBranch.flat(1.0, 2**53), CurvatureBranch.flat(1.0),
+                        CurvatureBranch.flat(-1.0, 2**53))
+        assert iso.power_sums(sys, 0.0, 1) == [0.0]
 
     def test_cascade_identity_single_branch(self):
         # one flat branch with lambda(0) = 0: p_k' = k p_{k+1} exactly,

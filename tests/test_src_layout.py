@@ -21,7 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "curvadapt"
 ALLOWED_UNREFERENCED = {
     "cli._Parser.error": "argparse calls it",
     "isoparametric.isoparametric_verdict": "for the planned Cartan certificate",
-    "isoparametric.profile": "named in the perfbench LAYERS",
     "isoparametric.random_profile_pair": "for the planned Cartan certificate",
     "tube_flow.enumerate_focal_configurations":
         "the brute-force oracle, named in the perfbench LAYERS",

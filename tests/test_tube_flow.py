@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from curvadapt import cayley_plane
 from curvadapt import isoparametric as iso
 from curvadapt import tube_flow as tf
 from curvadapt.errors import ExcludedAngleError, FocalPointError, NormalizationError
+from curvadapt.operators import jacobi_matrices
 from helpers import (
     CORE_TANGENT_COORDINATES,
     NoMinimalTubeError,
@@ -496,20 +499,20 @@ class TestTubeTables:
 
     def test_mean_curvature_example(self):
         r = math.pi / 8
-        h = iso.profile(tf.tube_spectrum("op2", "line", r), 0.0)
+        h = iso.profile(tf.tube_spectrum("op2", "line", r), [0.0])[0]
         expected = 8.0 * (-math.tan(r)) + 14.0 / math.tan(2.0 * r)
         assert abs(h - expected) <= 1e-12
 
     def test_minimal_point_tube_radius(self):
         r = minimal_tube_radius("op2", "point")
         assert abs(r - 0.9714824303776113) <= 1e-9
-        h = iso.profile(tf.tube_spectrum("op2", "point", r), 0.0)
+        h = iso.profile(tf.tube_spectrum("op2", "point", r), [0.0])[0]
         assert abs(h) <= 1e-9
 
     @pytest.mark.parametrize("core", ["point", "line", "hp2"])
     def test_minimal_tube_radius_matches_numerical_root(self, core):
         def h(r):
-            return iso.profile(tf.tube_spectrum("op2", core, r), 0.0)
+            return iso.profile(tf.tube_spectrum("op2", core, r), [0.0])[0]
 
         limit = math.pi / 4 if core == "hp2" else math.pi / 2
         root = brentq(h, 1e-3, limit - 1e-3, xtol=1e-14)
@@ -593,6 +596,55 @@ class TestCatalogFromModel:
         # span{1, J1, J2, J3} is no quaternion subalgebra, since J1 J2 = J4
         frame = coordinate_frame((0, 1, 2, 3, 8, 9, 10, 11))
         assert lie_triple_defect(frame, sign) >= 1.0
+
+    def test_catalog_is_complete_over_coordinate_subspaces(self):
+        # every proper coordinate subspace U of R^16 as a 16-bit mask, the
+        # point U = 0 among them; R(U, U)U in U is checked exactly on the
+        # integer tensor R(e_i, e_j)e_k, so only the Lie triple systems
+        # reach a float
+        n = cayley_plane.DIM
+        eye = np.eye(n)
+        tensor = cayley_plane.curvature(eye[:, None, None], eye[None, :, None],
+                                        eye[None, None, :])
+        assert set(np.unique(tensor)) <= {0.0, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0}
+        support = (tensor != 0) @ (1 << np.arange(n))  # the mask of R(e_i, e_j)e_k
+        # support[i, j, k] ORed over the bits k of a byte: k < 8 in low, k >= 8 in high
+        low = np.zeros((n, n, 256), dtype=np.int64)
+        high = np.zeros_like(low)
+        for byte in range(1, 256):
+            k, rest = (byte & -byte).bit_length() - 1, byte & (byte - 1)
+            low[:, :, byte] = low[:, :, rest] | support[:, :, k]
+            high[:, :, byte] = high[:, :, rest] | support[:, :, k + 8]
+        masks = np.arange((1 << n) - 1)
+        closed = np.ones(len(masks), dtype=bool)
+        for i, j in zip(*np.triu_indices(n, 1)):  # R(e_j, e_i) = -R(e_i, e_j)
+            spanned = low[i, j][masks & 255] | high[i, j][masks >> 8]
+            closed &= ((masks >> i) & (masks >> j) & 1 == 0) | (spanned & ~masks == 0)
+        triples = masks[closed]
+        inside = (triples[:, None] >> np.arange(n)) & 1 == 1
+        assert set(inside.sum(axis=1)) == set(range(9))
+
+        # U is adapted when K_xi U in U at three seeded unit normals xi,
+        # read at both signs; K_xi is symmetric, so that is a zero block
+        normals = np.random.default_rng(9).normal(size=(len(triples), 3, n))
+        normals[np.broadcast_to(inside[:, None], normals.shape)] = 0.0
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        signatures = {}
+        for sign in (1, -1):
+            k = jacobi_matrices(partial(cayley_plane.curvature, sign=sign), normals)
+            leak = np.where(inside[:, None, :, None] & ~inside[:, None, None, :], k, 0.0)
+            adapted = np.abs(leak).max(axis=(1, 2, 3)) <= 1e-9
+            for mask, u, matrices in zip(triples[adapted], inside[adapted], k[adapted]):
+                for kxi in matrices:
+                    # on the whole normal space, whose xi adds only a 0
+                    values = np.abs(np.linalg.eigvalsh(kxi[np.ix_(~u, ~u)]))
+                    signatures.setdefault(int(mask), []).append((int(u.sum()), *(
+                        int(np.sum(np.abs(values - mu) <= 1e-9)) for mu in (4, 1))))
+        # one signature per U, read at all three normals at both signs
+        assert all(len(read) == 6 and len(set(read)) == 1 for read in signatures.values())
+        counts = Counter(read[0] for read in signatures.values())
+        assert set(counts) == set(tf.CATALOG_CORES.values())
+        assert counts == {(0, 7, 8): 1, (8, 7, 0): 2, (8, 3, 4): 28}
 
 
 class TestPlaneNumbers:
