@@ -14,7 +14,9 @@ tube-table, profile-match, cascade and sectional-range edge cases (the
 profile-match ones include tanh rows: the oh2 line and hp2 tubes at
 r = 0.3 against their reversed order, and the hyperbolic doubling pair
 2 coth 2u = coth u + tanh u with a nudged copy; an all-const system
-whose default window overflows; a pole-weight witness; a slow branch,
+whose default window overflows; a const system whose kappa times mult
+overflows, so both profiles read inf; one mult-2 row against two mult-1
+copies of it; a pole-weight witness; a slow branch,
 whose closed-form denominator stays below 1e-12 far from its one pole,
 against itself (equivalent); and one branch against itself at kappa 400
 and 3e6, where the grid is entirely masked and no pole-free window
@@ -26,7 +28,9 @@ branch at t = 1e10, where kappa t overflows a float, jacobi-spectrum
 --space grassmannian at alpha 0.0001, 1.5707 and 1.5707963 with m = 2
 and at 0.001 with m = 3, whose clusters lie closer than 1e-6 yet far
 above eigh's rounding, jacobi-spectrum --space grassmannian and
-grassmannian-check at two angles with m = 2, 64 and 3 interleaved, three
+grassmannian-check at two angles with m = 2, 64 and 3 interleaved,
+--format md for octonion-table and for jacobi-spectrum at both --space
+values, and csv and md for tube-table, three
 edges of the const regime, which holds only when |lambda(0)| = kappa
 exactly (a kappa = 1e-13 branch with lambda(0) = 5 kappa under cascade,
 tagged coth and tagged const, and the oh2 tube about a point at r = 8,
@@ -115,6 +119,8 @@ SPLIT_NUDGED = SPLIT.replace("0.6640367702678491", "0.66")
 SLOW_BRANCH = '[{"kappa":1e-11,"theta":1e-12,"mult":1}]'
 #: no compact branch and pi/kappa overflows a float: no default window
 TINY_CONST = '[{"kappa":1e-310,"theta":1e-310,"mult":1,"regime":"const"}]'
+#: a const branch whose kappa times mult overflows a float
+BOTH_OVERFLOW = '[{"kappa":1e300,"theta":1e300,"mult":9007199254740992,"regime":"const"}]'
 #: a coth pole matched by both, and a const branch that changes the smooth part
 WIDE_P = '[{"kappa":1,"theta":2,"mult":1,"regime":"coth"}]'
 WIDE_Q = ('[{"kappa":2,"theta":2.5,"mult":1,"regime":"coth"},'
@@ -177,6 +183,10 @@ EDGES = [
     ["tube-table", "--ambient", ambient, "--core", "hp2", "--radius", "0.3", "--format", fmt]
     for ambient in ("op2", "oh2") for fmt in ("csv", "md")
 ] + [
+    ["octonion-table", "--format", "md"],
+    *(["jacobi-spectrum", "--space", space, "--format", "md"]
+      for space in ("cayley", "grassmannian")),
+] + [
     ["profile-match", "--p", "[", "--q", SYSTEM],
     ["profile-match", "--p", SYSTEM, "--q", SYSTEM, "--window", "2,1"],
     ["theorem3", "--alpha-grid", "nonsense"],
@@ -212,6 +222,11 @@ EDGES = [
     *(["profile-match", "--p", _rows(tube), "--q", _rows(tube[::-1])] for tube in OH2_TUBES),
     *(["profile-match", "--p", DOUBLED, "--q", q] for q in (SPLIT, SPLIT_NUDGED)),
     ["profile-match", "--p", TINY_CONST, "--q", TINY_CONST],
+    # kappa times mult overflows, so both profiles read inf at every grid point
+    ["profile-match", "--p", BOTH_OVERFLOW, "--q", BOTH_OVERFLOW],
+    # one mult-2 row against two mult-1 copies of it
+    ["profile-match", "--p", '[{"kappa":1,"theta":1,"mult":2}]',
+     "--q", f"[{COMPACT_ROW},{COMPACT_ROW}]"],
 ] + [
     # the pole-weight witness; a slow branch with its pole at 0.1, whose
     # grid keeps clear of the kernel's 1e-12 pole proximity (equivalent);

@@ -189,20 +189,22 @@ def _masked_grid_residual(
     the poles, whose locations come increasing.  A kept point lies the mask
     radius (>= 1e-2) from each pole inside the window, so FocalPointError
     comes only from a pole on or past an end of a window narrower than about
-    257 * POLE_PROXIMITY, or from a t (about 1e13 on) that rounds past one."""
+    257 * POLE_PROXIMITY, or from a t (about 1e13 on) that rounds past one.
+    NormalizationError comes when no point is kept, or at the first kept
+    point where the difference is inf - inf (NaN); an inf difference, where
+    one profile overflows, is returned."""
     lo, hi = window
     grid = linspace(lo, hi, GRID_POINTS + 2)[1:-1]
     mask_radius = max(1e-2, 2.0 * (hi - lo) / GRID_POINTS)
     kept = [t for t in grid if not _near_pole(t, pole_locations, mask_radius)]
-    diffs = [abs(a - b) for a, b in zip(profile(p, kept), profile(q, kept))]
-    worst = -1.0
-    worst_t = lo
-    for t, d in zip(kept, diffs):
-        if d > worst:
-            worst, worst_t = d, t
-    if worst < 0.0:
+    if not kept:
         raise NormalizationError("grid entirely masked; window too crowded")
-    return worst, worst_t
+    diffs = [abs(a - b) for a, b in zip(profile(p, kept), profile(q, kept))]
+    for t, d in zip(kept, diffs):
+        if math.isnan(d):
+            raise NormalizationError(f"both profiles overflow a float at t={t!r}")
+    worst = max(diffs)  # the first maximum
+    return worst, kept[diffs.index(worst)]
 
 
 def profiles_equivalent(

@@ -305,6 +305,9 @@ CATALOG_CORES: dict[str, tuple[int, int, int]] = {
     "hp2": (8, 3, 4),
 }
 CORES = (*CATALOG_CORES, "horosphere")
+#: theorem-2 families: name -> the exact set of catalog cores that a
+#: survivor's totally geodesic focal sets carry
+FAMILIES = {"sphere": frozenset({"point", "line"}), "hp2": frozenset({"hp2"})}
 
 
 def tube_spectrum(ambient: str, core: str, radius: float | None) -> PCSystem:
@@ -615,24 +618,20 @@ def theorem2_certificate() -> Certificate:
     Returns a certificate whose details list the surviving configurations,
     the distinct families they form (a family and its orientation reversal
     both survive) and the pole check of each survivor's realized tube
-    (verify_configuration_by_evolution).  Verdict "equivalent" means the
-    survivors realize exactly the catalog cores {point/line, hp2} and every
-    survivor passes its pole check.
+    (verify_configuration_by_evolution).  A survivor belongs to the family
+    whose FAMILIES entry equals its set of matched cores; any other set is
+    the family "unmatched:<cores>".  Verdict "equivalent" means the
+    survivors form exactly the FAMILIES families and every survivor passes
+    its pole check.
     total_enumerated is the size of the candidate space the verdict
     covers, not the number of candidates the search builds.
     """
     survivors = admissible_focal_configurations()
+    family_of = {cores: name for name, cores in FAMILIES.items()}
     families = set()
     for cfg in survivors:
-        cores = cfg.matched_cores()
-        names = set(cores.values())
-        if names <= {"point", "line"}:
-            families.add("sphere")
-        elif "hp2" in names:
-            families.add("hp2")
-        else:
-            families.add("unmatched:" + ",".join(sorted(names)))
-    expected = {"sphere", "hp2"}
+        names = frozenset(cfg.matched_cores().values())
+        families.add(family_of.get(names, "unmatched:" + ",".join(sorted(names))))
     checks = {
         f"config{i}": verify_configuration_by_evolution(cfg)
         for i, cfg in enumerate(survivors)
@@ -641,7 +640,7 @@ def theorem2_certificate() -> Certificate:
         c["interior_poles"] == 0 and all(c[f"{q}_focal_mult_ok"] for q in FOCAL_SETS)
         for c in checks.values()
     )
-    ok = families == expected and evolution_ok
+    ok = families == FAMILIES.keys() and evolution_ok
     return Certificate(
         verdict="equivalent" if ok else "contradiction",
         residual=0.0 if ok else 1.0,

@@ -234,7 +234,7 @@ def test_criterion_7_focal_enumeration(capsys):
     families = set()
     for cfg in survivors:
         names = set(cfg.matched_cores().values())
-        if names <= {"point", "line"}:
+        if names == {"point", "line"}:
             families.add("sphere")
         elif names == {"hp2"}:
             families.add("hp2")

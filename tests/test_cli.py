@@ -45,6 +45,10 @@ NON_FINITE_CERTIFICATE_ARGV = [
     "--q", '[{"kappa":1,"theta":-2,"mult":1,"regime":"coth"}]',
 ]
 
+#: a const branch whose kappa times mult overflows a float: both profiles
+#: read inf, so every kept grid point differs by inf - inf
+BOTH_OVERFLOW = '[{"kappa":1e300,"theta":1e300,"mult":9007199254740992,"regime":"const"}]'
+
 #: profile-match input whose kappa has a cot period pi / kappa past the float range
 OVERFLOWING_PERIOD_ARGV = [
     "profile-match", "--p", '[{"kappa":1e-310,"theta":1,"mult":1}]',
@@ -370,6 +374,9 @@ USAGE_ERRORS = [
          "while decoding a JSON array from a unicode string\n"),
         ("certificate-non-finite", NON_FINITE_CERTIFICATE_ARGV,
          "error: Out of range float values are not JSON compliant: inf\n"),
+        # a const branch has no pole, so no grid point is masked
+        ("both-profiles-overflow", ["profile-match", "--p", BOTH_OVERFLOW, "--q", BOTH_OVERFLOW],
+         "error: both profiles overflow a float at t=1.2224095928364953e-302\n"),
         # the cost and the output of a cascade grow linearly in --kmax
         ("kmax-above-cap",
          ["cascade", "--system", '[{"kappa":0.5,"theta":1.5,"mult":1}]', "--t", "0.1",
@@ -443,7 +450,7 @@ class TestInputHardening:
 
     def test_non_finite_output_fails_loudly(self, capsys, monkeypatch):
         def handler(args):
-            return {"value": math.nan}, None, cli.EXIT_OK
+            return {"value": math.nan}, True
 
         monkeypatch.setattr(cli, "_cmd_octonion_table", handler)
         self.assert_usage_error(capsys, "octonion-table")
@@ -802,6 +809,27 @@ class TestTabularFormats:
         assert lines[0].startswith("| i | j | sign | k |")
         assert lines[1].startswith("|")
         assert len(lines) == 2 + 64
+
+    @pytest.mark.parametrize("name", [name for name, (_, options) in cli._SUBCOMMANDS.items()
+                                      if "--format" in options])
+    def test_table_is_the_payloads_one_list_of_rows(self, capsys, monkeypatch, name):
+        # csv prints the payload's one list, the keys of its rows as the
+        # columns; md is the same rows joined by " | ", plus a --- row.  The
+        # payload is read before JSON sorts its keys.
+        payloads = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_emit", lambda payload, fmt, out: payloads.append(payload))
+            cli.main(COMMAND_ARGV[name])
+        (rows,) = [value for value in payloads[0].values() if isinstance(value, list)]
+        assert rows and all(list(row) == list(rows[0]) for row in rows)
+        code, csv, _ = run_cli(capsys, *COMMAND_ARGV[name], "--format", "csv")
+        assert code == cli.EXIT_OK
+        csv = csv.splitlines()
+        assert csv[0] == ",".join(rows[0]) and len(csv) == 1 + len(rows)
+        code, md, _ = run_cli(capsys, *COMMAND_ARGV[name], "--format", "md")
+        assert code == cli.EXIT_OK
+        joined = [f"| {line.replace(',', ' | ')} |" for line in csv]
+        assert md.splitlines() == [joined[0], "| --- " * len(rows[0]) + "|", *joined[1:]]
 
 
 class TestPayloadContent:
@@ -1187,7 +1215,7 @@ class TestParser:
         assert self.run(capsys, "octonion-table")[0] == cli.EXIT_OK
 
         def handler(args):
-            return {"value": math.nan}, None, cli.EXIT_OK
+            return {"value": math.nan}, True
 
         monkeypatch.setattr(cli, "_cmd_octonion_table", handler)
         code, out, err = self.run(capsys, "octonion-table")

@@ -466,6 +466,72 @@ class TestComparatorCrossCheck:
         assert cert.witness["kind"] == "smooth_part"
 
 
+    def test_multisets_differ_in_kappa_alone(self):
+        p = system_of(CurvatureBranch.compact(1.0, 1.0))
+        q = system_of(CurvatureBranch.compact(2.0, 1.0), label="q")
+        assert not iso.multisets_match(p, q)
+
+    def test_equal_rows_merge_into_one(self):
+        row = CurvatureBranch.compact(1.0, 1.0)
+        assert iso.canonical_branch_multiset(system_of(row, row)) == ((1, 1.0, 1.0, 2),)
+        assert iso.multisets_match(system_of(CurvatureBranch.compact(1.0, 1.0, 2)),
+                                   system_of(row, row, label="q"))
+
+
+@pytest.fixture(scope="module")
+def drawn_pairs():
+    """200 random_profile_pair draws (seed 7) with their verdicts on default windows."""
+    rng = np.random.default_rng(7)
+    pairs = [iso.random_profile_pair(rng)[:2] for _ in range(200)]
+    return [(p, q, iso.profiles_equivalent(p, q).verdict) for p, q in pairs]
+
+
+def scaled(system, factor):
+    """system with every kappa multiplied by factor and every phase kept."""
+    return PCSystem(tuple(CurvatureBranch.compact(b.kappa * factor, b.phase, b.multiplicity)
+                          for b in system.branches), label=system.label)
+
+
+class TestMetamorphicRelations:
+    """Relations of profile-match that need no second derivation: a verdict
+    that breaks one is wrong whatever the true profiles are."""
+
+    def test_splitting_a_branch_keeps_the_profile(self, drawn_pairs):
+        # p's first branch of multiplicity m >= 2 as rows of multiplicity 1
+        # and m - 1, the second one also shifted by the cot period pi
+        cases = 0
+        for p, q, verdict in drawn_pairs:
+            i = next((i for i, b in enumerate(p.branches) if b.multiplicity >= 2), None)
+            if i is None:
+                continue
+            b = p.branches[i]
+            for shift in (0.0, math.pi):
+                rows = (CurvatureBranch.compact(b.kappa, b.phase),
+                        CurvatureBranch.compact(b.kappa, b.phase + shift, b.multiplicity - 1))
+                split = system_of(*p.branches[:i], *rows, *p.branches[i + 1:])
+                assert iso.profiles_equivalent(p, split).verdict == "equivalent", (p, split)
+                assert iso.profiles_equivalent(split, q).verdict == verdict, (split, q)
+                cases += 1
+        assert cases == 386
+
+    @pytest.mark.parametrize("exponent", [
+        pytest.param(-8, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: pole_merge is an absolute 1e-9 in t, so "
+                                "39 equal pairs read distinct at a pole location")),
+        -6, -3, -1, 1,
+        pytest.param(3, marks=pytest.mark.xfail(
+            strict=True, raises=NormalizationError,
+            reason="ROADMAP item 2: the mask radius is an absolute 1e-2 in t, so the grid "
+                   "of 101 pairs is entirely masked")),
+    ])
+    def test_scaling_every_kappa_keeps_the_verdict(self, drawn_pairs, exponent):
+        factor = 10.0**exponent
+        changed = [(p, q) for p, q, verdict in drawn_pairs
+                   if iso.profiles_equivalent(scaled(p, factor), scaled(q, factor)).verdict
+                   != verdict]
+        assert changed == []
+
+
 class TestIsoparametricVerdict:
     def test_constant_family(self):
         base = system_of(

@@ -863,6 +863,23 @@ class TestFocalEnumeration:
         assert cert.details["total_enumerated"] == 39600
         assert len(cert.details["survivors"]) == 4
 
+    @pytest.mark.parametrize("extra, cores", [
+        (tf.FocalConfiguration(2, (0, 0, 7, 0), (0, 0, 0, 8)), "point"),
+        (tf.FocalConfiguration(2, (0, 0, 7, 0), (0, 8, 0, 0)), "line"),
+    ])
+    def test_survivor_outside_every_family_is_a_contradiction(self, monkeypatch, extra, cores):
+        # a family is its exact FAMILIES core set: a point or a line alone
+        # is no sphere family, though this survivor passes its pole check
+        assert set(extra.matched_cores().values()) == {cores}
+        check = tf.verify_configuration_by_evolution(extra)
+        assert check == {"interior_poles": 0, "q1_focal_mult_ok": True, "q2_focal_mult_ok": True}
+        survivors = tf.admissible_focal_configurations() + [extra]
+        monkeypatch.setattr(tf, "admissible_focal_configurations", lambda: survivors)
+        cert = tf.theorem2_certificate()
+        assert cert.verdict == "contradiction"
+        assert cert.details["families"] == ["hp2", "sphere", f"unmatched:{cores}"]
+        assert len(cert.details["survivors"]) == 5
+
 
 #: the angles of the README and acceptance sweep
 SWEEP_ALPHAS = np.linspace(0.25, 1.30, 24)
@@ -969,6 +986,9 @@ class TestProportionalSweep:
                 tf.theorem3_sweep([math.acos(cos_a)])
         with pytest.raises(ExcludedAngleError):
             tf.theorem3_sweep([math.pi / 2])  # cos = 0
+        # the exclusion is a band of 1e-9 in cos(alpha), not one float
+        with pytest.raises(ExcludedAngleError):
+            tf.theorem3_sweep([math.acos(0.8) + 1e-10])
 
     def test_boundary_case(self):
         cert = tf.theorem3_boundary_case()
